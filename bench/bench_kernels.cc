@@ -5,9 +5,11 @@
 // does for this operation today".
 //
 // Coverage: 64-bit modular multiplication, the negacyclic NTT, the CKKS
-// ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale),
-// the plaintext distance kernels behind KnnClassifier / FederatedKnnOracle,
-// the bounded top-k selection, and one end-to-end encrypted-KNN query.
+// ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale) and
+// the layers inside them (encode, decode, noise sampling), the plaintext
+// distance kernels behind KnnClassifier / FederatedKnnOracle, the per-party
+// sub-ranking sort, the bounded top-k selection, and one end-to-end
+// encrypted-KNN query.
 
 // Per-ISA rows: the ISA-sensitive benchmarks also register pinned variants
 // named `<bench>/isa:<scalar|avx2|avx512>` (only for ISAs the host supports),
@@ -32,6 +34,7 @@
 #include "ml/kernels.h"
 #include "ml/knn.h"
 #include "simd/simd.h"
+#include "topk/ranked_list.h"
 #include "vfl/fed_knn.h"
 
 namespace vfps {
@@ -198,6 +201,58 @@ void BM_CkksDecrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_CkksDecrypt)->Arg(4096);
 
+// The two halves of EncryptVector/DecryptVector that are not NTTs or
+// pointwise ops: the canonical-embedding FFT encode (values -> NTT-form
+// plaintext) and decode (plaintext -> values).
+void BM_CkksEncode(benchmark::State& state) {
+  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+  const double scale = f.ctx->params().scale;
+  for (auto _ : state) {
+    auto pt = f.ctx->encoder().Encode(f.values, scale);
+    benchmark::DoNotOptimize(pt);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.values.size()));
+}
+BENCHMARK(BM_CkksEncode)->Arg(4096);
+
+void BM_CkksDecode(benchmark::State& state) {
+  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+  const double scale = f.ctx->params().scale;
+  const auto pt = f.ctx->encoder().Encode(f.values, scale).ValueOrDie();
+  for (auto _ : state) {
+    auto values = f.ctx->encoder().Decode(pt, scale, f.values.size());
+    benchmark::DoNotOptimize(values);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.values.size()));
+}
+BENCHMARK(BM_CkksDecode)->Arg(4096);
+
+// The encryption masks: two rounded-Gaussian error polynomials (CDT table)
+// and one ternary polynomial per ciphertext.
+void BM_SampleGaussian(benchmark::State& state) {
+  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+  he::RnsPoly poly;
+  for (auto _ : state) {
+    he::SampleGaussianInto(f.ctx->rns(), &f.rng, &poly, f.ctx->noise());
+    benchmark::DoNotOptimize(poly.residues.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SampleGaussian)->Arg(4096);
+
+void BM_SampleTernary(benchmark::State& state) {
+  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+  he::RnsPoly poly;
+  for (auto _ : state) {
+    he::SampleTernaryInto(f.ctx->rns(), &f.rng, &poly);
+    benchmark::DoNotOptimize(poly.residues.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SampleTernary)->Arg(4096);
+
 void BM_CkksAdd(benchmark::State& state) {
   CkksKernelFixture f(static_cast<size_t>(state.range(0)));
   auto a = f.ctx->EncryptVector(f.pk, f.values, &f.rng).ValueOrDie();
@@ -357,6 +412,31 @@ void BM_SmallestK(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SmallestK)->Arg(16384)->Unit(benchmark::kMicrosecond);
+
+// One party's sub-ranking: every row id sorted by the party's partial
+// distance to the query (ties by id), as the Fagin oracle builds it per
+// party per query. 19,200 rows is the SUSY preset at scale 0.5.
+void BM_SubRanking(benchmark::State& state) {
+  DistanceFixture f(static_cast<size_t>(state.range(0)), 16, 4);
+  const std::vector<size_t>& columns = f.partition[0];
+  std::vector<double> scores(f.train.num_samples());
+  const double* query = f.test.Row(0);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    double d = 0.0;
+    for (size_t c : columns) {
+      const double diff = f.train.At(i, c) - query[c];
+      d += diff * diff;
+    }
+    scores[i] = d;
+  }
+  for (auto _ : state) {
+    auto order = topk::RankedListSet::SortedOrder(scores);
+    benchmark::DoNotOptimize(order.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(scores.size()));
+}
+BENCHMARK(BM_SubRanking)->Arg(19200)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end encrypted-KNN query (BASE mode: encrypt-all, the paper's

@@ -52,6 +52,13 @@ Result<Dataset> ParseCsv(const std::string& content, const CsvOptions& options) 
             StrFormat("CSV line %zu column %zu: %s", line_no, c,
                       value.status().message().c_str()));
       }
+      // strtod accepts "nan" and "inf"; one such cell would turn its whole
+      // standardized column (or, as a label, llround) into garbage.
+      if (!std::isfinite(*value)) {
+        return Status::InvalidArgument(
+            StrFormat("CSV line %zu column %zu: non-finite value '%s'", line_no,
+                      c, std::string(TrimString(cells[c])).c_str()));
+      }
       if (c == label_col) {
         raw_labels.push_back(*value);
       } else {

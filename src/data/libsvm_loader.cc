@@ -33,6 +33,11 @@ Result<Dataset> ParseLibsvm(const std::string& content, size_t num_features) {
       if (t.empty()) continue;
       if (!have_label) {
         VFPS_ASSIGN_OR_RETURN(row.label, ParseDouble(t));
+        if (!std::isfinite(row.label)) {
+          return Status::InvalidArgument(
+              StrFormat("LIBSVM line %zu label: non-finite value '%s'", line_no,
+                        std::string(t).c_str()));
+        }
         have_label = true;
         continue;
       }
@@ -46,6 +51,14 @@ Result<Dataset> ParseLibsvm(const std::string& content, size_t num_features) {
       if (index < 1) {
         return Status::InvalidArgument(
             StrFormat("LIBSVM line %zu: indices are 1-based", line_no));
+      }
+      // strtod accepts "nan" and "inf"; one such value would turn its whole
+      // standardized column into garbage.
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument(
+            StrFormat("LIBSVM line %zu column %lld: non-finite value '%s'",
+                      line_no, static_cast<long long>(index),
+                      std::string(t.substr(colon + 1)).c_str()));
       }
       const size_t idx0 = static_cast<size_t>(index - 1);
       max_index = std::max(max_index, idx0 + 1);

@@ -18,8 +18,11 @@ Result<std::shared_ptr<const CkksContext>> CkksContext::Create(
           "CkksContext: prime bits must be in [30, 59]");
     }
   }
+  // Rejects a non-finite or out-of-range noise_sigma.
+  VFPS_ASSIGN_OR_RETURN(auto noise, GaussianCdt::Create(params.noise_sigma));
   auto ctx = std::shared_ptr<CkksContext>(new CkksContext());
   ctx->params_ = params;
+  ctx->noise_ = std::make_unique<const GaussianCdt>(std::move(noise));
   VFPS_ASSIGN_OR_RETURN(ctx->rns_,
                         RnsContext::Create(params.poly_degree, params.prime_bits));
   VFPS_ASSIGN_OR_RETURN(auto encoder, CkksEncoder::Create(ctx->rns_));
@@ -38,7 +41,7 @@ CkksPublicKey CkksContext::GeneratePublicKey(const CkksSecretKey& sk,
                                              Rng* rng) const {
   CkksPublicKey pk;
   pk.a = SampleUniform(*rns_, rng);  // already NTT form
-  RnsPoly e = SampleGaussian(*rns_, rng, params_.noise_sigma);
+  RnsPoly e = SampleGaussian(*rns_, rng, *noise_);
   ToNtt(*rns_, &e);
   // b = -(a*s + e)
   pk.b = pk.a;
@@ -59,9 +62,9 @@ CkksCiphertext CkksContext::Encrypt(const CkksPublicKey& pk,
   thread_local RnsPoly u, e0, e1;
   SampleTernaryInto(*rns_, rng, &u);
   ToNtt(*rns_, &u);
-  SampleGaussianInto(*rns_, rng, &e0, params_.noise_sigma);
+  SampleGaussianInto(*rns_, rng, &e0, *noise_);
   ToNtt(*rns_, &e0);
-  SampleGaussianInto(*rns_, rng, &e1, params_.noise_sigma);
+  SampleGaussianInto(*rns_, rng, &e1, *noise_);
   ToNtt(*rns_, &e1);
 
   CkksCiphertext ct;
@@ -168,7 +171,7 @@ CkksRelinKey CkksContext::GenerateRelinKey(const CkksSecretKey& sk,
 
   for (size_t j = 0; j < num_digits; ++j) {
     RnsPoly a = SampleUniform(*rns_, rng);
-    RnsPoly e = SampleGaussian(*rns_, rng, params_.noise_sigma);
+    RnsPoly e = SampleGaussian(*rns_, rng, *noise_);
     ToNtt(*rns_, &e);
     // b = -(a*s + e) + T^j * s^2, with T^j reduced per prime.
     RnsPoly b = a;

@@ -23,6 +23,8 @@ struct CkksParams {
   size_t poly_degree = 4096;
   std::vector<int> prime_bits = {54, 54};
   double scale = 1099511627776.0;  // 2^40
+  /// Standard deviation of the rounded-Gaussian error; must be finite and
+  /// in (0, GaussianCdt::kMaxSigma].
   double noise_sigma = 3.2;
 };
 
@@ -67,6 +69,8 @@ class CkksContext {
   const CkksParams& params() const { return params_; }
   const RnsContext& rns() const { return *rns_; }
   const CkksEncoder& encoder() const { return *encoder_; }
+  /// The error sampler built from params().noise_sigma.
+  const GaussianCdt& noise() const { return *noise_; }
   size_t slot_count() const { return encoder_->slot_count(); }
 
   CkksSecretKey GenerateSecretKey(Rng* rng) const;
@@ -147,6 +151,7 @@ class CkksContext {
   CkksParams params_;
   std::shared_ptr<const RnsContext> rns_;
   std::unique_ptr<CkksEncoder> encoder_;
+  std::unique_ptr<const GaussianCdt> noise_;
 };
 
 }  // namespace vfps::he

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "he/modarith.h"
 
 namespace vfps::he {
 
@@ -19,15 +20,28 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
   if (n < 4 || (n & (n - 1)) != 0) {
     return Status::InvalidArgument("CkksEncoder: ring degree must be a power of two >= 4");
   }
-  enc.twist_.resize(n);
+  enc.twist_re_.resize(n);
+  enc.twist_im_.resize(n);
   for (size_t k = 0; k < n; ++k) {
     const double angle = kPi * static_cast<double>(k) / static_cast<double>(n);
-    enc.twist_[k] = {std::cos(angle), std::sin(angle)};
+    enc.twist_re_[k] = std::cos(angle);
+    enc.twist_im_[k] = std::sin(angle);
   }
-  enc.fft_roots_.resize(n / 2);
-  for (size_t k = 0; k < n / 2; ++k) {
-    const double angle = -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
-    enc.fft_roots_[k] = {std::cos(angle), std::sin(angle)};
+  // Root m of the n-point transform is e^{-2*pi*i*m/n}; the stage of half
+  // length h reads roots m = j * (n / 2h), j < h. Copying each stage's roots
+  // next to each other keeps the butterfly loop unit-stride.
+  enc.root_re_.resize(n - 1);
+  enc.root_im_.resize(n - 1);
+  enc.root_im_inv_.resize(n - 1);
+  for (size_t h = 1; h < n; h <<= 1) {
+    const size_t step = n / (2 * h);
+    for (size_t j = 0; j < h; ++j) {
+      const double angle = -2.0 * kPi * static_cast<double>(j * step) /
+                           static_cast<double>(n);
+      enc.root_re_[h - 1 + j] = std::cos(angle);
+      enc.root_im_[h - 1 + j] = std::sin(angle);
+      enc.root_im_inv_[h - 1 + j] = -enc.root_im_[h - 1 + j];
+    }
   }
   // The NTT tables already hold the bit-reversal permutation for this n;
   // share it instead of recomputing (every RNS prime uses the same ring
@@ -36,23 +50,27 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
   return enc;
 }
 
-void CkksEncoder::Fft(std::vector<std::complex<double>>* a, int sign) const {
-  const size_t n = a->size();
-  auto& v = *a;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j = bit_rev_[i];
-    if (i < j) std::swap(v[i], v[j]);
-  }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const size_t step = n / len;
-    for (size_t i = 0; i < n; i += len) {
-      for (size_t k = 0; k < len / 2; ++k) {
-        std::complex<double> w = fft_roots_[k * step];
-        if (sign > 0) w = std::conj(w);
-        const std::complex<double> u = v[i + k];
-        const std::complex<double> t = w * v[i + k + len / 2];
-        v[i + k] = u + t;
-        v[i + k + len / 2] = u - t;
+void CkksEncoder::Fft(double* re, double* im, bool inverse) const {
+  const size_t n = ctx_->n();
+  const double* roots_im = inverse ? root_im_inv_.data() : root_im_.data();
+  for (size_t h = 1; h < n; h <<= 1) {
+    const double* __restrict wr = root_re_.data() + (h - 1);
+    const double* __restrict wi = roots_im + (h - 1);
+    for (size_t i = 0; i < n; i += 2 * h) {
+      double* __restrict ur = re + i;
+      double* __restrict ui = im + i;
+      double* __restrict vr = re + i + h;
+      double* __restrict vi = im + i + h;
+      for (size_t j = 0; j < h; ++j) {
+        // t = w * v, then (u, v) <- (u + t, u - t).
+        const double tr = wr[j] * vr[j] - wi[j] * vi[j];
+        const double ti = wr[j] * vi[j] + wi[j] * vr[j];
+        const double xr = ur[j];
+        const double xi = ui[j];
+        ur[j] = xr + tr;
+        ui[j] = xi + ti;
+        vr[j] = xr - tr;
+        vi[j] = xi - ti;
       }
     }
   }
@@ -70,26 +88,34 @@ Result<RnsPoly> CkksEncoder::Encode(std::span<const double> values,
     return Status::InvalidArgument("CkksEncoder: scale must be positive");
   }
   // Per-thread scratch (the encrypt hot path encodes one chunk per
-  // ciphertext; reusing the FFT buffer removes an n-complex allocation per
+  // ciphertext; reusing the FFT buffers removes two n-double allocations per
   // chunk). assign() overwrites every element, so state never leaks between
-  // calls — the zero fill IS the tail mask for partially-filled chunks.
-  thread_local std::vector<std::complex<double>> work;
-  work.assign(n, {0.0, 0.0});
-  for (size_t j = 0; j < values.size(); ++j) work[j] = {values[j], 0.0};
-  Fft(&work, -1);
+  // calls — the zero fill IS the tail mask for partially-filled chunks. The
+  // values go straight to their bit-reversed positions.
+  thread_local std::vector<double> re, im;
+  re.assign(n, 0.0);
+  im.assign(n, 0.0);
+  for (size_t j = 0; j < values.size(); ++j) re[bit_rev_[j]] = values[j];
+  Fft(re.data(), im.data(), /*inverse=*/false);
   RnsPoly poly = ZeroPoly(*ctx_);
   const double inv = 2.0 / static_cast<double>(n);
   for (size_t k = 0; k < n; ++k) {
     // c_k = (2/n) * Re(w^{-k} * A_k) * scale
-    const std::complex<double> tw = std::conj(twist_[k]);
-    const double coeff = inv * (tw * work[k]).real() * scale;
+    const double coeff =
+        inv * (twist_re_[k] * re[k] + twist_im_[k] * im[k]) * scale;
     if (!(std::abs(coeff) < kCoeffBound)) {
       return Status::OutOfRange(
           StrFormat("CkksEncoder: coefficient %.3e overflows encode bound; "
                     "reduce the scale or the value magnitudes",
                     coeff));
     }
-    SetCoeffFromInt128(*ctx_, &poly, k, static_cast<__int128>(std::llround(coeff)));
+    // |coeff| < 2^62, so the rounded magnitude fits one 64-bit word.
+    const int64_t rounded = std::llround(coeff);
+    const uint64_t mag = static_cast<uint64_t>(rounded >= 0 ? rounded : -rounded);
+    for (size_t i = 0; i < poly.num_primes(); ++i) {
+      const uint64_t r = BarrettReduce64(mag, ctx_->modulus(i));
+      poly.residues[i][k] = (rounded >= 0 || r == 0) ? r : ctx_->prime(i) - r;
+    }
   }
   ToNtt(*ctx_, &poly);
   return poly;
@@ -114,17 +140,19 @@ Result<std::vector<double>> CkksEncoder::Decode(const RnsPoly& poly,
   }
   coeff_form.ntt_form = poly.ntt_form;
   FromNtt(*ctx_, &coeff_form);
-  // Same reuse trick as Encode: every element is written below before the
-  // FFT reads it.
-  thread_local std::vector<std::complex<double>> work;
-  work.resize(n);
+  // Same reuse trick as Encode: every element is written below (at its
+  // bit-reversed position) before the FFT reads it.
+  thread_local std::vector<double> re, im;
+  re.resize(n);
+  im.resize(n);
   for (size_t k = 0; k < n; ++k) {
     const double c = ComposeCoeffToDouble(*ctx_, coeff_form, k);
-    work[k] = twist_[k] * c;
+    re[bit_rev_[k]] = twist_re_[k] * c;
+    im[bit_rev_[k]] = twist_im_[k] * c;
   }
-  Fft(&work, +1);
+  Fft(re.data(), im.data(), /*inverse=*/true);
   std::vector<double> out(count);
-  for (size_t j = 0; j < count; ++j) out[j] = work[j].real() / scale;
+  for (size_t j = 0; j < count; ++j) out[j] = re[j] / scale;
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef VFPS_HE_CKKS_ENCODER_H_
 #define VFPS_HE_CKKS_ENCODER_H_
 
-#include <complex>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,12 +15,20 @@ namespace vfps::he {
 /// Encodes a vector of up to n/2 real values into a plaintext polynomial of
 /// Z_Q[X]/(X^n + 1) such that the polynomial evaluated at the odd powers of
 /// the primitive 2n-th complex root of unity reproduces the values times the
-/// scale. Both directions run in O(n log n) via a radix-2 FFT:
+/// scale. Both directions run one n-point radix-2 FFT, O(n log n):
 ///
-///   encode:  pad values to length n, FFT, twist by w^{-k}, take (2/n)*Re,
-///            multiply by the scale, round to integers, map to RNS.
-///   decode:  CRT-compose coefficients, twist by w^k, inverse FFT, divide by
-///            the scale, take the first n/2 real parts.
+///   encode:  place the values (zero-padded to n) in bit-reversed order,
+///            forward FFT, twist by w^{-k}, take (2/n)*Re, multiply by the
+///            scale, round to integers, Barrett-reduce into each RNS prime,
+///            forward NTT.
+///   decode:  inverse NTT, CRT-compose each coefficient, twist by w^k,
+///            inverse FFT, take the first `count` real parts over the scale.
+///
+/// The FFT runs on split real/imaginary arrays with per-stage contiguous
+/// twiddles and writes every complex product out as (ac - bd, ad + bc). The
+/// file builds with -ffp-contract=off, so no multiply-add is ever fused and
+/// the residues are bit-identical on every ISA and optimization level (see
+/// docs/KERNELS.md, "Per-kernel numerics contract").
 class CkksEncoder {
  public:
   static Result<CkksEncoder> Create(std::shared_ptr<const RnsContext> ctx);
@@ -45,16 +52,23 @@ class CkksEncoder {
   explicit CkksEncoder(std::shared_ptr<const RnsContext> ctx)
       : ctx_(std::move(ctx)) {}
 
-  // In-place radix-2 FFT; sign = -1 forward, +1 inverse (unnormalized).
-  void Fft(std::vector<std::complex<double>>* a, int sign) const;
+  // In-place radix-2 FFT over n points whose input is already in
+  // bit-reversed order; `inverse` selects the conjugate roots
+  // (unnormalized).
+  void Fft(double* re, double* im, bool inverse) const;
 
   std::shared_ptr<const RnsContext> ctx_;
   // Twist factors w^k = exp(i*pi*k/n), k in [0, n).
-  std::vector<std::complex<double>> twist_;
+  std::vector<double> twist_re_;
+  std::vector<double> twist_im_;
   // Bit-reversal permutation for the FFT.
   std::vector<size_t> bit_rev_;
-  // Roots e^{-2*pi*i*k/n} for the forward FFT (conjugate for inverse).
-  std::vector<std::complex<double>> fft_roots_;
+  // Forward roots e^{-2*pi*i*j/(2h)}, j in [0, h), for the stage of half
+  // length h, stored contiguously from offset h - 1 (n - 1 roots in all).
+  // root_im_inv_ is the imaginary part of the conjugate roots (inverse FFT).
+  std::vector<double> root_re_;
+  std::vector<double> root_im_;
+  std::vector<double> root_im_inv_;
 };
 
 }  // namespace vfps::he

@@ -86,18 +86,46 @@ RnsPoly SampleUniform(const RnsContext& ctx, Rng* rng) {
 }
 
 namespace {
-// Writes the same small signed value into every RNS component. |v| is tiny
-// (ternary or a few sigmas of noise) and every prime exceeds 2^29, so the
-// Barrett fallback division never triggers in practice.
+// Writes the same small signed value into every RNS component. |v| is at
+// most the Gaussian tail bound (< 10^4) and every prime exceeds 2^29, so the
+// Barrett fallback never triggers in practice.
 void SetSmallSigned(const RnsContext& ctx, RnsPoly* p, size_t j, int64_t v) {
+  const uint64_t mag = static_cast<uint64_t>(v >= 0 ? v : -v);
   for (size_t i = 0; i < ctx.num_primes(); ++i) {
     const uint64_t q = ctx.prime(i);
-    uint64_t mag = static_cast<uint64_t>(v >= 0 ? v : -v);
-    if (mag >= q) mag = BarrettReduce64(mag, ctx.modulus(i));
-    p->residues[i][j] = (v >= 0 || mag == 0) ? mag : q - mag;
+    const uint64_t r = mag < q ? mag : BarrettReduce64(mag, ctx.modulus(i));
+    p->residues[i][j] = (v < 0 && r != 0) ? q - r : r;
   }
 }
 }  // namespace
+
+Result<GaussianCdt> GaussianCdt::Create(double sigma) {
+  if (!std::isfinite(sigma) || sigma <= 0.0 || sigma > kMaxSigma) {
+    return Status::InvalidArgument(
+        StrFormat("GaussianCdt: sigma must be finite and in (0, %g], got %g",
+                  kMaxSigma, sigma));
+  }
+  GaussianCdt table;
+  constexpr long double kTwo63 = 9223372036854775808.0L;  // 2^63
+  const long double denom = static_cast<long double>(sigma) * std::sqrt(2.0L);
+  for (int64_t m = 0;; ++m) {
+    // 2^63 * P(|round(X)| > m) = 2^63 * P(|X| >= m + 1/2).
+    // Below 2^63 even at m = 0 for every accepted sigma (erfc(x) < 1 for
+    // x > 0), so the rounding never overflows.
+    const long double tail =
+        kTwo63 * std::erfc((static_cast<long double>(m) + 0.5L) / denom);
+    const uint64_t tail_units = static_cast<uint64_t>(std::llround(tail));
+    if (tail_units == 0) break;
+    table.cdt_.push_back((uint64_t{1} << 63) - tail_units);
+  }
+  table.cdt_.push_back(uint64_t{1} << 63);
+  uint32_t m = 0;
+  for (uint64_t b = 0; b < table.guide_.size(); ++b) {
+    while (table.cdt_[m] <= (b << kGuideShift)) ++m;
+    table.guide_[b] = m;
+  }
+  return table;
+}
 
 RnsPoly SampleTernary(const RnsContext& ctx, Rng* rng) {
   RnsPoly p = ZeroPoly(ctx);
@@ -105,26 +133,32 @@ RnsPoly SampleTernary(const RnsContext& ctx, Rng* rng) {
   return p;
 }
 
-RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, double sigma) {
+RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, const GaussianCdt& noise) {
   RnsPoly p = ZeroPoly(ctx);
-  SampleGaussianInto(ctx, rng, &p, sigma);
+  SampleGaussianInto(ctx, rng, &p, noise);
   return p;
 }
 
 void SampleTernaryInto(const RnsContext& ctx, Rng* rng, RnsPoly* out) {
   ResizePoly(ctx, out);
   for (size_t j = 0; j < ctx.n(); ++j) {
-    const int64_t v = static_cast<int64_t>(rng->NextBounded(3)) - 1;
-    SetSmallSigned(ctx, out, j, v);
+    // Rng::NextBounded(3), inlined: its rejection threshold -3 % 3 is 1
+    // (2^64 = 1 mod 3), so only a raw 0 is redrawn, and % 3 by a constant
+    // compiles to a multiply.
+    uint64_t r = rng->Next();
+    while (r == 0) r = rng->Next();
+    const uint64_t t = r % 3;  // 0, 1, 2 -> -1, 0, 1
+    for (size_t i = 0; i < ctx.num_primes(); ++i) {
+      out->residues[i][j] = t == 0 ? ctx.prime(i) - 1 : t - 1;
+    }
   }
 }
 
 void SampleGaussianInto(const RnsContext& ctx, Rng* rng, RnsPoly* out,
-                        double sigma) {
+                        const GaussianCdt& noise) {
   ResizePoly(ctx, out);
   for (size_t j = 0; j < ctx.n(); ++j) {
-    const int64_t v = static_cast<int64_t>(std::llround(rng->Normal(0.0, sigma)));
-    SetSmallSigned(ctx, out, j, v);
+    SetSmallSigned(ctx, out, j, noise.Sample(rng->Next()));
   }
 }
 
@@ -180,29 +214,16 @@ void FromNtt(const RnsContext& ctx, RnsPoly* a) {
   a->ntt_form = false;
 }
 
-void SetCoeffFromInt128(const RnsContext& ctx, RnsPoly* poly, size_t idx,
-                        __int128 value) {
-  const unsigned __int128 mag =
-      value >= 0 ? static_cast<unsigned __int128>(value)
-                 : static_cast<unsigned __int128>(-value);
-  const uint64_t lo = static_cast<uint64_t>(mag);
-  const uint64_t hi = static_cast<uint64_t>(mag >> 64);
-  for (size_t i = 0; i < poly->num_primes(); ++i) {
-    const uint64_t r = BarrettReduce128(lo, hi, ctx.modulus(i));
-    poly->residues[i][idx] =
-        (value >= 0 || r == 0) ? r : ctx.prime(i) - r;
-  }
-}
-
 unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
                                    size_t idx) {
   if (poly.num_primes() == 1) return poly.residues[0][idx];
   const uint64_t q1 = ctx.prime(0);
-  const uint64_t q2 = ctx.prime(1);
+  const Modulus& m2 = ctx.modulus(1);
   const uint64_t r1 = poly.residues[0][idx];
   const uint64_t r2 = poly.residues[1][idx];
-  const uint64_t diff = SubMod(r2 % q2, r1 % q2, q2);
-  const uint64_t t = MulMod(diff, ctx.crt_q0_inv_q1(), q2);
+  const uint64_t diff =
+      SubMod(BarrettReduce64(r2, m2), BarrettReduce64(r1, m2), m2.value);
+  const uint64_t t = MulMod(diff, ctx.crt_q0_inv_q1(), m2);
   return static_cast<unsigned __int128>(r1) +
          static_cast<unsigned __int128>(q1) * t;
 }

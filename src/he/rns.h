@@ -1,6 +1,7 @@
 #ifndef VFPS_HE_RNS_H_
 #define VFPS_HE_RNS_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -77,14 +78,60 @@ RnsPoly ZeroPoly(const RnsContext& ctx);
 /// the samplers below).
 void ResizePoly(const RnsContext& ctx, RnsPoly* p);
 
+/// \brief Cumulative-distribution-table (CDT) sampler for the rounded
+/// Gaussian round(N(0, sigma^2)), the CKKS error distribution.
+///
+/// One uniform 64-bit word gives one sample: its low bit is the sign and
+/// its upper 63 bits are inverted through the table of the magnitude's CDF,
+/// cdt[m] = round(2^63 * P(|round(X)| <= m)). Each threshold is computed from
+/// the tail mass erfc((m + 1/2) / (sigma * sqrt(2))), so every probability
+/// is exact to 2^-63 plus the relative error of erfc. The table stops at the
+/// first magnitude whose tail mass rounds to zero at that resolution
+/// (tail_bound() ~ 9.3 sigma); larger magnitudes are never drawn. Built once
+/// per CkksContext and read-only afterwards, so threads share it freely.
+class GaussianCdt {
+ public:
+  /// Largest accepted sigma (the table holds ~9.3 * sigma entries).
+  static constexpr double kMaxSigma = 1024.0;
+
+  /// Fails unless sigma is finite and in (0, kMaxSigma].
+  static Result<GaussianCdt> Create(double sigma);
+
+  /// Largest magnitude Sample() can return.
+  int64_t tail_bound() const { return static_cast<int64_t>(cdt_.size()) - 1; }
+
+  /// Maps one uniform 64-bit word to a sample in [-tail_bound(), tail_bound()].
+  int64_t Sample(uint64_t word) const {
+    const uint64_t u = word >> 1;
+    // Start at the first threshold above u's 1/256th of the range, then
+    // finish with a short scan: the last entry is 2^63, above every u, so
+    // the scan always stops there.
+    uint32_t m = guide_[u >> kGuideShift];
+    while (u >= cdt_[m]) ++m;
+    const int64_t mag = static_cast<int64_t>(m);
+    return (word & 1) ? -mag : mag;
+  }
+
+ private:
+  static constexpr int kGuideShift = 63 - 8;
+
+  GaussianCdt() = default;
+  std::vector<uint64_t> cdt_;  // non-decreasing; back() == 2^63
+  // guide_[b] = number of thresholds <= b * 2^kGuideShift: where the scan for
+  // any u in bucket b may start.
+  std::array<uint32_t, 256> guide_{};
+};
+
 /// Uniform element of R_Q (directly usable in either form; sampled per prime).
 RnsPoly SampleUniform(const RnsContext& ctx, Rng* rng);
 
-/// Ternary secret {-1, 0, 1}; returned in coefficient form.
+/// Ternary secret {-1, 0, 1}; returned in coefficient form. Coefficient j is
+/// Rng::NextBounded(3) - 1, drawn in order.
 RnsPoly SampleTernary(const RnsContext& ctx, Rng* rng);
 
-/// Centered discrete gaussian error (sigma ~ 3.2); coefficient form.
-RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, double sigma = 3.2);
+/// Centered discrete Gaussian error from `noise`, one Rng::Next() per
+/// coefficient in order; coefficient form.
+RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, const GaussianCdt& noise);
 
 /// \brief Allocation-free variants writing into an existing polynomial
 /// (resized to the context's shape; all components overwritten). Each
@@ -92,7 +139,7 @@ RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, double sigma = 3.2);
 /// one for the other never perturbs a deterministic randomness stream.
 void SampleTernaryInto(const RnsContext& ctx, Rng* rng, RnsPoly* out);
 void SampleGaussianInto(const RnsContext& ctx, Rng* rng, RnsPoly* out,
-                        double sigma = 3.2);
+                        const GaussianCdt& noise);
 
 /// a += b (must be in the same form).
 void AddInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
@@ -109,10 +156,6 @@ void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar);
 void ToNtt(const RnsContext& ctx, RnsPoly* a);
 /// Transform to coefficient form; no-op if already there.
 void FromNtt(const RnsContext& ctx, RnsPoly* a);
-
-/// \brief Map a signed integer coefficient (|v| < Q/2) to RNS residues.
-void SetCoeffFromInt128(const RnsContext& ctx, RnsPoly* poly, size_t idx,
-                        __int128 value);
 
 /// \brief CRT-compose the residues of coefficient `idx` into the
 /// non-negative representative in [0, Q) (Q = product of the poly's primes).

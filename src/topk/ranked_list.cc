@@ -1,6 +1,7 @@
 #include "topk/ranked_list.h"
 
-#include <algorithm>
+#include <array>
+#include <cstring>
 #include <numeric>
 
 #include "common/macros.h"
@@ -24,15 +25,63 @@ Result<RankedListSet> RankedListSet::Build(
   return set;
 }
 
+namespace {
+
+// Order-preserving map from a double to an unsigned key: flipping the sign
+// bit of non-negative values and every bit of negative ones makes unsigned
+// key order equal numeric order. -0.0 is folded onto +0.0 first, because the
+// two compare equal and must tie (and then fall back to id order).
+inline uint64_t OrderKey(double x) {
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  if (bits == kSignBit) bits = 0;
+  const uint64_t negative = 0 - (bits >> 63);  // all ones iff x < 0
+  return bits ^ (negative | kSignBit);
+}
+
+}  // namespace
+
 std::vector<uint64_t> RankedListSet::SortedOrder(
     const std::vector<double>& scores) {
-  std::vector<uint64_t> order(scores.size());
+  // Ascending score, ties broken by id: a stable LSD radix sort over the
+  // 8 bytes of OrderKey, starting from ids in ascending order. Stability
+  // keeps equal keys in id order, so the result is exactly the permutation
+  // of a comparison sort on (score, id). Only the ids ping-pong between two
+  // buffers; each pass re-derives its digit from scores[id], so the sort's
+  // only scratch beyond its output is one id buffer, freed on return.
+  constexpr int kDigitBits = 8;
+  constexpr int kPasses = 64 / kDigitBits;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  const size_t n = scores.size();
+  std::vector<uint64_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  // Ascending score; ties broken by id for determinism.
-  std::sort(order.begin(), order.end(), [&scores](uint64_t a, uint64_t b) {
-    if (scores[a] != scores[b]) return scores[a] < scores[b];
-    return a < b;
-  });
+  if (n < 2) return order;
+  std::array<std::array<size_t, kBuckets>, kPasses> counts{};
+  for (double score : scores) {
+    const uint64_t key = OrderKey(score);
+    for (int d = 0; d < kPasses; ++d) {
+      ++counts[d][(key >> (kDigitBits * d)) & (kBuckets - 1)];
+    }
+  }
+  std::vector<uint64_t> next(n);
+  const uint64_t first_key = OrderKey(scores[0]);
+  for (int d = 0; d < kPasses; ++d) {
+    const int shift = kDigitBits * d;
+    auto& offsets = counts[d];
+    // A digit every key shares leaves the order unchanged; skip the pass.
+    if (offsets[(first_key >> shift) & (kBuckets - 1)] == n) continue;
+    size_t sum = 0;
+    for (size_t& slot : offsets) {
+      const size_t count = slot;
+      slot = sum;
+      sum += count;
+    }
+    for (uint64_t id : order) {
+      next[offsets[(OrderKey(scores[id]) >> shift) & (kBuckets - 1)]++] = id;
+    }
+    order.swap(next);
+  }
   return order;
 }
 

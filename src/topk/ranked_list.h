@@ -24,15 +24,18 @@ class RankedListSet {
 
   /// Build from score vectors whose sort orders are already known (e.g.
   /// cached sub-rankings surviving a membership change) — skips the
-  /// O(n log n) per-party sort that dominates Build(). Each order must be
-  /// the permutation SortedOrder(scores) would produce; only sizes are
+  /// per-party sort that dominates Build(). Each order must be the
+  /// permutation SortedOrder(scores) would produce; only sizes are
   /// validated.
   static Result<RankedListSet> BuildPresorted(
       std::vector<std::vector<double>> scores_per_party,
       std::vector<std::vector<uint64_t>> orders_per_party);
 
   /// The ranking Build() materializes for one party: item ids sorted
-  /// ascending by score, ties broken by id.
+  /// ascending by score, ties broken by id (-0.0 ties with +0.0). A stable
+  /// O(n) LSD radix sort over an order-preserving 64-bit key of each score;
+  /// it returns exactly the permutation a comparison sort on (score, id)
+  /// would, and holds one n-entry scratch buffer only while it runs.
   static std::vector<uint64_t> SortedOrder(const std::vector<double>& scores);
 
   size_t num_parties() const { return scores_.size(); }

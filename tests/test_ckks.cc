@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/buffer.h"
 #include "common/random.h"
 
 namespace vfps::he {
@@ -276,6 +277,100 @@ TEST(CkksParamsTest, RejectsBadParams) {
   params = CkksParams{};
   params.prime_bits = {60};
   EXPECT_FALSE(CkksContext::Create(params).ok());
+  for (double sigma : {0.0, -1.0, std::nan(""), HUGE_VAL, 1e6}) {
+    params = CkksParams{};
+    params.poly_degree = 1024;
+    params.noise_sigma = sigma;
+    EXPECT_FALSE(CkksContext::Create(params).ok()) << "sigma=" << sigma;
+  }
+}
+
+// Encoder digests. The CRC32 values below were taken from the complex<double>
+// FFT encoder this one replaced; the split-array FFT must reproduce its
+// residues and decoded doubles bit for bit, on every ISA and -O level.
+struct EncoderDigests {
+  uint32_t encode_full, encode_ragged;
+  uint32_t decode_full, decode_ragged, decode_uniform;
+};
+
+uint32_t PolyDigest(const RnsPoly& poly) {
+  Crc32Accumulator acc;
+  for (const auto& residue : poly.residues) {
+    for (uint64_t v : residue) acc.Update(v);
+  }
+  return acc.value();
+}
+
+uint32_t ValuesDigest(const std::vector<double>& values) {
+  Crc32Accumulator acc;
+  acc.Update(std::span<const double>(values));
+  return acc.value();
+}
+
+std::vector<double> UniformValues(uint64_t seed, size_t count, double lo,
+                                  double hi) {
+  Rng rng(seed);
+  std::vector<double> values(count);
+  for (double& v : values) v = rng.Uniform(lo, hi);
+  return values;
+}
+
+EncoderDigests DigestEncoder(size_t degree) {
+  CkksParams params;
+  params.poly_degree = degree;
+  auto ctx = CkksContext::Create(params).ValueOrDie();
+  const CkksEncoder& encoder = ctx->encoder();
+  const size_t slots = encoder.slot_count();
+  const auto full = UniformValues(101, slots, -100.0, 100.0);
+  const auto ragged = UniformValues(202, slots / 3 + 1, -1e4, 1e4);
+  const RnsPoly full_pt = encoder.Encode(full, params.scale).ValueOrDie();
+  const RnsPoly ragged_pt = encoder.Encode(ragged, params.scale).ValueOrDie();
+  Rng rng(303);
+  const RnsPoly uniform = SampleUniform(ctx->rns(), &rng);
+  EncoderDigests d;
+  d.encode_full = PolyDigest(full_pt);
+  d.encode_ragged = PolyDigest(ragged_pt);
+  d.decode_full =
+      ValuesDigest(encoder.Decode(full_pt, params.scale, slots).ValueOrDie());
+  d.decode_ragged = ValuesDigest(
+      encoder.Decode(ragged_pt, params.scale, ragged.size()).ValueOrDie());
+  d.decode_uniform =
+      ValuesDigest(encoder.Decode(uniform, params.scale, slots).ValueOrDie());
+  return d;
+}
+
+TEST(CkksEncoderDigestTest, MatchesPinnedDigests) {
+  const EncoderDigests small = DigestEncoder(1024);
+  EXPECT_EQ(small.encode_full, 0xE9F9ED39u);
+  EXPECT_EQ(small.encode_ragged, 0x696AF663u);
+  EXPECT_EQ(small.decode_full, 0x25B58033u);
+  EXPECT_EQ(small.decode_ragged, 0x5D4D9D9Fu);
+  EXPECT_EQ(small.decode_uniform, 0xD1F48484u);
+  const EncoderDigests full = DigestEncoder(4096);
+  EXPECT_EQ(full.encode_full, 0xB1D63E8Fu);
+  EXPECT_EQ(full.encode_ragged, 0x6FA0A3E8u);
+  EXPECT_EQ(full.decode_full, 0xCFE4E0D4u);
+  EXPECT_EQ(full.decode_ragged, 0x60F75100u);
+  EXPECT_EQ(full.decode_uniform, 0xBE800920u);
+}
+
+TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigest) {
+  // Encodes every ragged length 1..512 at n = 1024 into one running digest.
+  CkksParams params;
+  params.poly_degree = 1024;
+  auto ctx = CkksContext::Create(params).ValueOrDie();
+  const CkksEncoder& encoder = ctx->encoder();
+  const auto values = UniformValues(404, encoder.slot_count(), -50.0, 50.0);
+  Crc32Accumulator acc;
+  for (size_t count = 1; count <= values.size(); ++count) {
+    const RnsPoly pt =
+        encoder.Encode(std::span<const double>(values.data(), count), params.scale)
+            .ValueOrDie();
+    for (const auto& residue : pt.residues) {
+      for (uint64_t v : residue) acc.Update(v);
+    }
+  }
+  EXPECT_EQ(acc.value(), 0x09089447u);
 }
 
 TEST(CkksParamsTest, SinglePrimeContextWorks) {

@@ -62,6 +62,32 @@ TEST(CsvLoaderTest, RejectsNonNumeric) {
   EXPECT_FALSE(ParseCsv("1,abc,0\n", options).ok());
 }
 
+TEST(CsvLoaderTest, RejectsNonFiniteValues) {
+  CsvOptions options;
+  options.has_header = false;
+  // Feature cells.
+  for (const char* csv : {"1.0,nan,0\n2.0,3.0,1\n", "1.0,2.0,0\n2.0,inf,1\n",
+                          "1.0,2.0,0\n-INF,3.0,1\n", "NaN,2.0,0\n"}) {
+    auto ds = ParseCsv(csv, options);
+    ASSERT_FALSE(ds.ok()) << csv;
+    EXPECT_TRUE(ds.status().IsInvalidArgument()) << ds.status().ToString();
+    EXPECT_NE(ds.status().message().find("non-finite"), std::string::npos)
+        << ds.status().ToString();
+  }
+  // The message names the line and the column.
+  auto bad = ParseCsv("1.0,2.0,0\n2.0,inf,1\n", options);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("line 2 column 1"), std::string::npos)
+      << bad.status().ToString();
+  // Label cells (last column by default, or an explicit one).
+  auto nan_label = ParseCsv("1.0,2.0,nan\n", options);
+  ASSERT_FALSE(nan_label.ok());
+  EXPECT_NE(nan_label.status().message().find("line 1 column 2"), std::string::npos)
+      << nan_label.status().ToString();
+  options.label_column = 0;
+  EXPECT_FALSE(ParseCsv("inf,1.0,2.0\n", options).ok());
+}
+
 TEST(CsvLoaderTest, RejectsEmptyAndMissingFile) {
   EXPECT_FALSE(ParseCsv("", CsvOptions{}).ok());
   EXPECT_TRUE(LoadCsv("/nonexistent/file.csv", CsvOptions{}).status().IsIOError());
@@ -99,6 +125,25 @@ TEST(LibsvmLoaderTest, RejectsMalformedEntries) {
   EXPECT_FALSE(ParseLibsvm("1 0:2.0\n").ok());   // 1-based indices
   EXPECT_FALSE(ParseLibsvm("1 2:abc\n").ok());
   EXPECT_FALSE(ParseLibsvm("\n").ok());          // no rows
+}
+
+TEST(LibsvmLoaderTest, RejectsNonFiniteValues) {
+  for (const char* content : {"0 1:nan 2:1.0\n1 1:2.0\n", "0 1:1.0\n1 1:inf 2:3.0\n",
+                              "0 2:-inf\n", "nan 1:1.0\n", "inf 1:1.0\n"}) {
+    auto ds = ParseLibsvm(content);
+    ASSERT_FALSE(ds.ok()) << content;
+    EXPECT_TRUE(ds.status().IsInvalidArgument()) << ds.status().ToString();
+    EXPECT_NE(ds.status().message().find("non-finite"), std::string::npos)
+        << ds.status().ToString();
+  }
+  auto bad = ParseLibsvm("0 1:1.0\n1 1:2.0 4:inf\n");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("line 2 column 4"), std::string::npos)
+      << bad.status().ToString();
+  auto bad_label = ParseLibsvm("1 1:1.0\nnan 1:2.0\n");
+  ASSERT_FALSE(bad_label.ok());
+  EXPECT_NE(bad_label.status().message().find("line 2 label"), std::string::npos)
+      << bad_label.status().ToString();
 }
 
 TEST(LibsvmLoaderTest, MissingFileIsIOError) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+
 #include "he/modarith.h"
 
 namespace vfps::he {
@@ -11,6 +14,18 @@ std::shared_ptr<const RnsContext> MakeContext(size_t n = 64,
                                               std::vector<int> bits = {54, 54}) {
   auto ctx = RnsContext::Create(n, bits);
   return ctx.ValueOrDie();
+}
+
+GaussianCdt Noise(double sigma = 3.2) {
+  return GaussianCdt::Create(sigma).ValueOrDie();
+}
+
+// P(round(X) = v) for X ~ N(0, sigma^2).
+double RoundedGaussianPmf(int64_t v, double sigma) {
+  const double s = sigma * std::sqrt(2.0);
+  const double a = (std::abs(static_cast<double>(v)) - 0.5) / s;
+  const double b = (std::abs(static_cast<double>(v)) + 0.5) / s;
+  return v == 0 ? std::erf(b) : 0.5 * (std::erfc(a) - std::erfc(b));
 }
 
 TEST(RnsContextTest, CreatesDistinctNttFriendlyPrimes) {
@@ -36,7 +51,10 @@ TEST(RnsPolyTest, SetAndComposeRoundTripSigned) {
                              (static_cast<__int128>(1) << 100),
                              -(static_cast<__int128>(1) << 100)};
   for (size_t i = 0; i < std::size(values); ++i) {
-    SetCoeffFromInt128(*ctx, &poly, i, values[i]);
+    for (size_t p = 0; p < ctx->num_primes(); ++p) {
+      const __int128 q = ctx->prime(p);
+      poly.residues[p][i] = static_cast<uint64_t>((values[i] % q + q) % q);
+    }
   }
   for (size_t i = 0; i < std::size(values); ++i) {
     const double got = ComposeCoeffToDouble(*ctx, poly, i);
@@ -80,7 +98,7 @@ TEST(RnsPolyTest, AddSubNegateConsistent) {
 TEST(RnsPolyTest, NttRoundTrip) {
   auto ctx = MakeContext();
   Rng rng(7);
-  RnsPoly a = SampleGaussian(*ctx, &rng);
+  RnsPoly a = SampleGaussian(*ctx, &rng, Noise());
   const auto original = a.residues;
   ToNtt(*ctx, &a);
   EXPECT_TRUE(a.ntt_form);
@@ -116,10 +134,125 @@ TEST(RnsPolyTest, TernaryAndGaussianAreSmall) {
     const double v = ComposeCoeffToDouble(*ctx, t, c);
     EXPECT_TRUE(v == 0.0 || v == 1.0 || v == -1.0) << v;
   }
-  RnsPoly g = SampleGaussian(*ctx, &rng, 3.2);
+  const GaussianCdt noise = Noise(3.2);
+  RnsPoly g = SampleGaussian(*ctx, &rng, noise);
   for (size_t c = 0; c < ctx->n(); ++c) {
-    EXPECT_LT(std::abs(ComposeCoeffToDouble(*ctx, g, c)), 40.0);
+    EXPECT_LE(std::abs(ComposeCoeffToDouble(*ctx, g, c)),
+              static_cast<double>(noise.tail_bound()));
   }
+}
+
+TEST(SamplerTest, TernaryIsDrawIdenticalToNextBounded) {
+  auto ctx = MakeContext(1024);
+  for (uint64_t seed : {1u, 42u, 977u}) {
+    Rng sampled(seed);
+    Rng reference(seed);
+    RnsPoly t;
+    SampleTernaryInto(*ctx, &sampled, &t);
+    for (size_t j = 0; j < ctx->n(); ++j) {
+      const int64_t v = static_cast<int64_t>(reference.NextBounded(3)) - 1;
+      for (size_t i = 0; i < ctx->num_primes(); ++i) {
+        const uint64_t expected = v < 0 ? ctx->prime(i) - 1 : static_cast<uint64_t>(v);
+        ASSERT_EQ(t.residues[i][j], expected) << "seed " << seed << " coeff " << j;
+      }
+    }
+    EXPECT_EQ(sampled.Next(), reference.Next()) << "seed " << seed;
+    // The allocating variant draws the same stream.
+    RnsPoly into;
+    SampleTernaryInto(*ctx, &reference, &into);
+    EXPECT_EQ(SampleTernary(*ctx, &sampled).residues, into.residues);
+  }
+}
+
+TEST(SamplerTest, GaussianDrawsOneWordPerCoefficient) {
+  auto ctx = MakeContext(1024);
+  const GaussianCdt noise = Noise();
+  Rng sampled(5);
+  Rng reference(5);
+  RnsPoly g;
+  SampleGaussianInto(*ctx, &sampled, &g, noise);
+  for (size_t j = 0; j < ctx->n(); ++j) {
+    const int64_t v = noise.Sample(reference.Next());
+    for (size_t i = 0; i < ctx->num_primes(); ++i) {
+      const uint64_t q = ctx->prime(i);
+      const uint64_t expected = v < 0 ? q - static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
+      ASSERT_EQ(g.residues[i][j], expected) << "coeff " << j;
+    }
+  }
+  EXPECT_EQ(sampled.Next(), reference.Next());
+}
+
+TEST(SamplerTest, GaussianCdtRejectsBadSigma) {
+  for (double sigma : {0.0, -3.2, std::nan(""), HUGE_VAL, -HUGE_VAL,
+                       GaussianCdt::kMaxSigma * 2}) {
+    EXPECT_FALSE(GaussianCdt::Create(sigma).ok()) << sigma;
+  }
+  EXPECT_TRUE(GaussianCdt::Create(GaussianCdt::kMaxSigma).ok());
+  // A vanishing sigma is a valid (degenerate) table: every draw is 0.
+  auto tiny = GaussianCdt::Create(1e-6);
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->tail_bound(), 0);
+  EXPECT_EQ(tiny->Sample(~uint64_t{0}), 0);
+}
+
+TEST(SamplerTest, GaussianCdtTailBound) {
+  // The table stops at the first magnitude T whose tail mass P(|X| >= T + 1/2)
+  // is below half a unit of 2^-63.
+  for (double sigma : {0.5, 3.2, 19.0}) {
+    const GaussianCdt noise = Noise(sigma);
+    const int64_t t = noise.tail_bound();
+    const long double denom = sigma * std::sqrt(2.0L);
+    const long double unit = std::ldexp(1.0L, -63);
+    EXPECT_LT(std::erfc((t + 0.5L) / denom), 0.5L * unit) << sigma;
+    EXPECT_GE(std::erfc((t - 0.5L) / denom), 0.5L * unit) << sigma;
+    EXPECT_NEAR(static_cast<double>(t) / sigma, 9.3, 0.8) << sigma;
+    // The extreme words map to the extreme magnitudes; the sign is bit 0.
+    EXPECT_EQ(noise.Sample(~uint64_t{0}), -t);
+    EXPECT_EQ(noise.Sample(~uint64_t{1}), t);
+    EXPECT_EQ(noise.Sample(0), 0);
+    EXPECT_EQ(noise.Sample(1), 0);
+  }
+}
+
+TEST(SamplerTest, GaussianCdtMatchesRoundedGaussianPmf) {
+  // Chi-square goodness of fit of 2^20 draws against P(round(N(0, 3.2^2)) = v):
+  // one bin per v with |v| <= 12 (expected count >= 121) and one bin for the
+  // rest of the tail (expected count 98).
+  constexpr double kSigma = 3.2;
+  constexpr int64_t kEdge = 12;
+  constexpr size_t kDraws = size_t{1} << 20;
+  const GaussianCdt noise = Noise(kSigma);
+  Rng rng(2718);
+  std::map<int64_t, size_t> counts;
+  int64_t max_abs = 0;
+  double sum = 0.0, sum_sq = 0.0;
+  for (size_t i = 0; i < kDraws; ++i) {
+    const int64_t v = noise.Sample(rng.Next());
+    max_abs = std::max(max_abs, std::abs(v));
+    sum += static_cast<double>(v);
+    sum_sq += static_cast<double>(v) * static_cast<double>(v);
+    ++counts[std::abs(v) > kEdge ? kEdge + 1 : v];
+  }
+  EXPECT_LE(max_abs, noise.tail_bound());
+  double chi2 = 0.0;
+  double tail_pmf = 1.0;
+  for (int64_t v = -kEdge; v <= kEdge; ++v) {
+    const double p = RoundedGaussianPmf(v, kSigma);
+    tail_pmf -= p;
+    const double expected = p * kDraws;
+    const double diff = static_cast<double>(counts[v]) - expected;
+    chi2 += diff * diff / expected;
+  }
+  const double expected_tail = tail_pmf * kDraws;
+  const double diff = static_cast<double>(counts[kEdge + 1]) - expected_tail;
+  chi2 += diff * diff / expected_tail;
+  // 26 bins -> 25 degrees of freedom; 52.6 is the 0.1% critical value. A
+  // sigma off by 1% alone pushes the statistic past 100 at this sample size.
+  EXPECT_LT(chi2, 52.6);
+  const double mean = sum / kDraws;
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  // Var(round(X)) = sigma^2 + 1/12 up to terms far below this tolerance.
+  EXPECT_NEAR(sum_sq / kDraws - mean * mean, kSigma * kSigma + 1.0 / 12.0, 0.05);
 }
 
 TEST(RnsPolyTest, MulScalarMatchesRepeatedAdd) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "common/random.h"
@@ -35,12 +38,68 @@ TEST(RankedListSetTest, BuildSortsAscending) {
   EXPECT_DOUBLE_EQ(set->AggregateScore(1), 1.0);
 }
 
+// Reference ranking: a comparison sort on (score, id).
+std::vector<uint64_t> ComparatorOrder(const std::vector<double>& scores) {
+  std::vector<uint64_t> order(scores.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&scores](uint64_t a, uint64_t b) {
+    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    return a < b;
+  });
+  return order;
+}
+
 TEST(RankedListSetTest, TiesBrokenById) {
   auto set = RankedListSet::Build({{5.0, 5.0, 1.0}});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->IdAtRank(0, 0), 2u);
   EXPECT_EQ(set->IdAtRank(0, 1), 0u);
   EXPECT_EQ(set->IdAtRank(0, 2), 1u);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kDenorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> cases = {
+      {},
+      {7.0},
+      {-1.0, -2.5, 3.0, -1.0, 0.0, -1e300, 1e300},
+      {0.0, -0.0, 0.0, -0.0, -1.0, 1.0, -0.0},
+      {kInf, 2.0, kInf, -kInf, 0.0, kInf},  // +inf marks excluded rows
+      {kDenorm, -kDenorm, 0.0, 2 * kDenorm, -0.0, 1e-310, -1e-310, kDenorm},
+      std::vector<double>(1000, 4.25),
+      std::vector<double>(1000, -0.0),
+  };
+  for (const auto& scores : cases) {
+    EXPECT_EQ(RankedListSet::SortedOrder(scores), ComparatorOrder(scores))
+        << "n=" << scores.size();
+  }
+}
+
+TEST(RankedListSetTest, SortedOrderMatchesComparatorSortOnRandomLists) {
+  Rng rng(123);
+  for (size_t n : {1u, 2u, 2047u, 19200u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> scores(n);
+      for (double& v : scores) {
+        switch (rng.NextBounded(4)) {
+          case 0:  // squared distances, as the oracle ranks them
+            v = rng.Uniform(0.0, 50.0);
+            break;
+          case 1:  // a small value set: many exact ties
+            v = static_cast<double>(rng.NextBounded(8)) * 0.5 - 2.0;
+            break;
+          case 2:  // wide magnitudes of both signs
+            v = std::ldexp(rng.Uniform(-1.0, 1.0),
+                           static_cast<int>(rng.NextBounded(200)) - 100);
+            break;
+          default:
+            v = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+        }
+      }
+      if (n > 2) scores[n / 2] = std::numeric_limits<double>::infinity();
+      EXPECT_EQ(RankedListSet::SortedOrder(scores), ComparatorOrder(scores))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
 }
 
 TEST(RankedListSetTest, RejectsBadInput) {

@@ -55,11 +55,17 @@
 //                                 final write still happens at exit)
 //       Run one experiment grid cell and print the outcome.
 //   vfps_cli sweep --dataset=Bank [--model=lr] [...]
-//       Run every selection method on one configuration side by side.
+//       Run every selection method on one configuration side by side
+//       (accepts the run flags except --method and the output flags).
+//
+// Flags are strict: a flag the subcommand does not read (a typo such as
+// --treads=4), a malformed value, or a count outside its range (--k=-1,
+// --participants=0) exits with status 2 before any work starts.
 
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/macros.h"
@@ -74,86 +80,126 @@ namespace {
 
 using namespace vfps;  // NOLINT(build/namespaces)
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv, int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+// The --key=value flags of one subcommand. Every lookup marks its key as
+// read, so after a subcommand has read everything it understands,
+// CheckAllRead() rejects the rest (typos such as --treads would otherwise
+// be ignored silently).
+class Flags {
+ public:
+  Flags(int argc, char** argv, int first) {
+    for (int i = first; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+        std::exit(2);
+      }
+      const size_t eq = arg.find('=');
+      if (eq == std::string::npos) {
+        values_[arg.substr(2)] = "1";
+      } else {
+        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      }
     }
   }
-  return flags;
+
+  bool Has(const std::string& key) const { return values_.count(key) != 0; }
+
+  std::string Get(const std::string& key, const std::string& fallback) const {
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? fallback : it->second;
+  }
+
+  void Set(const std::string& key, const std::string& value) {
+    values_[key] = value;
+  }
+
+  Status CheckAllRead(const char* command) const {
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        return Status::InvalidArgument(
+            StrFormat("unknown flag --%s for 'vfps_cli %s'", key.c_str(), command));
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+};
+
+// An unsigned count flag in [lo, hi]. Parsed as a signed integer first so
+// that "-1" is reported as out of range instead of wrapping to SIZE_MAX.
+Result<size_t> GetCount(const Flags& flags, const std::string& key,
+                        const std::string& fallback, int64_t lo, int64_t hi) {
+  VFPS_ASSIGN_OR_RETURN(int64_t value, ParseInt64(flags.Get(key, fallback)));
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(
+        StrFormat("--%s must be in [%lld, %lld], got %lld", key.c_str(),
+                  static_cast<long long>(lo), static_cast<long long>(hi),
+                  static_cast<long long>(value)));
+  }
+  return static_cast<size_t>(value);
 }
 
-std::string Get(const std::map<std::string, std::string>& flags,
-                const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
+// Invalid flags exit with status 2, the same as a malformed argument.
+int FailFlags(const Status& status) {
+  std::fprintf(stderr, "[vfps] invalid flags: %s\n", status.ToString().c_str());
+  return 2;
 }
 
-Result<core::ExperimentConfig> BuildConfig(
-    const std::map<std::string, std::string>& flags) {
+Result<core::ExperimentConfig> BuildConfig(const Flags& flags) {
   core::ExperimentConfig config;
-  config.dataset = Get(flags, "dataset", "Bank");
-  config.csv_path = Get(flags, "csv", "");
+  config.dataset = flags.Get("dataset", "Bank");
+  config.csv_path = flags.Get("csv", "");
   VFPS_ASSIGN_OR_RETURN(auto method,
-                        core::ParseSelectionMethod(Get(flags, "method", "VFPS-SM")));
+                        core::ParseSelectionMethod(flags.Get("method", "VFPS-SM")));
   config.method = method;
-  VFPS_ASSIGN_OR_RETURN(auto model, ml::ParseModelKind(Get(flags, "model", "lr")));
+  VFPS_ASSIGN_OR_RETURN(auto model, ml::ParseModelKind(flags.Get("model", "lr")));
   config.model = model;
-  VFPS_ASSIGN_OR_RETURN(int64_t participants,
-                        ParseInt64(Get(flags, "participants", "4")));
-  config.participants = static_cast<size_t>(participants);
-  VFPS_ASSIGN_OR_RETURN(int64_t select, ParseInt64(Get(flags, "select", "2")));
-  config.select = static_cast<size_t>(select);
-  VFPS_ASSIGN_OR_RETURN(config.scale, ParseDouble(Get(flags, "scale", "0.5")));
-  VFPS_ASSIGN_OR_RETURN(int64_t k, ParseInt64(Get(flags, "k", "10")));
-  config.knn.k = static_cast<size_t>(k);
-  VFPS_ASSIGN_OR_RETURN(int64_t queries, ParseInt64(Get(flags, "queries", "64")));
-  config.knn.num_queries = static_cast<size_t>(queries);
-  VFPS_ASSIGN_OR_RETURN(int64_t query_group,
-                        ParseInt64(Get(flags, "query-group", "1")));
-  config.knn.query_group = static_cast<size_t>(query_group);
-  VFPS_ASSIGN_OR_RETURN(int64_t seed, ParseInt64(Get(flags, "seed", "42")));
+  VFPS_ASSIGN_OR_RETURN(config.participants,
+                        GetCount(flags, "participants", "4", 1, 4096));
+  VFPS_ASSIGN_OR_RETURN(config.select, GetCount(flags, "select", "2", 1, 4096));
+  VFPS_ASSIGN_OR_RETURN(config.scale, ParseDouble(flags.Get("scale", "0.5")));
+  VFPS_ASSIGN_OR_RETURN(config.knn.k, GetCount(flags, "k", "10", 1, 1 << 20));
+  VFPS_ASSIGN_OR_RETURN(config.knn.num_queries,
+                        GetCount(flags, "queries", "64", 1, 1 << 20));
+  VFPS_ASSIGN_OR_RETURN(config.knn.query_group,
+                        GetCount(flags, "query-group", "1", 0, 1 << 16));
+  VFPS_ASSIGN_OR_RETURN(int64_t seed, ParseInt64(flags.Get("seed", "42")));
   config.seed = static_cast<uint64_t>(seed);
-  VFPS_ASSIGN_OR_RETURN(int64_t duplicates, ParseInt64(Get(flags, "duplicates", "0")));
-  config.duplicates = static_cast<size_t>(duplicates);
-  VFPS_ASSIGN_OR_RETURN(int64_t threads, ParseInt64(Get(flags, "threads", "1")));
+  VFPS_ASSIGN_OR_RETURN(config.duplicates,
+                        GetCount(flags, "duplicates", "0", 0, 4096));
+  VFPS_ASSIGN_OR_RETURN(int64_t threads, ParseInt64(flags.Get("threads", "1")));
   if (threads < 0 || threads > 1024) {
     return Status::InvalidArgument("--threads must be in [0, 1024] (0 = all cores)");
   }
   config.num_threads = static_cast<size_t>(threads);
   VFPS_ASSIGN_OR_RETURN(config.faults,
-                        net::ParseFaultSpec(Get(flags, "fault-spec", "")));
+                        net::ParseFaultSpec(flags.Get("fault-spec", "")));
   VFPS_ASSIGN_OR_RETURN(int64_t fault_seed,
-                        ParseInt64(Get(flags, "fault-seed", "0")));
+                        ParseInt64(flags.Get("fault-seed", "0")));
   config.fault_seed = static_cast<uint64_t>(fault_seed);
   VFPS_ASSIGN_OR_RETURN(int64_t net_retries,
-                        ParseInt64(Get(flags, "net-retries", "0")));
+                        ParseInt64(flags.Get("net-retries", "0")));
   if (net_retries < 0 || net_retries > 64) {
     return Status::InvalidArgument("--net-retries must be in [0, 64]");
   }
   config.knn.net_retries = static_cast<size_t>(net_retries);
   VFPS_ASSIGN_OR_RETURN(config.knn.net_jitter,
-                        ParseDouble(Get(flags, "net-jitter", "0")));
+                        ParseDouble(flags.Get("net-jitter", "0")));
   if (config.knn.net_jitter < 0.0 || config.knn.net_jitter > 1.0) {
     return Status::InvalidArgument("--net-jitter must be in [0, 1]");
   }
-  config.checkpoint_out = Get(flags, "checkpoint-out", "");
-  config.resume_from = Get(flags, "resume-from", "");
-  VFPS_ASSIGN_OR_RETURN(int64_t shards, ParseInt64(Get(flags, "shards", "1")));
+  config.checkpoint_out = flags.Get("checkpoint-out", "");
+  config.resume_from = flags.Get("resume-from", "");
+  VFPS_ASSIGN_OR_RETURN(int64_t shards, ParseInt64(flags.Get("shards", "1")));
   if (shards < 1 || shards > 4096) {
     return Status::InvalidArgument("--shards must be in [1, 4096]");
   }
   config.knn.shards = static_cast<size_t>(shards);
-  const std::string prefilter = Get(flags, "prefilter", "");
+  const std::string prefilter = flags.Get("prefilter", "");
   if (!prefilter.empty()) {
     const std::string prefix = "treecss:";
     if (prefilter.rfind(prefix, 0) != 0) {
@@ -169,7 +215,7 @@ Result<core::ExperimentConfig> BuildConfig(
     config.knn.prefilter_clusters = static_cast<size_t>(clusters);
   }
 
-  const std::string backend = Get(flags, "backend", "plain");
+  const std::string backend = flags.Get("backend", "plain");
   if (backend == "plain") {
     config.backend = core::HeBackendKind::kPlain;
   } else if (backend == "ckks") {
@@ -179,7 +225,7 @@ Result<core::ExperimentConfig> BuildConfig(
   } else {
     return Status::InvalidArgument("unknown backend: " + backend);
   }
-  const std::string partition = Get(flags, "partition", "random");
+  const std::string partition = flags.Get("partition", "random");
   if (partition == "random") {
     config.partition = core::PartitionMode::kRandom;
   } else if (partition == "stratified") {
@@ -213,21 +259,22 @@ int CmdDatasets() {
   return 0;
 }
 
-int CmdRun(const std::map<std::string, std::string>& flags) {
+int CmdRun(const Flags& flags) {
   auto config = BuildConfig(flags);
-  config.status().Abort("config");
-  const std::string metrics_out = Get(flags, "metrics-out", "");
-  const std::string trace_out = Get(flags, "trace-out", "");
-  auto interval = ParseDouble(Get(flags, "metrics-interval", "0"));
-  interval.status().Abort("metrics-interval");
+  if (!config.ok()) return FailFlags(config.status());
+  const std::string metrics_out = flags.Get("metrics-out", "");
+  const std::string trace_out = flags.Get("trace-out", "");
+  auto interval = ParseDouble(flags.Get("metrics-interval", "0"));
+  if (!interval.ok()) return FailFlags(interval.status());
   if (*interval < 0.0) {
-    Status::InvalidArgument("--metrics-interval must be >= 0")
-        .Abort("metrics-interval");
+    return FailFlags(Status::InvalidArgument("--metrics-interval must be >= 0"));
   }
   if (*interval > 0.0 && metrics_out.empty()) {
-    Status::InvalidArgument("--metrics-interval requires --metrics-out")
-        .Abort("metrics-interval");
+    return FailFlags(
+        Status::InvalidArgument("--metrics-interval requires --metrics-out"));
   }
+  const Status all_read = flags.CheckAllRead("run");
+  if (!all_read.ok()) return FailFlags(all_read);
   obs::MetricsRegistry registry;
   if (!metrics_out.empty() || !trace_out.empty()) {
     if (!trace_out.empty()) registry.EnableTracing();
@@ -307,16 +354,22 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdSweep(const std::map<std::string, std::string>& flags) {
+int CmdSweep(const Flags& flags) {
+  if (flags.Has("method")) {
+    return FailFlags(Status::InvalidArgument(
+        "'vfps_cli sweep' runs every method; drop --method"));
+  }
   const core::SelectionMethod methods[] = {
       core::SelectionMethod::kAll,     core::SelectionMethod::kRandom,
       core::SelectionMethod::kShapley, core::SelectionMethod::kVfMine,
       core::SelectionMethod::kVfpsSmBase, core::SelectionMethod::kVfpsSm};
   for (core::SelectionMethod method : methods) {
-    auto mutable_flags = flags;
-    mutable_flags["method"] = core::SelectionMethodName(method);
-    auto config = BuildConfig(mutable_flags);
-    config.status().Abort("config");
+    auto method_flags = flags;
+    method_flags.Set("method", core::SelectionMethodName(method));
+    auto config = BuildConfig(method_flags);
+    if (!config.ok()) return FailFlags(config.status());
+    const Status all_read = method_flags.CheckAllRead("sweep");
+    if (!all_read.ok()) return FailFlags(all_read);
     auto result = core::RunExperiment(*config);
     result.status().Abort("experiment");
     PrintResult(core::SelectionMethodName(method), *result);
@@ -339,8 +392,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   if (command == "datasets") return CmdDatasets();
-  if (command == "run") return CmdRun(ParseFlags(argc, argv, 2));
-  if (command == "sweep") return CmdSweep(ParseFlags(argc, argv, 2));
+  if (command == "run") return CmdRun(Flags(argc, argv, 2));
+  if (command == "sweep") return CmdSweep(Flags(argc, argv, 2));
   Usage();
   return 2;
 }
