@@ -8,8 +8,9 @@
 // ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale) and
 // the layers inside them (encode, decode, noise sampling), the plaintext
 // distance kernels behind KnnClassifier / FederatedKnnOracle, the per-party
-// sub-ranking sort, the bounded top-k selection, and one end-to-end
-// encrypted-KNN query.
+// sub-ranking sort, the bounded top-k selection, the CRC-32 every
+// fault-tolerant channel frame pays twice, and one end-to-end encrypted-KNN
+// query.
 
 // Per-ISA rows: the ISA-sensitive benchmarks also register pinned variants
 // named `<bench>/isa:<scalar|avx2|avx512>` (only for ISAs the host supports),
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "he/backend.h"
@@ -438,6 +440,27 @@ void BM_SubRanking(benchmark::State& state) {
 }
 BENCHMARK(BM_SubRanking)->Arg(19200)->Unit(benchmark::kMicrosecond);
 
+// CRC-32 over one buffer, as ReliableChannel computes it to frame every send
+// and again to verify every receive. 64 bytes is the shortest input the
+// folding path takes (a small id chunk); 128 KiB is a ciphertext-sized
+// frame. bytes_per_second is the comparable figure across sizes.
+void Crc32Body(benchmark::State& state, size_t n) {
+  Rng rng(31);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    uint32_t crc = Crc32(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+  SetIsaCounter(state);
+}
+
+void BM_Crc32(benchmark::State& state) {
+  Crc32Body(state, static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(131072);
+
 // ---------------------------------------------------------------------------
 // End-to-end encrypted-KNN query (BASE mode: encrypt-all, the paper's
 // dominant cost). Reported time covers Run() over `kQueries` queries; the
@@ -563,6 +586,11 @@ void RegisterIsaPinnedVariants() {
         PinnedTo(isa, [](benchmark::State& s) {
           BlockSquaredDistancesBody(s, 2000);
         }));
+    for (size_t n : {size_t{64}, size_t{131072}}) {
+      benchmark::RegisterBenchmark(
+          ("BM_Crc32/" + std::to_string(n) + tag).c_str(),
+          PinnedTo(isa, [n](benchmark::State& s) { Crc32Body(s, n); }));
+    }
   }
 }
 

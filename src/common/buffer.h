@@ -12,6 +12,18 @@
 
 namespace vfps {
 
+/// \brief Advance a raw CRC-32 register over `n` bytes: start from
+/// 0xFFFFFFFF and XOR the final register with 0xFFFFFFFF. Feeding a stream
+/// in any split gives the same register as one call over all of it.
+///
+/// The one CRC kernel behind Crc32, Crc32Accumulator and the CRC frames.
+/// It folds 4x128 bits at a time with PCLMULQDQ and Barrett-reduces to 32
+/// bits when simd::ActiveIsa() >= Isa::kAvx2 and the CPU has PCLMULQDQ;
+/// otherwise (and for the last < 16 bytes) it runs slicing-by-8. Both
+/// paths compute the same polynomial remainder, so the value never depends
+/// on the dispatch (VFPS_FORCE_SCALAR=1 pins the portable path).
+uint32_t Crc32Update(uint32_t state, const uint8_t* data, size_t n);
+
 /// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n`
 /// bytes. Matches zlib's crc32(): Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(const uint8_t* data, size_t n);
@@ -25,7 +37,9 @@ inline uint32_t Crc32(const std::vector<uint8_t>& bytes) {
 /// without materializing them contiguously.
 class Crc32Accumulator {
  public:
-  void Update(const uint8_t* data, size_t n);
+  void Update(const uint8_t* data, size_t n) {
+    state_ = Crc32Update(state_, data, n);
+  }
   void Update(const std::vector<uint8_t>& bytes) {
     Update(bytes.data(), bytes.size());
   }

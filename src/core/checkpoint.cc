@@ -11,10 +11,27 @@ namespace vfps::core {
 
 namespace {
 
-// '2' since the shard-layout fingerprint fields joined the body: the field
-// reads below are sequential, so a format change MUST bump the magic —
-// pre-sharding files then fail with a clear bad-magic error up front.
-constexpr char kMagic[8] = {'V', 'F', 'P', 'S', 'C', 'K', 'P', '2'};
+// '3' since data_digest joined the body ('2' added the shard layout): the
+// field reads below are sequential, so a format change MUST bump the magic —
+// older files then fail with a clear bad-magic error up front.
+constexpr char kMagic[8] = {'V', 'F', 'P', 'S', 'C', 'K', 'P', '3'};
+
+// Smallest encoding of one neighborhood: query_row u64 plus the u32 counts
+// of its (possibly empty) neighbor and d_T vectors.
+constexpr size_t kMinHoodBytes = sizeof(uint64_t) + 2 * sizeof(uint32_t);
+
+// A count read from the body is checked against the bytes left before
+// anything is sized by it: the frame CRC catches accidental damage, not a
+// crafted count, and resize()/reserve() on a huge one would abort.
+Status CheckCount(const BinaryReader& r, uint32_t count, size_t min_bytes,
+                  const char* what) {
+  if (count > r.remaining() / min_bytes) {
+    return Status::Corrupt(StrFormat(
+        "checkpoint: %s count %u exceeds the %zu bytes left in the body",
+        what, count, r.remaining()));
+  }
+  return Status::OK();
+}
 
 void WriteU64Sizes(BinaryWriter* w, const std::vector<size_t>& v) {
   w->WriteU32(static_cast<uint32_t>(v.size()));
@@ -23,6 +40,7 @@ void WriteU64Sizes(BinaryWriter* w, const std::vector<size_t>& v) {
 
 Result<std::vector<size_t>> ReadU64Sizes(BinaryReader* r) {
   VFPS_ASSIGN_OR_RETURN(const uint32_t n, r->ReadU32());
+  VFPS_RETURN_NOT_OK(CheckCount(*r, n, sizeof(uint64_t), "size list"));
   std::vector<size_t> v;
   v.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -55,6 +73,23 @@ std::vector<uint32_t> SelectionCheckpoint::ComputePartyDigests(
   return digests;
 }
 
+uint32_t SelectionCheckpoint::ComputeDataDigest(
+    const data::Dataset& train, const data::VerticalPartition& partition) {
+  Crc32Accumulator acc;
+  const size_t rows = train.num_samples();
+  const size_t cols = train.num_features();
+  acc.Update(static_cast<uint64_t>(rows));
+  acc.Update(static_cast<uint64_t>(cols));
+  // Rows are contiguous: Row(0) spans the whole row-major matrix.
+  acc.Update(std::span<const double>(train.Row(0), rows * cols));
+  acc.Update(static_cast<uint64_t>(partition.size()));
+  for (const std::vector<size_t>& columns : partition) {
+    acc.Update(static_cast<uint64_t>(columns.size()));
+    for (size_t c : columns) acc.Update(static_cast<uint64_t>(c));
+  }
+  return acc.value();
+}
+
 std::vector<uint8_t> SelectionCheckpoint::Serialize() const {
   BinaryWriter body;
   body.WriteU64(seed);
@@ -67,6 +102,7 @@ std::vector<uint8_t> SelectionCheckpoint::Serialize() const {
   body.WriteU64(num_participants);
   body.WriteU64(shards);
   body.WriteU64(prefilter_clusters);
+  body.WriteU32(data_digest);
   body.WriteU64(target);
 
   body.WriteU64Vec(quarantined);
@@ -101,7 +137,7 @@ Result<SelectionCheckpoint> SelectionCheckpoint::Deserialize(
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(
-        "checkpoint: bad magic (not a VFPSCKP2 file)");
+        "checkpoint: bad magic (not a VFPSCKP3 file)");
   }
   BinaryReader framed(bytes.data() + sizeof(kMagic),
                       bytes.size() - sizeof(kMagic));
@@ -119,6 +155,7 @@ Result<SelectionCheckpoint> SelectionCheckpoint::Deserialize(
   VFPS_ASSIGN_OR_RETURN(ckp.num_participants, r.ReadU64());
   VFPS_ASSIGN_OR_RETURN(ckp.shards, r.ReadU64());
   VFPS_ASSIGN_OR_RETURN(ckp.prefilter_clusters, r.ReadU64());
+  VFPS_ASSIGN_OR_RETURN(ckp.data_digest, r.ReadU32());
   VFPS_ASSIGN_OR_RETURN(ckp.target, r.ReadU64());
 
   VFPS_ASSIGN_OR_RETURN(ckp.quarantined, r.ReadU64Vec());
@@ -127,6 +164,8 @@ Result<SelectionCheckpoint> SelectionCheckpoint::Deserialize(
   VFPS_ASSIGN_OR_RETURN(ckp.healed, r.ReadU64Vec());
 
   VFPS_ASSIGN_OR_RETURN(const uint32_t num_hoods, r.ReadU32());
+  VFPS_RETURN_NOT_OK(
+      CheckCount(r, num_hoods, kMinHoodBytes, "neighborhood"));
   ckp.neighborhoods.resize(num_hoods);
   for (uint32_t i = 0; i < num_hoods; ++i) {
     vfl::QueryNeighborhood& hood = ckp.neighborhoods[i];

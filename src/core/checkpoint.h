@@ -15,16 +15,20 @@ namespace vfps::core {
 /// `vfps_cli --checkpoint-out` and consumed by `--resume-from`.
 ///
 /// Contents: the protocol fingerprint (everything that shapes the oracle's
-/// output — a resume against a differently-shaped run is rejected), the
+/// output — a resume against a differently-shaped run is rejected), a digest
+/// binding the checkpoint to its training data and partition, the
 /// membership state at checkpoint time, the oracle's query neighborhoods with
 /// their per-party d_T aggregates, a CRC-32 digest of each party's d_T stream
 /// (cheap tamper/drift detection per participant), and the lazy-greedy scan
 /// state (GreedyCheckpoint) so a resumed selection continues the greedy scan
 /// from its checkpointed prefix instead of restarting it.
 ///
-/// Wire format: the 8-byte magic "VFPSCKP2" followed by one CRC-framed body
+/// Wire format: the 8-byte magic "VFPSCKP3" followed by one CRC-framed body
 /// (common/buffer WriteCrcFramed) — any bit flip in the body fails the load
-/// with a Corrupt status instead of resuming from garbage.
+/// with a Corrupt status instead of resuming from garbage. The CRC guards
+/// against accidental damage only; Deserialize() also checks every element
+/// count against the bytes left before allocating, so a crafted count is
+/// Corrupt too rather than an allocation failure.
 struct SelectionCheckpoint {
   // --- Protocol fingerprint ---
   uint64_t seed = 0;
@@ -39,11 +43,16 @@ struct SelectionCheckpoint {
   /// prefilter_clusters). Part of the fingerprint: a resume under a
   /// different shard count or pre-filter setting is rejected, because the
   /// pre-filter changes the neighborhoods and per-shard stats/costs differ.
-  /// Adding these fields bumped the wire magic to VFPSCKP2, so pre-sharding
-  /// checkpoint files fail with a clear bad-magic error instead of
-  /// misparsing.
   uint64_t shards = 1;
   uint64_t prefilter_clusters = 0;
+  /// ComputeDataDigest() of the run's standardized training features and
+  /// column partition. VfpsSmSelector::Select() rejects a resume whose
+  /// training data or partition give a different digest (same N and P are
+  /// not enough: a random and a stratified partition of one dataset look
+  /// alike to the other fields). Adding it bumped the wire magic to
+  /// VFPSCKP3, so older files fail with a clear bad-magic error instead of
+  /// misparsing.
+  uint32_t data_digest = 0;
   uint64_t target = 0;  // selection target of the checkpointed run
 
   // --- Membership at checkpoint time ---
@@ -84,6 +93,12 @@ struct SelectionCheckpoint {
   static std::vector<uint32_t> ComputePartyDigests(
       const std::vector<vfl::QueryNeighborhood>& neighborhoods,
       size_t num_participants);
+
+  /// CRC-32 over the training matrix's shape and feature bytes (row-major)
+  /// followed by each party's column list, every list prefixed by its size.
+  /// Computed only when a checkpoint is written or resumed.
+  static uint32_t ComputeDataDigest(const data::Dataset& train,
+                                    const data::VerticalPartition& partition);
 };
 
 }  // namespace vfps::core

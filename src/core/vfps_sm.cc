@@ -65,6 +65,16 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
         ctx.seed, static_cast<int64_t>(mode_), knn.k, knn.num_queries,
         knn.fagin_batch, knn.query_group, n, p, knn.shards,
         knn.prefilter_clusters));
+    // Same shape is not the same run: the checkpoint must also come from
+    // this training data and this column partition.
+    const uint32_t data_digest = SelectionCheckpoint::ComputeDataDigest(
+        ctx.split->train, *ctx.partition);
+    if (ckp.data_digest != data_digest) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint: data_digest mismatch (checkpoint 0x%08X vs run 0x%08X): "
+          "the training data or column partition differs",
+          ckp.data_digest, data_digest));
+    }
     // Re-derive the per-party digests from the stored d_T streams; a frame
     // that decoded but drifted from its own digests is rejected.
     const std::vector<uint32_t> digests =
@@ -314,6 +324,8 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
     ckp.num_participants = p;
     ckp.shards = knn.shards;
     ckp.prefilter_clusters = knn.prefilter_clusters;
+    ckp.data_digest = SelectionCheckpoint::ComputeDataDigest(
+        ctx.split->train, *ctx.partition);
     ckp.target = target;
     ckp.quarantined = ToU64(outcome.quarantined);
     ckp.absent = ToU64(outcome.absent);

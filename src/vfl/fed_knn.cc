@@ -1055,8 +1055,11 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
   obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
   span_merge.SetNode("agg-server");
   PhaseTimer phase_merge(c_phase_merge_, env.clock);
+  // The list set takes the score vectors and orders over (no per-query
+  // copy); later lookups read them back through lists.Score().
   VFPS_ASSIGN_OR_RETURN(auto lists,
-                        topk::RankedListSet::BuildPresorted(scores, orders));
+                        topk::RankedListSet::BuildPresorted(std::move(scores),
+                                                            std::move(orders)));
   topk::TopkResult merge;
   if (mode == KnnOracleMode::kThreshold) {
     VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
@@ -1154,7 +1157,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
                                          static_cast<int>(active[ai])));
     VFPS_ASSIGN_OR_RETURN(auto ids, DecodeIds(payload));
     party_values[ai].reserve(ids.size());
-    for (uint64_t pid : ids) party_values[ai].push_back(scores[ai][pid]);
+    for (uint64_t pid : ids) party_values[ai].push_back(lists.Score(ai, pid));
   }
   VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(party_values));
   std::vector<const he::EncryptedVector*> ptrs(a);
@@ -1232,7 +1235,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
       VFPS_ASSIGN_OR_RETURN(pids, DecodeIds(payload));
     }
     double dt = 0.0;
-    for (uint64_t pid : pids) dt += scores[ai][pid];
+    for (uint64_t pid : pids) dt += lists.Score(ai, pid);
     if (party == 0) {
       hood.per_party_dt[0] = dt;
     } else {
@@ -1686,8 +1689,9 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
 
     // Shard-local phase-1 merge (exact within the shard).
     PhaseTimer phase_merge(c_phase_merge_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto lists,
-                          topk::RankedListSet::BuildPresorted(scores, orders));
+    VFPS_ASSIGN_OR_RETURN(
+        auto lists, topk::RankedListSet::BuildPresorted(std::move(scores),
+                                                        std::move(orders)));
     topk::TopkResult merge;
     if (mode == KnnOracleMode::kThreshold) {
       VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
@@ -1759,7 +1763,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
     std::vector<std::vector<double>> party_values(a);
     for (size_t ai = 0; ai < a; ++ai) {
       party_values[ai].reserve(c);
-      for (uint64_t li : cand) party_values[ai].push_back(scores[ai][li]);
+      for (uint64_t li : cand) party_values[ai].push_back(lists.Score(ai, li));
     }
     VFPS_ASSIGN_OR_RETURN(auto encrypted,
                           env.backend->EncryptBatch(party_values));

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.h"
+#include "simd/simd.h"
+
 namespace vfps {
 namespace {
 
@@ -64,6 +70,88 @@ TEST(Crc32Test, MatchesKnownVector) {
                                       '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(check), 0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Bitwise CRC-32 reference: eight shift/xor steps per byte, no table.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+/// Pins simd::ActiveIsa() for a scope and restores the previous value.
+class IsaPin {
+ public:
+  explicit IsaPin(simd::Isa isa) : prev_(simd::ActiveIsa()) {
+    simd::SetActiveIsa(isa);
+  }
+  ~IsaPin() { simd::SetActiveIsa(prev_); }
+  IsaPin(const IsaPin&) = delete;
+  IsaPin& operator=(const IsaPin&) = delete;
+
+ private:
+  simd::Isa prev_;
+};
+
+// The process's dispatch (VFPS_FORCE_SCALAR honoured), the portable path,
+// and the widest path this host has (PCLMULQDQ folding on AVX2 hosts).
+std::vector<simd::Isa> CrcIsas() {
+  return {simd::ActiveIsa(), simd::Isa::kScalar, simd::DetectCpuIsa()};
+}
+
+TEST(Crc32Test, EveryPathMatchesTheBitwiseReference) {
+  constexpr size_t kOffsets = 16;
+  const std::vector<uint8_t> buf = RandomBytes(131072 + kOffsets, 7);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {4095, 4096, 131072});
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t want = BitwiseCrc32(p, n);
+      for (simd::Isa isa : CrcIsas()) {
+        IsaPin pin(isa);
+        ASSERT_EQ(Crc32(p, n), want) << "isa=" << simd::IsaName(isa)
+                                     << " n=" << n << " offset=" << offset;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, AccumulatorSplitsMatchOneShot) {
+  const std::vector<uint8_t> buf = RandomBytes(20000, 11);
+  Rng rng(3);
+  for (simd::Isa isa : CrcIsas()) {
+    IsaPin pin(isa);
+    for (int trial = 0; trial < 50; ++trial) {
+      const size_t n = rng.NextBounded(buf.size() + 1);
+      Crc32Accumulator acc;
+      size_t pos = 0;
+      while (pos < n) {
+        // Mostly short pieces (every tail length), some past the 64-byte
+        // folding threshold.
+        const size_t cap = rng.NextBounded(4) == 0 ? 600 : 20;
+        const size_t piece = std::min(n - pos, rng.NextBounded(cap + 1));
+        acc.Update(buf.data() + pos, piece);
+        pos += piece;
+      }
+      ASSERT_EQ(acc.value(), Crc32(buf.data(), n))
+          << "isa=" << simd::IsaName(isa) << " n=" << n;
+      ASSERT_EQ(acc.value(), BitwiseCrc32(buf.data(), n));
+    }
+  }
 }
 
 TEST(Crc32Test, SensitiveToEveryBit) {

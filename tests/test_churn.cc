@@ -15,8 +15,9 @@
 //      the final membership preset — bit-identical on the plain backend, at
 //      1, 2, and 8 threads. VFPS_CHURN_SEEDS widens the seed sweep (CI runs
 //      16).
-//   5. Checkpoints round-trip bit-exactly, reject corruption and mismatched
-//      run shapes, and a resumed selection (same, larger, or truncated
+//   5. Checkpoints round-trip bit-exactly, reject corruption, crafted
+//      counts, mismatched run shapes and a different training set or
+//      partition, and a resumed selection (same, larger, or truncated
 //      target) matches the uninterrupted run.
 //   6. The lazy-greedy scan resumes from a GreedyCheckpoint with the exact
 //      picks and gains of an uninterrupted scan.
@@ -25,10 +26,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
@@ -246,7 +250,7 @@ struct Deployment {
   net::CostModel cost;
   SimClock clock;
 
-  static Deployment Make() {
+  static Deployment Make(bool stratified = false) {
     Deployment d;
     data::SyntheticConfig config;
     config.num_samples = 400;
@@ -258,7 +262,11 @@ struct Deployment {
     d.split = data::SplitDataset(generated->data, 0.8, 0.1, 5).MoveValueUnsafe();
     data::StandardizeSplit(&d.split).Abort("standardize");
     d.partition =
-        data::RandomVerticalPartition(config.num_features, 4, 9).MoveValueUnsafe();
+        stratified
+            ? data::QualityStratifiedPartition(generated->kinds, 4, 9)
+                  .MoveValueUnsafe()
+            : data::RandomVerticalPartition(config.num_features, 4, 9)
+                  .MoveValueUnsafe();
     d.backend = he::CreatePlainBackend();
     return d;
   }
@@ -644,6 +652,86 @@ TEST(CheckpointTest, TamperedNeighborhoodFailsTheDigestCheck) {
     auto resumed = selector.Select(ctx, 2);
     ASSERT_FALSE(resumed.ok());
     EXPECT_TRUE(resumed.status().IsCorrupt()) << resumed.status().ToString();
+  }
+}
+
+TEST(CheckpointTest, ResumeOnOtherDataOrPartitionIsRejected) {
+  core::SelectionCheckpoint ckp;
+  {
+    Deployment d = Deployment::Make();
+    core::SelectionContext ctx = MakeContext(&d);
+    ctx.checkpoint = &ckp;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    ASSERT_TRUE(selector.Select(ctx, 2).ok());
+  }
+  const auto expect_rejected = [&](Deployment* d, const char* label) {
+    core::SelectionContext ctx = MakeContext(d);
+    ctx.resume = &ckp;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    auto resumed = selector.Select(ctx, 2);
+    ASSERT_FALSE(resumed.ok()) << label;
+    EXPECT_TRUE(resumed.status().IsInvalidArgument())
+        << label << ": " << resumed.status().ToString();
+    EXPECT_NE(resumed.status().ToString().find("data_digest"),
+              std::string::npos)
+        << label << ": " << resumed.status().ToString();
+  };
+  {
+    // Same data, same N and P, but the columns are dealt out differently.
+    Deployment d = Deployment::Make(/*stratified=*/true);
+    ASSERT_NE(d.partition, Deployment::Make().partition);
+    expect_rejected(&d, "stratified partition");
+  }
+  {
+    // Same partition, one training value changed.
+    Deployment d = Deployment::Make();
+    d.split.train.Set(0, 0, d.split.train.At(0, 0) + 1.0);
+    expect_rejected(&d, "edited training data");
+  }
+}
+
+// Re-frames a checkpoint body behind the magic with a valid CRC, as a
+// crafted file would be.
+std::vector<uint8_t> FrameCheckpointBody(const std::vector<uint8_t>& body) {
+  BinaryWriter out;
+  for (char c : std::string("VFPSCKP3")) out.WriteU8(static_cast<uint8_t>(c));
+  out.WriteCrcFramed(body);
+  return out.TakeBytes();
+}
+
+void PatchU32(std::vector<uint8_t>* body, size_t offset, uint32_t expected,
+              uint32_t value) {
+  uint32_t was = 0;
+  std::memcpy(&was, body->data() + offset, sizeof(was));
+  ASSERT_EQ(was, expected) << "body layout changed at offset " << offset;
+  std::memcpy(body->data() + offset, &value, sizeof(value));
+}
+
+TEST(CheckpointTest, CraftedCountIsCorruptNotAnAbort) {
+  core::SelectionCheckpoint ckp;
+  ckp.neighborhoods.resize(3);
+  ckp.greedy.selected = {5, 6};
+  const std::vector<uint8_t> file = ckp.Serialize();
+  BinaryReader framed(file.data() + 8, file.size() - 8);
+  const std::vector<uint8_t> body = framed.ReadCrcFramed().ValueOrDie();
+  // Body layout: ten u64 fingerprint fields, the u32 data digest, the u64
+  // target and four empty membership lists (one u32 count each); then the
+  // neighborhood count, three empty neighborhoods (u64 row + two u32
+  // counts), the empty party-digest list and the greedy selection's count.
+  constexpr size_t kHoodCount = 10 * 8 + 4 + 8 + 4 * 4;
+  constexpr size_t kSelectedCount = kHoodCount + 4 + 3 * 16 + 4;
+  ASSERT_TRUE(core::SelectionCheckpoint::Deserialize(FrameCheckpointBody(body))
+                  .ok());
+  for (const auto& [offset, expected] :
+       {std::pair<size_t, uint32_t>{kHoodCount, 3},
+        std::pair<size_t, uint32_t>{kSelectedCount, 2}}) {
+    std::vector<uint8_t> crafted = body;
+    PatchU32(&crafted, offset, expected, 0xFFFFFFFFu);
+    auto restored =
+        core::SelectionCheckpoint::Deserialize(FrameCheckpointBody(crafted));
+    ASSERT_FALSE(restored.ok()) << "offset " << offset;
+    EXPECT_TRUE(restored.status().IsCorrupt())
+        << "offset " << offset << ": " << restored.status().ToString();
   }
 }
 

@@ -18,10 +18,13 @@
 //   6. End to end: a full VFPS-SM selection (kBase and kFagin, CKKS packed
 //      backend, 1/2/8 threads) under VFPS_FORCE_SCALAR equals the dispatched
 //      run — identical SelectionOutcome, identical checkpoint bytes,
-//      identical merged counters.
+//      identical merged counters. Under a churn fault plan, where every
+//      message is CRC-framed, the same holds, so the CRC kernel accepts
+//      and rejects the same frames on every path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdlib>
@@ -39,6 +42,7 @@
 #include "he/ntt.h"
 #include "he/poly_simd.h"
 #include "ml/kernels.h"
+#include "net/fault.h"
 #include "obs/metrics.h"
 #include "simd/simd.h"
 #include "vfl/fed_knn.h"
@@ -488,9 +492,11 @@ struct E2eArtifacts {
 };
 
 E2eArtifacts RunSelection(simd::Isa isa, vfl::KnnOracleMode mode,
-                          size_t threads) {
+                          size_t threads,
+                          const net::FaultSpec* faults = nullptr) {
   IsaPin pin(isa);
   Deployment d = Deployment::Make();
+  if (faults != nullptr) d.network.EnableFaults(*faults, 5, &d.clock);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   obs::MetricsRegistry obs;
@@ -542,6 +548,33 @@ TEST(SimdEndToEndTest, ForcedScalarSelectionEqualsDispatched) {
       EXPECT_EQ(got.counters, ref.counters)
           << label << " threads=" << threads;
     }
+  }
+}
+
+TEST(SimdEndToEndTest, FaultPlanSelectionEqualsDispatched) {
+  if (VectorIsas().empty()) {
+    GTEST_SKIP() << "no vector backend on this host";
+  }
+  // A leave mid-oracle plus drops and corruptions: the reliable channel
+  // frames, verifies and discards messages, and the cache repairs.
+  auto faults = net::ParseFaultSpec("leave=3@2,drop=0.02,corrupt=0.02");
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  const E2eArtifacts ref =
+      RunSelection(simd::Isa::kScalar, vfl::KnnOracleMode::kFagin, 1, &*faults);
+  ASSERT_EQ(ref.outcome.quarantined, std::vector<size_t>{3});
+  const auto discards = std::find_if(
+      ref.counters.begin(), ref.counters.end(),
+      [](const auto& entry) { return entry.first == "net.chan.discards"; });
+  ASSERT_NE(discards, ref.counters.end());
+  ASSERT_GT(discards->second, 0u) << "no corrupted frame was rejected";
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    const E2eArtifacts got = RunSelection(
+        simd::DetectCpuIsa(), vfl::KnnOracleMode::kFagin, threads, &*faults);
+    EXPECT_EQ(got.outcome.selected, ref.outcome.selected) << threads;
+    EXPECT_EQ(got.outcome.scores, ref.outcome.scores) << threads;
+    EXPECT_EQ(got.outcome.quarantined, ref.outcome.quarantined) << threads;
+    EXPECT_EQ(got.checkpoint_bytes, ref.checkpoint_bytes) << threads;
+    EXPECT_EQ(got.counters, ref.counters) << threads;
   }
 }
 
