@@ -6,7 +6,8 @@
 //
 // Coverage: 64-bit modular multiplication, the negacyclic NTT, the CKKS
 // ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale) and
-// the layers inside them (encode, decode, noise sampling), the plaintext
+// the layers inside them (encode, decode, noise sampling), a whole backend
+// Encrypt including the wire write, Paillier encrypt/add, the plaintext
 // distance kernels behind KnnClassifier / FederatedKnnOracle, the per-party
 // sub-ranking sort, the bounded top-k selection, the CRC-32 every
 // fault-tolerant channel frame pays twice, and one end-to-end encrypted-KNN
@@ -33,6 +34,7 @@
 #include "he/ckks.h"
 #include "he/modarith.h"
 #include "he/ntt.h"
+#include "he/paillier.h"
 #include "ml/kernels.h"
 #include "ml/knn.h"
 #include "simd/simd.h"
@@ -206,8 +208,8 @@ BENCHMARK(BM_CkksDecrypt)->Arg(4096);
 // The two halves of EncryptVector/DecryptVector that are not NTTs or
 // pointwise ops: the canonical-embedding FFT encode (values -> NTT-form
 // plaintext) and decode (plaintext -> values).
-void BM_CkksEncode(benchmark::State& state) {
-  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+void CkksEncodeBody(benchmark::State& state, size_t degree) {
+  CkksKernelFixture f(degree);
   const double scale = f.ctx->params().scale;
   for (auto _ : state) {
     auto pt = f.ctx->encoder().Encode(f.values, scale);
@@ -215,11 +217,16 @@ void BM_CkksEncode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.values.size()));
+  SetIsaCounter(state);
+}
+
+void BM_CkksEncode(benchmark::State& state) {
+  CkksEncodeBody(state, static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_CkksEncode)->Arg(4096);
 
-void BM_CkksDecode(benchmark::State& state) {
-  CkksKernelFixture f(static_cast<size_t>(state.range(0)));
+void CkksDecodeBody(benchmark::State& state, size_t degree) {
+  CkksKernelFixture f(degree);
   const double scale = f.ctx->params().scale;
   const auto pt = f.ctx->encoder().Encode(f.values, scale).ValueOrDie();
   for (auto _ : state) {
@@ -228,6 +235,11 @@ void BM_CkksDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.values.size()));
+  SetIsaCounter(state);
+}
+
+void BM_CkksDecode(benchmark::State& state) {
+  CkksDecodeBody(state, static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_CkksDecode)->Arg(4096);
 
@@ -279,6 +291,49 @@ void BM_CkksRescale(benchmark::State& state) {
   CkksRescaleBody(state, static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_CkksRescale)->Arg(4096);
+
+// A whole backend Encrypt: chunking, encryption and the wire write, for a
+// 1-, 4- and 16-ciphertext blob (2048 slots per ciphertext).
+void BM_BackendEncryptVector(benchmark::State& state) {
+  auto backend = he::CreateCkksBackend(he::CkksParams{}, 5).MoveValueUnsafe();
+  std::vector<double> values(static_cast<size_t>(state.range(0)), 1.5);
+  for (auto _ : state) {
+    auto enc = backend->Encrypt(values);
+    benchmark::DoNotOptimize(enc);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BackendEncryptVector)->Arg(2048)->Arg(8192)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Paillier (the scalar baseline backend), by modulus bits
+// ---------------------------------------------------------------------------
+
+void BM_PaillierEncrypt(benchmark::State& state) {
+  Rng rng(11);
+  auto keys =
+      he::Paillier::GenerateKeys(static_cast<size_t>(state.range(0)), &rng)
+          .ValueOrDie();
+  for (auto _ : state) {
+    auto ct = he::Paillier::Encrypt(keys.pub, he::BigInt(123456), &rng);
+    benchmark::DoNotOptimize(ct);
+  }
+}
+BENCHMARK(BM_PaillierEncrypt)->Arg(256)->Arg(512)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PaillierAdd(benchmark::State& state) {
+  Rng rng(12);
+  auto keys = he::Paillier::GenerateKeys(512, &rng).ValueOrDie();
+  auto a = he::Paillier::Encrypt(keys.pub, he::BigInt(1), &rng).ValueOrDie();
+  auto b = he::Paillier::Encrypt(keys.pub, he::BigInt(2), &rng).ValueOrDie();
+  for (auto _ : state) {
+    auto sum = he::Paillier::Add(keys.pub, a, b);
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_PaillierAdd);
 
 // ---------------------------------------------------------------------------
 // Distance kernels + bounded top-k
@@ -570,6 +625,12 @@ void RegisterIsaPinnedVariants() {
     benchmark::RegisterBenchmark(
         ("BM_CkksRescale/4096" + tag).c_str(),
         PinnedTo(isa, [](benchmark::State& s) { CkksRescaleBody(s, 4096); }));
+    benchmark::RegisterBenchmark(
+        ("BM_CkksEncode/4096" + tag).c_str(),
+        PinnedTo(isa, [](benchmark::State& s) { CkksEncodeBody(s, 4096); }));
+    benchmark::RegisterBenchmark(
+        ("BM_CkksDecode/4096" + tag).c_str(),
+        PinnedTo(isa, [](benchmark::State& s) { CkksDecodeBody(s, 4096); }));
     benchmark::RegisterBenchmark(
         ("BM_DotProduct/1024" + tag).c_str(),
         PinnedTo(isa, [](benchmark::State& s) { DotProductBody(s, 1024); }));

@@ -110,6 +110,10 @@ class BinaryWriter {
     WriteBytes(payload);
   }
 
+  /// Pre-size the buffer for `bytes` in total, so writers that know their
+  /// final size (a ciphertext blob) never reallocate and copy mid-write.
+  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
+
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* x) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,18 +20,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(&x);
   // xoshiro must not start in the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {

@@ -18,8 +18,20 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Inline so that a loop drawing from a local
+  /// copy of the generator (the CKKS samplers in he/rns.cc) keeps the state
+  /// in registers.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias.
   uint64_t NextBounded(uint64_t bound);
@@ -62,6 +74,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   // Box-Muller spare value.
   bool has_spare_ = false;

@@ -160,16 +160,19 @@ class CkksBackend final : public HeBackend {
   Result<EncryptedVector> EncryptImpl(std::span<const double> values,
                                       Rng* rng, HeOpStats* stats) const {
     BinaryWriter writer;
+    writer.Reserve(CiphertextBytes(values.size()));
     const size_t slots = chunk_slots_;
     const size_t num_chunks =
         values.empty() ? 0 : (values.size() + slots - 1) / slots;
     writer.WriteU32(static_cast<uint32_t>(num_chunks));
+    // Per-thread ciphertext whose buffers every chunk reuses.
+    thread_local CkksCiphertext ct;
     for (size_t c = 0; c < num_chunks; ++c) {
       const size_t lo = c * slots;
       const size_t len = std::min(values.size() - lo, slots);
       // Sub-span, no copy; the encoder zero-masks the final ragged tail.
-      VFPS_ASSIGN_OR_RETURN(
-          auto ct, ctx_->EncryptVector(keys_->pk, values.subspan(lo, len), rng));
+      VFPS_RETURN_NOT_OK(ctx_->EncryptVectorInto(
+          keys_->pk, values.subspan(lo, len), rng, &ct));
       ctx_->SerializeCiphertext(ct, &writer);
       ++stats->encrypt_ops;
     }
@@ -200,6 +203,7 @@ class CkksBackend final : public HeBackend {
       stats->values_added += count;
     }
     BinaryWriter writer;
+    writer.Reserve(CiphertextBytes(count));
     writer.WriteU32(static_cast<uint32_t>(acc.size()));
     for (const auto& ct : acc) ctx_->SerializeCiphertext(ct, &writer);
     EncryptedVector out;
@@ -230,6 +234,14 @@ class CkksBackend final : public HeBackend {
                      std::vector<CkksCiphertext>* out) const {
     BinaryReader reader(v.blob);
     VFPS_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.ReadU32());
+    // Sum indexes every input's chunks by the first input's chunk count.
+    const size_t expected =
+        v.count == 0 ? 0 : (v.count + chunk_slots_ - 1) / chunk_slots_;
+    if (num_chunks != expected) {
+      return Status::ProtocolError(
+          StrFormat("CKKS blob holds %u ciphertexts; %zu values need %zu",
+                    num_chunks, v.count, expected));
+    }
     out->clear();
     out->reserve(num_chunks);
     for (uint32_t c = 0; c < num_chunks; ++c) {

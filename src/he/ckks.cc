@@ -1,5 +1,7 @@
 #include "he/ckks.h"
 
+#include <cmath>
+
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "he/modarith.h"
@@ -51,36 +53,6 @@ CkksPublicKey CkksContext::GeneratePublicKey(const CkksSecretKey& sk,
   return pk;
 }
 
-CkksCiphertext CkksContext::Encrypt(const CkksPublicKey& pk,
-                                    const RnsPoly& plaintext, double scale,
-                                    Rng* rng) const {
-  // Per-thread scratch for the three masking polynomials: every component is
-  // overwritten by the samplers, and the Rng consumption is identical to the
-  // allocating SampleTernary/SampleGaussian, so reuse is invisible to both
-  // determinism and callers. Saves three n * num_primes allocations per
-  // encryption — the oracle's hottest allocation site.
-  thread_local RnsPoly u, e0, e1;
-  SampleTernaryInto(*rns_, rng, &u);
-  ToNtt(*rns_, &u);
-  SampleGaussianInto(*rns_, rng, &e0, *noise_);
-  ToNtt(*rns_, &e0);
-  SampleGaussianInto(*rns_, rng, &e1, *noise_);
-  ToNtt(*rns_, &e1);
-
-  CkksCiphertext ct;
-  ct.scale = scale;
-  // c0 = b*u + e0 + m
-  ct.c0 = pk.b;
-  MulPointwiseInPlace(*rns_, &ct.c0, u);
-  AddInPlace(*rns_, &ct.c0, e0);
-  AddInPlace(*rns_, &ct.c0, plaintext);
-  // c1 = a*u + e1
-  ct.c1 = pk.a;
-  MulPointwiseInPlace(*rns_, &ct.c1, u);
-  AddInPlace(*rns_, &ct.c1, e1);
-  return ct;
-}
-
 RnsPoly CkksContext::Decrypt(const CkksSecretKey& sk,
                              const CkksCiphertext& ct) const {
   // m' = c0 + c1 * s
@@ -93,8 +65,41 @@ RnsPoly CkksContext::Decrypt(const CkksSecretKey& sk,
 Result<CkksCiphertext> CkksContext::EncryptVector(
     const CkksPublicKey& pk, std::span<const double> values,
     Rng* rng) const {
-  VFPS_ASSIGN_OR_RETURN(RnsPoly pt, encoder_->Encode(values, params_.scale));
-  return Encrypt(pk, pt, params_.scale, rng);
+  CkksCiphertext ct;
+  VFPS_RETURN_NOT_OK(EncryptVectorInto(pk, values, rng, &ct));
+  return ct;
+}
+
+Status CkksContext::EncryptVectorInto(const CkksPublicKey& pk,
+                                      std::span<const double> values, Rng* rng,
+                                      CkksCiphertext* out) const {
+  // Per-thread scratch for the plaintext and the three masking polynomials:
+  // every component is overwritten by the encoder and the samplers, so reuse
+  // is invisible to both determinism and callers.
+  thread_local RnsPoly m, u, e0, e1;
+  // Encode first, so a rejected input consumes no randomness.
+  VFPS_RETURN_NOT_OK(encoder_->EncodeCoefficients(values, params_.scale, &m));
+  SampleTernaryInto(*rns_, rng, &u);
+  ToNtt(*rns_, &u);
+  SampleGaussianInto(*rns_, rng, &e0, *noise_);
+  // The forward NTT is linear mod q and fully reduces its outputs, so
+  // NTT(e0 + m) == NTT(e0) + NTT(m) residue for residue: one transform
+  // covers both (docs/HE.md).
+  AddInPlace(*rns_, &e0, m);
+  ToNtt(*rns_, &e0);
+  SampleGaussianInto(*rns_, rng, &e1, *noise_);
+  ToNtt(*rns_, &e1);
+
+  out->scale = params_.scale;
+  // c0 = b*u + (e0 + m). Copy-assignment reuses out's buffers.
+  out->c0 = pk.b;
+  MulPointwiseInPlace(*rns_, &out->c0, u);
+  AddInPlace(*rns_, &out->c0, e0);
+  // c1 = a*u + e1
+  out->c1 = pk.a;
+  MulPointwiseInPlace(*rns_, &out->c1, u);
+  AddInPlace(*rns_, &out->c1, e1);
+  return Status::OK();
 }
 
 Result<std::vector<double>> CkksContext::DecryptVector(
@@ -316,10 +321,23 @@ void CkksContext::SerializeCiphertext(const CkksCiphertext& ct,
 
 Result<CkksCiphertext> CkksContext::DeserializeCiphertext(
     BinaryReader* in) const {
+  // Every check names the field it rejects. On a fault-free run the channel
+  // passes bytes through unchecked, so this is the only gate between the
+  // wire and kernels that assume well-formed operands.
   CkksCiphertext ct;
   VFPS_ASSIGN_OR_RETURN(ct.scale, in->ReadDouble());
+  if (!(std::isfinite(ct.scale) && ct.scale > 0.0)) {
+    return Status::ProtocolError(StrFormat(
+        "CKKS deserialize: scale %g is not finite and positive", ct.scale));
+  }
   VFPS_ASSIGN_OR_RETURN(uint8_t ntt_form, in->ReadU8());
+  if (ntt_form > 1) {
+    return Status::ProtocolError(
+        StrFormat("CKKS deserialize: form byte %u is not 0 or 1",
+                  static_cast<unsigned>(ntt_form)));
+  }
   for (RnsPoly* poly : {&ct.c0, &ct.c1}) {
+    const char* name = poly == &ct.c0 ? "c0" : "c1";
     VFPS_ASSIGN_OR_RETURN(uint32_t num_primes, in->ReadU32());
     if (num_primes == 0 || num_primes > rns_->num_primes()) {
       return Status::ProtocolError("CKKS deserialize: prime count mismatch");
@@ -330,8 +348,30 @@ Result<CkksCiphertext> CkksContext::DeserializeCiphertext(
       if (poly->residues[i].size() != rns_->n()) {
         return Status::ProtocolError("CKKS deserialize: degree mismatch");
       }
+      // The modular kernels assume residues in [0, q). As q < 2^62, v < q
+      // exactly when v < 2^63 and v - q wraps past zero (top bit set): one
+      // AND and one OR per residue, a pass that vectorizes.
+      const uint64_t q = rns_->prime(i);
+      uint64_t all_wrap = ~uint64_t{0};
+      uint64_t any_top = 0;
+      for (uint64_t v : poly->residues[i]) {
+        all_wrap &= v - q;
+        any_top |= v;
+      }
+      if ((all_wrap >> 63) == 0 || (any_top >> 63) != 0) {
+        return Status::ProtocolError(StrFormat(
+            "CKKS deserialize: %s residue for prime %u is not below it", name,
+            i));
+      }
     }
     poly->ntt_form = (ntt_form != 0);
+  }
+  // The pointwise ops run over the smaller prime count, so a mismatch would
+  // decrypt at the wrong level.
+  if (ct.c0.num_primes() != ct.c1.num_primes()) {
+    return Status::ProtocolError(
+        StrFormat("CKKS deserialize: c0 has %zu primes but c1 has %zu",
+                  ct.c0.num_primes(), ct.c1.num_primes()));
   }
   return ct;
 }

@@ -76,10 +76,6 @@ class CkksContext {
   CkksSecretKey GenerateSecretKey(Rng* rng) const;
   CkksPublicKey GeneratePublicKey(const CkksSecretKey& sk, Rng* rng) const;
 
-  /// Encrypt an already-encoded plaintext polynomial (NTT form).
-  CkksCiphertext Encrypt(const CkksPublicKey& pk, const RnsPoly& plaintext,
-                         double scale, Rng* rng) const;
-
   /// Decrypt to the plaintext polynomial (NTT form); decode separately.
   RnsPoly Decrypt(const CkksSecretKey& sk, const CkksCiphertext& ct) const;
 
@@ -89,6 +85,15 @@ class CkksContext {
   Result<CkksCiphertext> EncryptVector(const CkksPublicKey& pk,
                                        std::span<const double> values,
                                        Rng* rng) const;
+  /// \brief EncryptVector into a caller-owned ciphertext: every component
+  /// of `out` is overwritten, and its buffers are reused when they already
+  /// have the context's shape, so a per-thread `out` makes encryption
+  /// allocation-free. Draws the same randomness as EncryptVector and
+  /// produces the same ciphertext; on error `out` is unspecified and `rng`
+  /// untouched.
+  Status EncryptVectorInto(const CkksPublicKey& pk,
+                           std::span<const double> values, Rng* rng,
+                           CkksCiphertext* out) const;
   /// Brace-list convenience (std::span lacks the initializer_list
   /// constructor until C++26).
   Result<CkksCiphertext> EncryptVector(const CkksPublicKey& pk,

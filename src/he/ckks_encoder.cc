@@ -2,16 +2,15 @@
 
 #include <cmath>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 #include "he/modarith.h"
+#include "simd/simd.h"
 
 namespace vfps::he {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
-// Encoded coefficients must stay well below the smallest RNS prime (>= 2^53
-// by construction) times headroom; 2^62 also guards the int64 rounding path.
-constexpr double kCoeffBound = 4.611686018427387904e18;  // 2^62
 }  // namespace
 
 Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
@@ -53,6 +52,28 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
 void CkksEncoder::Fft(double* re, double* im, bool inverse) const {
   const size_t n = ctx_->n();
   const double* roots_im = inverse ? root_im_inv_.data() : root_im_.data();
+  switch (simd::ActiveIsa()) {
+    case simd::Isa::kAvx512:
+      if (n >= 16) {
+        FftAvx512(re, im, roots_im);
+        return;
+      }
+      [[fallthrough]];
+    case simd::Isa::kAvx2:
+      if (n >= 8) {
+        FftAvx2(re, im, roots_im);
+        return;
+      }
+      break;
+    case simd::Isa::kScalar:
+      break;
+  }
+  FftScalar(re, im, roots_im);
+}
+
+void CkksEncoder::FftScalar(double* re, double* im,
+                            const double* roots_im) const {
+  const size_t n = ctx_->n();
   for (size_t h = 1; h < n; h <<= 1) {
     const double* __restrict wr = root_re_.data() + (h - 1);
     const double* __restrict wi = roots_im + (h - 1);
@@ -76,8 +97,46 @@ void CkksEncoder::Fft(double* re, double* im, bool inverse) const {
   }
 }
 
+Status CkksEncoder::RoundAndReduceScalar(const double* re, const double* im,
+                                         double scale, size_t begin,
+                                         RnsPoly* out) const {
+  const size_t n = ctx_->n();
+  const double inv = 2.0 / static_cast<double>(n);
+  for (size_t k = begin; k < n; ++k) {
+    // c_k = (2/n) * Re(w^{-k} * A_k) * scale
+    const double coeff =
+        inv * (twist_re_[k] * re[k] + twist_im_[k] * im[k]) * scale;
+    if (!(std::abs(coeff) < kCoeffBound)) {
+      return Status::OutOfRange(
+          StrFormat("CkksEncoder: coefficient %.3e overflows encode bound; "
+                    "reduce the scale or the value magnitudes",
+                    coeff));
+    }
+    // llround(coeff): below 2^52 the fraction coeff - t is exact and t +/- 1
+    // is exact; from 2^52 up coeff is an integer and the fraction is 0. So
+    // |t| < 2^62 and the rounded magnitude fits one 64-bit word.
+    double t = std::trunc(coeff);
+    if (std::abs(coeff - t) >= 0.5) t += std::copysign(1.0, coeff);
+    const int64_t rounded = static_cast<int64_t>(t);
+    const uint64_t mag = static_cast<uint64_t>(rounded >= 0 ? rounded : -rounded);
+    for (size_t i = 0; i < out->num_primes(); ++i) {
+      const uint64_t r = BarrettReduce64(mag, ctx_->modulus(i));
+      out->residues[i][k] = (rounded >= 0 || r == 0) ? r : ctx_->prime(i) - r;
+    }
+  }
+  return Status::OK();
+}
+
 Result<RnsPoly> CkksEncoder::Encode(std::span<const double> values,
                                     double scale) const {
+  RnsPoly poly;
+  VFPS_RETURN_NOT_OK(EncodeCoefficients(values, scale, &poly));
+  ToNtt(*ctx_, &poly);
+  return poly;
+}
+
+Status CkksEncoder::EncodeCoefficients(std::span<const double> values,
+                                       double scale, RnsPoly* out) const {
   const size_t n = ctx_->n();
   if (values.size() > slot_count()) {
     return Status::CapacityError(
@@ -97,28 +156,19 @@ Result<RnsPoly> CkksEncoder::Encode(std::span<const double> values,
   im.assign(n, 0.0);
   for (size_t j = 0; j < values.size(); ++j) re[bit_rev_[j]] = values[j];
   Fft(re.data(), im.data(), /*inverse=*/false);
-  RnsPoly poly = ZeroPoly(*ctx_);
-  const double inv = 2.0 / static_cast<double>(n);
-  for (size_t k = 0; k < n; ++k) {
-    // c_k = (2/n) * Re(w^{-k} * A_k) * scale
-    const double coeff =
-        inv * (twist_re_[k] * re[k] + twist_im_[k] * im[k]) * scale;
-    if (!(std::abs(coeff) < kCoeffBound)) {
-      return Status::OutOfRange(
-          StrFormat("CkksEncoder: coefficient %.3e overflows encode bound; "
-                    "reduce the scale or the value magnitudes",
-                    coeff));
-    }
-    // |coeff| < 2^62, so the rounded magnitude fits one 64-bit word.
-    const int64_t rounded = std::llround(coeff);
-    const uint64_t mag = static_cast<uint64_t>(rounded >= 0 ? rounded : -rounded);
-    for (size_t i = 0; i < poly.num_primes(); ++i) {
-      const uint64_t r = BarrettReduce64(mag, ctx_->modulus(i));
-      poly.residues[i][k] = (rounded >= 0 || r == 0) ? r : ctx_->prime(i) - r;
-    }
+  ResizePoly(*ctx_, out);
+  size_t done = 0;
+  switch (simd::ActiveIsa()) {
+    case simd::Isa::kAvx512:
+      done = RoundAndReduceAvx512(re.data(), im.data(), scale, out);
+      break;
+    case simd::Isa::kAvx2:
+      done = RoundAndReduceAvx2(re.data(), im.data(), scale, out);
+      break;
+    case simd::Isa::kScalar:
+      break;
   }
-  ToNtt(*ctx_, &poly);
-  return poly;
+  return RoundAndReduceScalar(re.data(), im.data(), scale, done, out);
 }
 
 Result<std::vector<double>> CkksEncoder::Decode(const RnsPoly& poly,

@@ -25,10 +25,13 @@ namespace vfps::he {
 ///            inverse FFT, take the first `count` real parts over the scale.
 ///
 /// The FFT runs on split real/imaginary arrays with per-stage contiguous
-/// twiddles and writes every complex product out as (ac - bd, ad + bc). The
-/// file builds with -ffp-contract=off, so no multiply-add is ever fused and
-/// the residues are bit-identical on every ISA and optimization level (see
-/// docs/KERNELS.md, "Per-kernel numerics contract").
+/// twiddles and writes every complex product out as (ac - bd, ad + bc). It
+/// and the round-and-reduce step have AVX2 and AVX-512 backends, dispatched
+/// on simd::ActiveIsa(), that apply the same operations to each element as
+/// the scalar loops. Both files build with -ffp-contract=off, so no
+/// multiply-add is ever fused and the residues are bit-identical on every
+/// ISA and optimization level (see docs/KERNELS.md, "Per-kernel numerics
+/// contract").
 class CkksEncoder {
  public:
   static Result<CkksEncoder> Create(std::shared_ptr<const RnsContext> ctx);
@@ -43,19 +46,50 @@ class CkksEncoder {
   /// Accepts a span so batched callers can encode sub-ranges without copying.
   Result<RnsPoly> Encode(std::span<const double> values, double scale) const;
 
+  /// \brief Encode() without the final NTT: writes the plaintext in
+  /// coefficient form to `out` (resized to the context's shape, every
+  /// residue overwritten). Lets an encryption add the error polynomial
+  /// first and transform the sum once (see docs/HE.md). Same checks and
+  /// errors as Encode().
+  Status EncodeCoefficients(std::span<const double> values, double scale,
+                            RnsPoly* out) const;
+
   /// \brief Decode `count` values from a plaintext polynomial at the given
   /// scale. Accepts either form (transforms a copy if needed).
   Result<std::vector<double>> Decode(const RnsPoly& poly, double scale,
                                      size_t count) const;
 
  private:
+  // Encoded coefficients must stay well below the smallest RNS prime (>= 2^53
+  // by construction) times headroom; 2^62 also guards the int64 rounding path.
+  static constexpr double kCoeffBound = 4.611686018427387904e18;  // 2^62
+
   explicit CkksEncoder(std::shared_ptr<const RnsContext> ctx)
       : ctx_(std::move(ctx)) {}
 
   // In-place radix-2 FFT over n points whose input is already in
   // bit-reversed order; `inverse` selects the conjugate roots
-  // (unnormalized).
+  // (unnormalized). Dispatched to the widest backend simd::ActiveIsa()
+  // allows that fits n (AVX-512 needs n >= 16, AVX2 n >= 8).
   void Fft(double* re, double* im, bool inverse) const;
+  void FftScalar(double* re, double* im, const double* roots_im) const;
+  // Vector backends (ckks_encoder_simd.cc).
+  void FftAvx2(double* re, double* im, const double* roots_im) const;
+  void FftAvx512(double* re, double* im, const double* roots_im) const;
+
+  // Coefficient k of the encoding from the forward FFT output:
+  // round((2/n) * Re(w^{-k} * A_k) * scale), reduced into every prime of
+  // `out`. The scalar loop covers k in [begin, n) and returns OutOfRange at
+  // the first coefficient past the 2^62 bound. The vector backends cover
+  // whole vectors from k = 0 and stop at the first vector with a lane out
+  // of bounds (or NaN), returning where they stopped; the scalar loop
+  // finishes from there, so the error is the scalar one.
+  Status RoundAndReduceScalar(const double* re, const double* im,
+                              double scale, size_t begin, RnsPoly* out) const;
+  size_t RoundAndReduceAvx2(const double* re, const double* im, double scale,
+                            RnsPoly* out) const;
+  size_t RoundAndReduceAvx512(const double* re, const double* im,
+                              double scale, RnsPoly* out) const;
 
   std::shared_ptr<const RnsContext> ctx_;
   // Twist factors w^k = exp(i*pi*k/n), k in [0, n).

@@ -45,6 +45,8 @@ Result<std::shared_ptr<const RnsContext>> RnsContext::Create(
   if (ctx->primes_.size() == 2) {
     ctx->crt_q0_inv_q1_ =
         InvMod(ctx->primes_[0] % ctx->primes_[1], ctx->primes_[1]);
+    ctx->crt_q0_inv_q1_shoup_ =
+        ShoupPrecompute(ctx->crt_q0_inv_q1_, ctx->primes_[1]);
   }
   // Rescale drops the last prime; cache (q_last mod q_i)^{-1} for each
   // retained prime so the hot path never calls InvMod.
@@ -84,20 +86,6 @@ RnsPoly SampleUniform(const RnsContext& ctx, Rng* rng) {
   p.ntt_form = true;
   return p;
 }
-
-namespace {
-// Writes the same small signed value into every RNS component. |v| is at
-// most the Gaussian tail bound (< 10^4) and every prime exceeds 2^29, so the
-// Barrett fallback never triggers in practice.
-void SetSmallSigned(const RnsContext& ctx, RnsPoly* p, size_t j, int64_t v) {
-  const uint64_t mag = static_cast<uint64_t>(v >= 0 ? v : -v);
-  for (size_t i = 0; i < ctx.num_primes(); ++i) {
-    const uint64_t q = ctx.prime(i);
-    const uint64_t r = mag < q ? mag : BarrettReduce64(mag, ctx.modulus(i));
-    p->residues[i][j] = (v < 0 && r != 0) ? q - r : r;
-  }
-}
-}  // namespace
 
 Result<GaussianCdt> GaussianCdt::Create(double sigma) {
   if (!std::isfinite(sigma) || sigma <= 0.0 || sigma > kMaxSigma) {
@@ -139,17 +127,39 @@ RnsPoly SampleGaussian(const RnsContext& ctx, Rng* rng, const GaussianCdt& noise
   return p;
 }
 
+namespace {
+// Per-thread block of raw words, one per coefficient (the samplers run once
+// per encryption, so reusing the block keeps the hot path allocation-free).
+uint64_t* WordBlock(size_t n) {
+  thread_local std::vector<uint64_t> words;
+  words.resize(n);
+  return words.data();
+}
+}  // namespace
+
 void SampleTernaryInto(const RnsContext& ctx, Rng* rng, RnsPoly* out) {
   ResizePoly(ctx, out);
-  for (size_t j = 0; j < ctx.n(); ++j) {
-    // Rng::NextBounded(3), inlined: its rejection threshold -3 % 3 is 1
-    // (2^64 = 1 mod 3), so only a raw 0 is redrawn, and % 3 by a constant
-    // compiles to a multiply.
-    uint64_t r = rng->Next();
-    while (r == 0) r = rng->Next();
-    const uint64_t t = r % 3;  // 0, 1, 2 -> -1, 0, 1
-    for (size_t i = 0; i < ctx.num_primes(); ++i) {
-      out->residues[i][j] = t == 0 ? ctx.prime(i) - 1 : t - 1;
+  const size_t n = ctx.n();
+  uint64_t* words = WordBlock(n);
+  // Rng::NextBounded(3), inlined: its rejection threshold -3 % 3 is 1
+  // (2^64 = 1 mod 3), so only a raw 0 word is redrawn, and % 3 by a constant
+  // compiles to a multiply. The local copy keeps the state in registers, so
+  // the generator's dependency chain overlaps the per-word work.
+  Rng local = *rng;
+  for (size_t j = 0; j < n; ++j) {
+    uint64_t r = local.Next();
+    while (r == 0) r = local.Next();
+    words[j] = r % 3;  // 0, 1, 2 -> -1, 0, 1
+  }
+  *rng = local;
+  for (size_t i = 0; i < ctx.num_primes(); ++i) {
+    const uint64_t q = ctx.prime(i);
+    uint64_t* dst = out->residues[i].data();
+    // t - 1, with -1 (all ones) plus q wrapping to q - 1. Branch-free, so
+    // the loop vectorizes.
+    for (size_t j = 0; j < n; ++j) {
+      const uint64_t v = words[j] - 1;
+      dst[j] = v + (q & (0 - (v >> 63)));
     }
   }
 }
@@ -157,8 +167,32 @@ void SampleTernaryInto(const RnsContext& ctx, Rng* rng, RnsPoly* out) {
 void SampleGaussianInto(const RnsContext& ctx, Rng* rng, RnsPoly* out,
                         const GaussianCdt& noise) {
   ResizePoly(ctx, out);
-  for (size_t j = 0; j < ctx.n(); ++j) {
-    SetSmallSigned(ctx, out, j, noise.Sample(rng->Next()));
+  const size_t n = ctx.n();
+  uint64_t* words = WordBlock(n);
+  // One word per coefficient, in order; each becomes its signed sample,
+  // stored two's-complement. The local copy keeps the state in registers.
+  Rng local = *rng;
+  for (size_t j = 0; j < n; ++j) {
+    words[j] = static_cast<uint64_t>(noise.Sample(local.Next()));
+  }
+  *rng = local;
+  const uint64_t bound = static_cast<uint64_t>(noise.tail_bound());
+  for (size_t i = 0; i < ctx.num_primes(); ++i) {
+    const uint64_t q = ctx.prime(i);
+    uint64_t* dst = out->residues[i].data();
+    if (bound < q) {
+      // |v| < q, so v mod q is v, or q + v for v < 0.
+      for (size_t j = 0; j < n; ++j) {
+        dst[j] = words[j] + (q & (0 - (words[j] >> 63)));
+      }
+      continue;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      const int64_t v = static_cast<int64_t>(words[j]);
+      const uint64_t r = BarrettReduce64(
+          static_cast<uint64_t>(v >= 0 ? v : -v), ctx.modulus(i));
+      dst[j] = (v < 0 && r != 0) ? q - r : r;
+    }
   }
 }
 
@@ -223,7 +257,8 @@ unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
   const uint64_t r2 = poly.residues[1][idx];
   const uint64_t diff =
       SubMod(BarrettReduce64(r2, m2), BarrettReduce64(r1, m2), m2.value);
-  const uint64_t t = MulMod(diff, ctx.crt_q0_inv_q1(), m2);
+  const uint64_t t = MulModShoup(diff, ctx.crt_q0_inv_q1(),
+                                 ctx.crt_q0_inv_q1_shoup(), m2.value);
   return static_cast<unsigned __int128>(r1) +
          static_cast<unsigned __int128>(q1) * t;
 }
@@ -240,10 +275,15 @@ double ComposeCoeffToDouble(const RnsContext& ctx, const RnsPoly& poly,
   const unsigned __int128 x = ComposeCoeffU128(ctx, poly, idx);
   const unsigned __int128 big_q = static_cast<unsigned __int128>(ctx.prime(0)) *
                                   static_cast<unsigned __int128>(ctx.prime(1));
-  if (x > big_q / 2) {
-    return -static_cast<double>(big_q - x);
-  }
-  return static_cast<double>(x);
+  const bool negative = x > big_q / 2;
+  const unsigned __int128 mag = negative ? big_q - x : x;
+  // Both conversions round to nearest, so the int64 one (one instruction)
+  // gives the same double as the 128-bit one (a library call) wherever it
+  // applies; decoded values are small, so it almost always does.
+  const double d = (mag >> 63) == 0
+                       ? static_cast<double>(static_cast<int64_t>(mag))
+                       : static_cast<double>(mag);
+  return negative ? -d : d;
 }
 
 }  // namespace vfps::he

@@ -45,8 +45,10 @@ class RnsContext {
   /// Q as a long double (used only for headroom checks, never for arithmetic).
   long double modulus_approx() const { return q_approx_; }
 
-  /// q_0^{-1} mod q_1, cached for CRT composition (two-prime contexts only).
+  /// q_0^{-1} mod q_1, cached for CRT composition (two-prime contexts only),
+  /// and its Shoup companion.
   uint64_t crt_q0_inv_q1() const { return crt_q0_inv_q1_; }
+  uint64_t crt_q0_inv_q1_shoup() const { return crt_q0_inv_q1_shoup_; }
 
  private:
   RnsContext() = default;
@@ -55,6 +57,7 @@ class RnsContext {
   std::vector<NttTables> ntt_;
   long double q_approx_ = 0.0L;
   uint64_t crt_q0_inv_q1_ = 0;
+  uint64_t crt_q0_inv_q1_shoup_ = 0;
   std::vector<uint64_t> rescale_inv_;
   std::vector<uint64_t> rescale_inv_shoup_;
 };

@@ -673,7 +673,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuery(
       }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
-                                        encrypted[fi++].blob));
+                                        std::move(encrypted[fi++].blob)));
     }
     env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
     ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), fresh);
@@ -710,7 +710,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuery(
   env.clock->Advance(CostCategory::kHeEval,
                      static_cast<double>(a - 1) * cost_->HeAddSecondsFor(count));
   VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
+      env.chan->Send(net::kAggregationServer, kLeader,
+                     std::move(summed.blob)));
   ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
   phase_agg.End();
   span_agg.End();
@@ -859,7 +860,7 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseQueryGroup(
       }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
-                                        encrypted[fi++].blob));
+                                        std::move(encrypted[fi++].blob)));
     }
     env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(total));
     ChargeFanIn(env.clock, cost_->EncryptedWireBytes(total), fresh);
@@ -895,7 +896,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseQueryGroup(
   env.clock->Advance(CostCategory::kHeEval, static_cast<double>(a - 1) *
                                                 cost_->HeAddSecondsFor(total));
   VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
+      env.chan->Send(net::kAggregationServer, kLeader,
+                     std::move(summed.blob)));
   ChargeFanOut(env.clock, cost_->EncryptedWireBytes(total), 1);
   phase_agg.End();
   span_agg.End();
@@ -1167,7 +1169,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     }
     VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                       net::kAggregationServer,
-                                      encrypted[ai].blob));
+                                      std::move(encrypted[ai].blob)));
   }
   env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
   ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
@@ -1188,7 +1190,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
   VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
   env.clock->Advance(CostCategory::kHeEval,
                      static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
-  VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
+  VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader,
+                                    std::move(summed.blob)));
   ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
   phase_agg.End();
   span_agg.End();
@@ -1456,7 +1459,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuerySharded(
       }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
-                                        encrypted[ai].blob));
+                                        std::move(encrypted[ai].blob)));
     }
     env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
     ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), a);
@@ -1476,7 +1479,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuerySharded(
                        static_cast<double>(a - 1) *
                            cost_->HeAddSecondsFor(count));
     VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
+        env.chan->Send(net::kAggregationServer, kLeader,
+                       std::move(summed.blob)));
     ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
     phase_agg.End();
 
@@ -1774,7 +1778,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
       }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
-                                        encrypted[ai].blob));
+                                        std::move(encrypted[ai].blob)));
     }
     env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
     ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
@@ -1792,7 +1796,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
     env.clock->Advance(CostCategory::kHeEval,
                        static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
     VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader, summed.blob));
+        env.chan->Send(net::kAggregationServer, kLeader,
+                       std::move(summed.blob)));
     ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
     phase_agg.End();
 

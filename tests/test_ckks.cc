@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/buffer.h"
 #include "common/random.h"
+#include "he/backend.h"
 
 namespace vfps::he {
 namespace {
@@ -177,6 +179,69 @@ TEST_F(CkksTest, SerializationRoundTrip) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_NEAR((*decrypted)[i], values[i], 1e-4);
   }
+}
+
+// Crafted wire bytes. SerializeCiphertext writes whatever it is given, so
+// each case below breaks one field of a valid ciphertext and expects the
+// decoder to reject it by name instead of decoding garbage.
+class CkksDeserializeTest : public CkksTest {
+ protected:
+  CkksCiphertext Valid() {
+    return ctx_->EncryptVector(pk_, {1.0, -2.0, 3.5}, rng_.get()).ValueOrDie();
+  }
+
+  Status Roundtrip(const CkksCiphertext& ct, int form_byte = -1) {
+    BinaryWriter writer;
+    ctx_->SerializeCiphertext(ct, &writer);
+    std::vector<uint8_t> bytes = writer.TakeBytes();
+    if (form_byte >= 0) bytes[sizeof(double)] = static_cast<uint8_t>(form_byte);
+    BinaryReader reader(bytes);
+    return ctx_->DeserializeCiphertext(&reader).status();
+  }
+
+  static void ExpectRejected(const Status& st, const std::string& field) {
+    EXPECT_TRUE(st.IsProtocolError()) << st.ToString();
+    EXPECT_NE(st.message().find(field), std::string::npos) << st.ToString();
+  }
+};
+
+TEST_F(CkksDeserializeTest, ValidCiphertextPasses) {
+  EXPECT_TRUE(Roundtrip(Valid()).ok());
+}
+
+TEST_F(CkksDeserializeTest, RejectsResidueNotBelowItsPrime) {
+  for (size_t poly = 0; poly < 2; ++poly) {
+    for (size_t prime = 0; prime < ctx_->rns().num_primes(); ++prime) {
+      CkksCiphertext ct = Valid();
+      RnsPoly& target = poly == 0 ? ct.c0 : ct.c1;
+      target.residues[prime][17] = ctx_->rns().prime(prime);
+      ExpectRejected(Roundtrip(ct), poly == 0 ? "c0 residue" : "c1 residue");
+      target.residues[prime][17] = ~uint64_t{0};
+      ExpectRejected(Roundtrip(ct), poly == 0 ? "c0 residue" : "c1 residue");
+    }
+  }
+}
+
+TEST_F(CkksDeserializeTest, RejectsMismatchedPrimeCounts) {
+  CkksCiphertext ct = Valid();
+  ct.c1.residues.pop_back();
+  ExpectRejected(Roundtrip(ct), "c0 has 2 primes but c1 has 1");
+  ct = Valid();
+  ct.c0.residues.pop_back();
+  ExpectRejected(Roundtrip(ct), "c0 has 1 primes but c1 has 2");
+}
+
+TEST_F(CkksDeserializeTest, RejectsNonFiniteOrNonPositiveScale) {
+  for (double scale : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0}) {
+    CkksCiphertext ct = Valid();
+    ct.scale = scale;
+    ExpectRejected(Roundtrip(ct), "scale");
+  }
+}
+
+TEST_F(CkksDeserializeTest, RejectsUnknownFormByte) {
+  ExpectRejected(Roundtrip(Valid(), /*form_byte=*/2), "form byte");
+  EXPECT_TRUE(Roundtrip(Valid(), /*form_byte=*/0).ok());
 }
 
 TEST_F(CkksTest, EncodeOverCapacityFails) {
@@ -371,6 +436,80 @@ TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigest) {
     }
   }
   EXPECT_EQ(acc.value(), 0x09089447u);
+}
+
+// Ciphertext digests. The CRC32 values below were taken before encryption
+// was restructured (one forward NTT per ciphertext fewer, block-drawn
+// samplers, SIMD encoder FFT); every serialized byte and every decrypted
+// double must stay the same on every ISA and -O level.
+struct CiphertextDigests {
+  uint32_t ciphertexts;
+  uint32_t decrypted;
+};
+
+CiphertextDigests DigestCiphertexts(size_t degree, std::vector<int> prime_bits) {
+  CkksParams params;
+  params.poly_degree = degree;
+  params.prime_bits = std::move(prime_bits);
+  if (params.prime_bits.size() == 1) params.scale = std::ldexp(1.0, 30);
+  auto ctx = CkksContext::Create(params).ValueOrDie();
+  const size_t slots = ctx->slot_count();
+  Crc32Accumulator cts, values;
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    const CkksSecretKey sk = ctx->GenerateSecretKey(&rng);
+    const CkksPublicKey pk = ctx->GeneratePublicKey(sk, &rng);
+    // Full, ragged and single-value chunks.
+    for (size_t count : {slots, slots / 3 + 1, size_t{1}}) {
+      const auto plain = UniformValues(seed * 1000 + count, count, -100.0, 100.0);
+      const CkksCiphertext ct = ctx->EncryptVector(pk, plain, &rng).ValueOrDie();
+      BinaryWriter writer;
+      ctx->SerializeCiphertext(ct, &writer);
+      cts.Update(writer.bytes());
+      const auto decrypted = ctx->DecryptVector(sk, ct, count).ValueOrDie();
+      values.Update(std::span<const double>(decrypted));
+    }
+  }
+  return {cts.value(), values.value()};
+}
+
+TEST(CkksCiphertextDigestTest, SerializedCiphertextsMatchPinnedDigests) {
+  const CiphertextDigests small_two = DigestCiphertexts(1024, {54, 54});
+  EXPECT_EQ(small_two.ciphertexts, 0xEE6C14F9u);
+  EXPECT_EQ(small_two.decrypted, 0xD8FAB1C6u);
+  const CiphertextDigests small_one = DigestCiphertexts(1024, {54});
+  EXPECT_EQ(small_one.ciphertexts, 0x615EDA1Bu);
+  EXPECT_EQ(small_one.decrypted, 0xAB644D93u);
+  const CiphertextDigests full_two = DigestCiphertexts(4096, {54, 54});
+  EXPECT_EQ(full_two.ciphertexts, 0x621BD752u);
+  EXPECT_EQ(full_two.decrypted, 0x93F8D534u);
+  const CiphertextDigests full_one = DigestCiphertexts(4096, {54});
+  EXPECT_EQ(full_one.ciphertexts, 0x823D2CC5u);
+  EXPECT_EQ(full_one.decrypted, 0xD25157A8u);
+}
+
+TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigests) {
+  // Production parameters (n = 4096, two primes), packed mode.
+  auto backend = CreateCkksBackend(CkksParams{}, 77).ValueOrDie();
+  const size_t slots = backend->SlotsPerCiphertext();
+  const auto full = UniformValues(501, slots, -50.0, 50.0);
+  const auto ragged = UniformValues(502, slots / 2 + 7, -50.0, 50.0);
+  const auto multi = UniformValues(503, 2 * slots + 77, -50.0, 50.0);
+  Crc32Accumulator encrypt;
+  std::vector<EncryptedVector> blobs;
+  for (const auto* values : {&full, &ragged, &multi}) {
+    blobs.push_back(backend->Encrypt(*values).ValueOrDie());
+    encrypt.Update(blobs.back().blob);
+  }
+  EXPECT_EQ(encrypt.value(), 0xB81D21DFu);
+  const auto batch = backend->EncryptBatch({full, ragged, multi}).ValueOrDie();
+  Crc32Accumulator batched;
+  for (const auto& v : batch) batched.Update(v.blob);
+  EXPECT_EQ(batched.value(), 0xE5CA7BBBu);
+  const auto sum = backend->Sum({&blobs[2], &batch[2]}).ValueOrDie();
+  EXPECT_EQ(Crc32(sum.blob), 0xE8C9DBB1u);
+  const auto decrypted = backend->Decrypt(sum).ValueOrDie();
+  EXPECT_EQ(ValuesDigest(decrypted), 0xD7BAE840u);
 }
 
 TEST(CkksParamsTest, SinglePrimeContextWorks) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 
 namespace vfps::he {
 namespace {
@@ -151,6 +152,23 @@ TEST(HeBackendTest, CkksChunksLargeVectors) {
   ASSERT_EQ(dec->size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_NEAR((*dec)[i], values[i], 1e-3);
+  }
+}
+
+TEST(HeBackendTest, CkksRejectsChunkCountThatDisagreesWithCount) {
+  // Sum indexes every input's chunks by the first input's chunk count, so a
+  // blob whose ciphertext count disagrees with its value count is rejected.
+  CkksParams params;
+  params.poly_degree = 1024;  // 512 slots
+  auto be = CreateCkksBackend(params, 5).MoveValueUnsafe();
+  auto two = be->Encrypt(std::vector<double>(600, 1.0)).MoveValueUnsafe();
+  auto one = be->Encrypt(std::vector<double>(100, 1.0)).MoveValueUnsafe();
+  one.count = two.count;  // claims 600 values, holds one ciphertext
+  for (const Status& st : {be->Sum({&two, &one}).status(),
+                           be->Decrypt(one).status()}) {
+    EXPECT_TRUE(st.IsProtocolError()) << st.ToString();
+    EXPECT_NE(st.message().find("holds 1 ciphertexts"), std::string::npos)
+        << st.ToString();
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "he/modarith.h"
 
@@ -74,6 +75,46 @@ TEST(RnsPolyTest, ComposeU128MatchesCrt) {
     poly.residues[0][0] = static_cast<uint64_t>(v % ctx->prime(0));
     poly.residues[1][0] = static_cast<uint64_t>(v % ctx->prime(1));
     EXPECT_TRUE(ComposeCoeffU128(*ctx, poly, 0) == v);
+  }
+}
+
+TEST(RnsPolyTest, ComposeToDoubleRoundsLikeThe128BitConversion) {
+  // The centred value converts through int64 below 2^63 and through the
+  // 128-bit conversion above; both round to nearest, so either way the
+  // double equals the 128-bit conversion of the exact value. The cases
+  // straddle 2^53 (where rounding starts), 2^63 (the switch) and +/-Q/2.
+  auto ctx = MakeContext();
+  const __int128 one = 1;
+  const __int128 half_q = static_cast<__int128>(
+      static_cast<unsigned __int128>(ctx->prime(0)) * ctx->prime(1) / 2);
+  std::vector<__int128> values;
+  for (int bits : {52, 53, 54, 62, 63, 64, 100}) {
+    for (__int128 d : {-3, -1, 0, 1, 3}) {
+      values.push_back((one << bits) + d);
+      values.push_back(-((one << bits) + d));
+    }
+  }
+  for (__int128 d : {0, 1, 2, 1000}) {
+    values.push_back(half_q - d);
+    values.push_back(-(half_q - d) + 1);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 200; ++i) {
+    const __int128 v = static_cast<__int128>(rng.Next() >> (i % 64)) *
+                       (i % 2 == 0 ? 1 : -1);
+    values.push_back(v);
+  }
+  RnsPoly poly = ZeroPoly(*ctx);
+  for (__int128 v : values) {
+    for (size_t p = 0; p < ctx->num_primes(); ++p) {
+      const __int128 q = ctx->prime(p);
+      poly.residues[p][0] = static_cast<uint64_t>((v % q + q) % q);
+    }
+    const double got = ComposeCoeffToDouble(*ctx, poly, 0);
+    const double expected =
+        v < 0 ? -static_cast<double>(static_cast<unsigned __int128>(-v))
+              : static_cast<double>(static_cast<unsigned __int128>(v));
+    EXPECT_EQ(got, expected) << static_cast<double>(v);
   }
 }
 
@@ -179,6 +220,29 @@ TEST(SamplerTest, GaussianDrawsOneWordPerCoefficient) {
       ASSERT_EQ(g.residues[i][j], expected) << "coeff " << j;
     }
   }
+  EXPECT_EQ(sampled.Next(), reference.Next());
+}
+
+TEST(SamplerTest, GaussianReducesSamplesPastASmallPrime) {
+  // At sigma = 1024 samples often exceed an 11-bit prime, so the residue map
+  // must reduce |v| instead of adding q at most once.
+  auto ctx = MakeContext(64, {11});
+  const GaussianCdt noise = Noise(1024.0);
+  const uint64_t q = ctx->prime(0);
+  ASSERT_LT(q, static_cast<uint64_t>(noise.tail_bound()));
+  Rng sampled(8);
+  Rng reference(8);
+  RnsPoly g;
+  SampleGaussianInto(*ctx, &sampled, &g, noise);
+  const int64_t qs = static_cast<int64_t>(q);
+  bool reduced = false;
+  for (size_t j = 0; j < ctx->n(); ++j) {
+    const int64_t v = noise.Sample(reference.Next());
+    ASSERT_EQ(g.residues[0][j], static_cast<uint64_t>((v % qs + qs) % qs))
+        << "coeff " << j;
+    reduced |= v >= qs || v <= -qs;
+  }
+  EXPECT_TRUE(reduced) << "no sample reached the prime";
   EXPECT_EQ(sampled.Next(), reference.Next());
 }
 

@@ -21,15 +21,22 @@
 //      identical merged counters. Under a churn fault plan, where every
 //      message is CRC-framed, the same holds, so the CRC kernel accepts
 //      and rejects the same frames on every path.
+//   7. The CKKS encoder's FFT and round-and-reduce backends: Encode residues
+//      and Decode doubles are bit-identical to the scalar path for
+//      n = 8..4096 (every narrow FFT stage runs), on random, signed-zero,
+//      denormal, tie and near-2^62 coefficients; an over-bound or NaN
+//      coefficient fails with the same OutOfRange message on every ISA.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -38,6 +45,7 @@
 #include "core/vfps_sm.h"
 #include "data/scaler.h"
 #include "data/synthetic.h"
+#include "he/ckks.h"
 #include "he/modarith.h"
 #include "he/ntt.h"
 #include "he/poly_simd.h"
@@ -575,6 +583,152 @@ TEST(SimdEndToEndTest, FaultPlanSelectionEqualsDispatched) {
     EXPECT_EQ(got.outcome.quarantined, ref.outcome.quarantined) << threads;
     EXPECT_EQ(got.checkpoint_bytes, ref.checkpoint_bytes) << threads;
     EXPECT_EQ(got.counters, ref.counters) << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 7. CKKS encoder backends
+
+struct EncoderCase {
+  std::vector<double> values;
+  double scale;
+};
+
+struct EncoderResult {
+  std::string status;  // "OK" or the error
+  std::vector<std::vector<uint64_t>> residues;
+  std::vector<double> decoded;
+};
+
+bool operator==(const EncoderResult& a, const EncoderResult& b) {
+  // Bitwise on the doubles, so signed zeros and NaN payloads count.
+  const auto bits = [](const std::vector<double>& values) {
+    std::vector<uint64_t> out;
+    for (double v : values) out.push_back(std::bit_cast<uint64_t>(v));
+    return out;
+  };
+  return a.status == b.status && a.residues == b.residues &&
+         bits(a.decoded) == bits(b.decoded);
+}
+
+EncoderResult RunEncoder(const he::CkksEncoder& encoder, const EncoderCase& c) {
+  EncoderResult out;
+  auto pt = encoder.Encode(c.values, c.scale);
+  out.status = pt.status().ToString();
+  if (!pt.ok()) return out;
+  out.residues = pt->residues;
+  out.decoded = encoder.Decode(*pt, c.scale, encoder.slot_count()).ValueOrDie();
+  return out;
+}
+
+std::vector<EncoderCase> EncoderCases(const he::CkksContext& ctx) {
+  const size_t n = ctx.rns().n();
+  const size_t slots = ctx.slot_count();
+  const double half_n = static_cast<double>(n) / 2.0;
+  const double bound = std::ldexp(1.0, 62);
+  std::vector<EncoderCase> cases;
+  Rng rng(0xC0DE + n);
+  std::vector<double> uniform(slots);
+  for (double& v : uniform) v = rng.Uniform(-100.0, 100.0);
+  cases.push_back({uniform, ctx.params().scale});
+  // Ragged: the zero-filled tail.
+  cases.push_back({std::vector<double>(uniform.begin(),
+                                       uniform.begin() + slots / 3 + 1),
+                   ctx.params().scale});
+  // Every |c_k| <= (2/n) * sum |v_j| * scale = 2^61: most coefficients are
+  // integers above 2^52, where rounding must leave them alone.
+  std::vector<double> unit(slots);
+  for (double& v : unit) v = rng.Uniform(-1.0, 1.0);
+  cases.push_back({unit, std::ldexp(1.0, 61)});
+  // Signed zeros and denormals round to zero.
+  std::vector<double> tiny(slots);
+  for (size_t j = 0; j < slots; ++j) {
+    const double mags[] = {0.0, 4.9e-324, 2.2e-310, 1e-300};
+    tiny[j] = (j % 2 == 0 ? 1.0 : -1.0) * mags[j % 4];
+  }
+  cases.push_back({tiny, ctx.params().scale});
+  cases.push_back({std::vector<double>(slots, -0.0), ctx.params().scale});
+  // A single value v in slot 0 gives c_0 = (2/n) * v * scale exactly, so
+  // these hit the ties +/-2.5 and a coefficient just under 2^62.
+  cases.push_back({{2.5 * half_n}, 1.0});
+  cases.push_back({{-2.5 * half_n}, 1.0});
+  cases.push_back({{(1.0 - std::ldexp(1.0, -20)) * bound * half_n}, 1.0});
+  // Over the bound, and NaN: both must fail with the scalar message.
+  cases.push_back({{1.0001 * bound * half_n}, 1.0});
+  cases.push_back({{std::nan("")}, 1.0});
+  return cases;
+}
+
+TEST(SimdEncoderDifferentialTest, EncodeAndDecodeBitIdenticalAcrossIsas) {
+  const std::vector<simd::Isa> isas = VectorIsas();
+  for (size_t n : {size_t{8}, size_t{16}, size_t{32}, size_t{1024},
+                   size_t{4096}}) {
+    he::CkksParams params;
+    params.poly_degree = n;
+    auto ctx = he::CkksContext::Create(params).ValueOrDie();
+    const he::CkksEncoder& encoder = ctx->encoder();
+    const std::vector<EncoderCase> cases = EncoderCases(*ctx);
+    for (size_t c = 0; c < cases.size(); ++c) {
+      EncoderResult ref;
+      {
+        IsaPin pin(simd::Isa::kScalar);
+        ref = RunEncoder(encoder, cases[c]);
+      }
+      const bool must_fail = c + 2 >= cases.size();
+      EXPECT_EQ(ref.status.rfind("Out of range", 0) == 0, must_fail)
+          << "n=" << n << " case=" << c << ": " << ref.status;
+      for (simd::Isa isa : isas) {
+        IsaPin pin(isa);
+        EXPECT_TRUE(RunEncoder(encoder, cases[c]) == ref)
+            << simd::IsaName(isa) << " n=" << n << " case=" << c;
+      }
+    }
+    // A uniform ring element decodes to huge values: the CRT path.
+    Rng rng(n);
+    const he::RnsPoly uniform = he::SampleUniform(ctx->rns(), &rng);
+    std::vector<double> ref;
+    {
+      IsaPin pin(simd::Isa::kScalar);
+      ref = encoder.Decode(uniform, params.scale, encoder.slot_count())
+                .ValueOrDie();
+    }
+    for (simd::Isa isa : isas) {
+      IsaPin pin(isa);
+      EXPECT_EQ(encoder.Decode(uniform, params.scale, encoder.slot_count())
+                    .ValueOrDie(),
+                ref)
+          << simd::IsaName(isa) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdEncoderDifferentialTest, OverflowPastTheFirstVectorFailsAlike) {
+  // Decoding a polynomial with one large coefficient at k0 and re-encoding
+  // the real parts gives coefficients that are ~0 except near k0, so the
+  // first out-of-bound coefficient lies in a later vector, after whole
+  // vectors the backends have already written.
+  he::CkksParams params;
+  params.poly_degree = 1024;
+  auto ctx = he::CkksContext::Create(params).ValueOrDie();
+  const he::CkksEncoder& encoder = ctx->encoder();
+  he::RnsPoly spike = he::ZeroPoly(ctx->rns());
+  constexpr size_t kSpikeAt = 37;
+  const uint64_t big = uint64_t{1} << 63;  // c/2 = 2^62 after the round trip
+  for (size_t i = 0; i < ctx->rns().num_primes(); ++i) {
+    spike.residues[i][kSpikeAt] = big % ctx->rns().prime(i) * 2 % ctx->rns().prime(i);
+  }
+  const std::vector<double> values =
+      encoder.Decode(spike, 1.0, encoder.slot_count()).ValueOrDie();
+  std::string ref;
+  {
+    IsaPin pin(simd::Isa::kScalar);
+    ref = encoder.Encode(values, 1.0).status().ToString();
+  }
+  EXPECT_EQ(ref.rfind("Out of range", 0), 0u) << ref;
+  for (simd::Isa isa : VectorIsas()) {
+    IsaPin pin(isa);
+    EXPECT_EQ(encoder.Encode(values, 1.0).status().ToString(), ref)
+        << simd::IsaName(isa);
   }
 }
 

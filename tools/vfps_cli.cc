@@ -60,7 +60,10 @@
 //
 // Flags are strict: a flag the subcommand does not read (a typo such as
 // --treads=4), a malformed value, or a count outside its range (--k=-1,
-// --participants=0) exits with status 2 before any work starts.
+// --participants=0) exits with status 2 before any work starts. A run
+// that starts and then fails (a checkpoint that cannot be resumed, an
+// output file that cannot be written) prints the error and exits with
+// status 1.
 
 #include <cstdio>
 #include <cstring>
@@ -147,6 +150,14 @@ Result<size_t> GetCount(const Flags& flags, const std::string& key,
 int FailFlags(const Status& status) {
   std::fprintf(stderr, "[vfps] invalid flags: %s\n", status.ToString().c_str());
   return 2;
+}
+
+// A run that started and failed (a rejected resume, an unwritable output
+// file) prints the status and exits 1.
+int FailRun(const char* what, const Status& status) {
+  std::fprintf(stderr, "[vfps] %s failed: %s\n", what,
+               status.ToString().c_str());
+  return 1;
 }
 
 Result<core::ExperimentConfig> BuildConfig(const Flags& flags) {
@@ -284,7 +295,7 @@ int CmdRun(const Flags& flags) {
   if (*interval > 0.0) snapshots.Start();
   auto result = core::RunExperiment(*config);
   snapshots.Stop();
-  result.status().Abort("experiment");
+  if (!result.ok()) return FailRun("experiment", result.status());
   if (!config->resume_from.empty()) {
     std::printf("resumed selection from %s\n", config->resume_from.c_str());
   }
@@ -293,11 +304,13 @@ int CmdRun(const Flags& flags) {
                 config->checkpoint_out.c_str());
   }
   if (!metrics_out.empty()) {
-    registry.WriteJsonFile(metrics_out).Abort("metrics-out");
+    const Status written = registry.WriteJsonFile(metrics_out);
+    if (!written.ok()) return FailRun("metrics-out", written);
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   if (!trace_out.empty()) {
-    registry.tracer()->WriteJsonFile(trace_out).Abort("trace-out");
+    const Status written = registry.tracer()->WriteJsonFile(trace_out);
+    if (!written.ok()) return FailRun("trace-out", written);
     std::printf("trace written to %s\n", trace_out.c_str());
   }
   const std::string source =
@@ -371,7 +384,7 @@ int CmdSweep(const Flags& flags) {
     const Status all_read = method_flags.CheckAllRead("sweep");
     if (!all_read.ok()) return FailFlags(all_read);
     auto result = core::RunExperiment(*config);
-    result.status().Abort("experiment");
+    if (!result.ok()) return FailRun("experiment", result.status());
     PrintResult(core::SelectionMethodName(method), *result);
   }
   return 0;
