@@ -77,9 +77,9 @@ void BM_FedKnnFagin(benchmark::State& state) {
 }
 BENCHMARK(BM_FedKnnFagin)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-// Encrypted-oracle query throughput under row sharding. shards=1 is the
-// pristine single-heap path; higher counts pay the per-shard rounds plus the
-// hierarchical merge.
+// Encrypted-oracle query throughput under row sharding. shards=1 is a
+// one-entry plan (one aggregation round, a one-list merge); higher counts pay
+// the per-shard rounds plus the hierarchical merge.
 void BM_ShardedFedKnnQuery(benchmark::State& state) {
   KnnFixture f(10000);
   vfl::FederatedKnnOracle oracle(&f.train, &f.partition, f.backend.get(),

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -36,7 +36,7 @@ constexpr uint64_t kHeStreamSalt = 0xC0FFEE5EEDD1CE5ULL;
 constexpr uint64_t kFaultStreamSalt = 0xFA117AB1E5A17ULL;
 
 // Indices of the k smallest values, ties broken by index (bounded-heap
-// kernel; +inf entries for excluded rows lose every comparison).
+// kernel).
 using ml::SmallestK;
 
 std::vector<uint8_t> EncodeIds(const std::vector<uint64_t>& ids) {
@@ -64,7 +64,54 @@ Result<double> DecodeScalar(const std::vector<uint8_t>& payload) {
 // Lloyd iterations of the pre-filter's per-party clustering; also the basis
 // of the simulated-clock charge for building the models.
 constexpr size_t kPrefilterKmeansIters = 8;
+
+// Partial squared distances from a party's query slice `q` to `rows` (rows of
+// `shard`, in any order), written to out[0, rows.size()). When `rows` covers
+// the shard — every row but at most the query's — one range-kernel sweep
+// over the shard is gathered into `rows` order; a sparse pre-filter
+// nomination takes single-row kernel calls instead. The kernel has no
+// cross-row state, so each row's value is bit-identical either way.
+void ShardDistances(const ml::FeatureBlock& block, const double* q,
+                    double q_norm, const data::RowShard& shard,
+                    const std::vector<uint64_t>& rows, double* out) {
+  if (rows.size() + 1 >= shard.rows()) {
+    std::vector<double> sweep(shard.rows());
+    ml::BlockSquaredDistances(block, q, q_norm, shard.begin, shard.end,
+                              sweep.data());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = sweep[rows[i] - shard.begin];
+    }
+    return;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto row = static_cast<size_t>(rows[i]);
+    ml::BlockSquaredDistances(block, q, q_norm, row, row + 1, &out[i]);
+  }
+}
+
+// Party `party`'s entry for shard `s` of a bound cache unit, or nullptr.
+const PartyUnitState* ShardEntry(const CachedUnit* unit, size_t s,
+                                 size_t party) {
+  if (unit == nullptr || s >= unit->shards.size()) return nullptr;
+  const auto it = unit->shards[s].find(party);
+  return it == unit->shards[s].end() ? nullptr : &it->second;
+}
 }  // namespace
+
+/// One query's protocol state across the shard loop: the party query slices
+/// every stage reuses, the pre-filter's nominations, and the shard top-ks
+/// the leader merges last.
+struct FederatedKnnOracle::QueryState {
+  uint64_t row = 0;
+  /// Pre-filter nominations: ascending rows, query row excluded. Empty (and
+  /// unused) with the pre-filter off.
+  std::vector<uint64_t> nominated;
+  std::vector<std::vector<double>> slices;  // per active party
+  std::vector<double> norms;                // squared norm of each slice
+  std::vector<topk::ShardTopk> tops;        // one per shard with candidates
+  uint64_t candidates = 0;  // rows whose partials were encrypted
+  uint64_t depth = 0;       // Fagin/TA phase-1 depth, summed over shards
+};
 
 const char* KnnOracleModeName(KnnOracleMode mode) {
   switch (mode) {
@@ -152,30 +199,17 @@ void FederatedKnnOracle::PhaseTimer::End() {
 }
 
 std::vector<double> FederatedKnnOracle::PartialDistances(
-    size_t participant, const data::Dataset& source, size_t query_row,
-    size_t exclude_row) const {
+    size_t participant, const data::Dataset& source, size_t query_row) const {
   const ml::FeatureBlock& block = party_blocks_[participant];
   const size_t n = joint_->num_samples();
-  const double* qrow = source.Row(query_row);
   // Gather the query's slice of this party's columns once; per-thread
   // scratch (fully overwritten each call).
   thread_local std::vector<double> qslice;
   qslice.resize(block.cols());
-  block.GatherInto(qrow, qslice.data());
+  block.GatherInto(source.Row(query_row), qslice.data());
   const double q_norm = ml::SquaredNorm(qslice.data(), block.cols());
-  const bool excluding = exclude_row < n;
-  std::vector<double> out(excluding ? n - 1 : n);
-  if (!excluding) {
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, n, out.data());
-  } else {
-    // Compressed output: the excluded row's slot is skipped by running the
-    // kernel on the two surrounding ranges (per-row values are identical to a
-    // full-range run; the kernel has no cross-row state).
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, exclude_row,
-                              out.data());
-    ml::BlockSquaredDistances(block, qslice.data(), q_norm, exclude_row + 1, n,
-                              out.data() + exclude_row);
-  }
+  std::vector<double> out(n);
+  ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, n, out.data());
   return out;
 }
 
@@ -206,17 +240,12 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   const size_t p = num_participants();
   VFPS_CHECK_ARG(p >= 2, "fed-knn: need >= 2 participants");
   VFPS_CHECK_ARG(config.k >= 1, "fed-knn: k must be >= 1");
-  VFPS_CHECK_ARG(n > config.k + 1, "fed-knn: dataset smaller than k");
+  // Every query needs k neighbors besides itself; written so that a huge k
+  // cannot wrap around.
+  VFPS_CHECK_ARG(n >= 2 && config.k <= n - 2, "fed-knn: dataset smaller than k");
   VFPS_CHECK_ARG(config.num_queries >= 1, "fed-knn: need >= 1 query");
   VFPS_CHECK_ARG(config.fagin_batch >= 1, "fed-knn: fagin batch must be >= 1");
   VFPS_CHECK_ARG(config.shards >= 1, "fed-knn: shards must be >= 1");
-  // Both sharding and the pre-filter route through the per-shard aggregation
-  // rounds, which batch by shard — cross-query slot batching would fight
-  // that layout, so the combinations are rejected up front.
-  const bool sharded = config.shards > 1 || config.prefilter_clusters > 0;
-  VFPS_CHECK_ARG(!sharded || config.query_group == 1,
-                 "fed-knn: query_group batching is unsupported with --shards "
-                 "or --prefilter");
 
   // Survivor view: everybody minus the quarantined and not-yet-joined
   // participants. With no exclusions the list is 0..P-1 and every code path
@@ -308,65 +337,74 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
                                  ? PseudoIdMap()
                                  : PseudoIdMap::Create(n, config.seed);
 
+  // Per-shard pipeline runtime: the row-shard plan (one entry when shards =
+  // 1), the top-k item order, the per-party pre-filter models, and the
+  // per-shard metric handles — all built serially here so units share it
+  // read-only (no registry mutex, no model races).
+  ShardRuntime shard_rt;
+  VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
+  if (config.mode != KnnOracleMode::kBase) {
+    shard_rt.pseudo = &pseudo;
+    shard_rt.pid_rows.resize(shard_rt.plan.size());
+    for (uint64_t pid = 0; pid < n; ++pid) {
+      const uint64_t row = pseudo.ToOriginal(pid);
+      shard_rt.pid_rows[data::ShardOfRow(row, n, config.shards)].push_back(row);
+    }
+  }
+  std::vector<ml::KMeansResult> prefilter_models;
+  if (config.prefilter_clusters > 0) {
+    // Each active party clusters its own columns once per Run — local
+    // plaintext work (no protocol traffic), charged as parallel compute.
+    prefilter_models.resize(p);
+    double worst_seconds = 0.0;
+    for (size_t party : active) {
+      VFPS_ASSIGN_OR_RETURN(
+          prefilter_models[party],
+          ml::KMeansCluster(party_blocks_[party], config.prefilter_clusters,
+                            config.seed + party, kPrefilterKmeansIters));
+      worst_seconds = std::max(
+          worst_seconds,
+          static_cast<double>(kPrefilterKmeansIters) *
+              static_cast<double>(prefilter_models[party].clusters) *
+              cost_->DistanceSeconds(n, (*partition_)[party].size()));
+    }
+    clock_->Advance(CostCategory::kCompute, worst_seconds);
+    shard_rt.prefilter = &prefilter_models;
+    // Nominating ~4k rows per party keeps recall high while still pruning
+    // the overwhelming majority of a large shard plan.
+    shard_rt.prefilter_target = std::max<size_t>(4 * config.k, 32);
+  }
+  if (obs_ != nullptr) {
+    shard_rt.sim_ns.resize(shard_rt.plan.size());
+    shard_rt.candidates.resize(shard_rt.plan.size());
+    for (size_t s = 0; s < shard_rt.plan.size(); ++s) {
+      const std::string label = StrFormat("%zu", s);
+      shard_rt.sim_ns[s] =
+          obs_->GetLabeledCounter("knn.shard.sim_ns", {{"shard", label}});
+      shard_rt.candidates[s] =
+          obs_->GetLabeledCounter("knn.shard.candidates", {{"shard", label}});
+    }
+  }
+
   // Resolve BASE-mode cross-query slot batching (FedKnnConfig::query_group):
-  // group G consecutive queries into one task that shares a single encrypted
-  // aggregation round. G = 1 (the default, and always for Fagin/TA) keeps
-  // the one-task-per-query schedule bit-identical to previous releases;
-  // query_group = 0 auto-sizes the group so each party's packed vector fills
-  // the backend's ciphertext slots.
+  // group G consecutive queries into one unit that shares each shard's
+  // encrypted aggregation round. G = 1 (the default, and always for
+  // Fagin/TA) runs one unit per query; query_group = 0 picks the largest
+  // group whose packed per-shard vector fits one ciphertext. A query's slice
+  // of a shard is at most the shard's rows (MakeRowShards puts the widest
+  // shard first), less its own row when a single shard holds every row.
   size_t group = 1;
   if (config.mode == KnnOracleMode::kBase && !queries.empty()) {
     group = config.query_group;
     if (group == 0) {
-      const size_t count = n - 1;
-      const size_t slots_per_ct = backend_->SlotsPerCiphertext();
-      group = count == 0 ? 1 : std::max<size_t>(1, slots_per_ct / count);
+      const size_t widest =
+          shard_rt.plan.front().rows() - (shard_rt.plan.size() == 1 ? 1 : 0);
+      group = std::max<size_t>(
+          1, backend_->SlotsPerCiphertext() / std::max<size_t>(1, widest));
     }
     group = std::min(std::max<size_t>(1, group), queries.size());
   }
   const size_t num_units = queries.empty() ? 0 : (queries.size() + group - 1) / group;
-
-  // Sharded-path runtime: the row-shard plan, the per-party pre-filter
-  // models, and the per-shard metric handles — all built serially here so
-  // query tasks share it read-only (no registry mutex, no model races).
-  ShardRuntime shard_rt;
-  std::vector<ml::KMeansResult> prefilter_models;
-  if (sharded) {
-    VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
-    if (config.prefilter_clusters > 0) {
-      // Each active party clusters its own columns once per Run — local
-      // plaintext work (no protocol traffic), charged as parallel compute.
-      prefilter_models.resize(p);
-      double worst_seconds = 0.0;
-      for (size_t party : active) {
-        VFPS_ASSIGN_OR_RETURN(
-            prefilter_models[party],
-            ml::KMeansCluster(party_blocks_[party], config.prefilter_clusters,
-                              config.seed + party, kPrefilterKmeansIters));
-        worst_seconds = std::max(
-            worst_seconds,
-            static_cast<double>(kPrefilterKmeansIters) *
-                static_cast<double>(prefilter_models[party].clusters) *
-                cost_->DistanceSeconds(n, (*partition_)[party].size()));
-      }
-      clock_->Advance(CostCategory::kCompute, worst_seconds);
-      shard_rt.prefilter = &prefilter_models;
-      // Nominating ~4k rows per party keeps recall high while still pruning
-      // the overwhelming majority of a large shard plan.
-      shard_rt.prefilter_target = std::max<size_t>(4 * config.k, 32);
-    }
-    if (obs_ != nullptr) {
-      shard_rt.sim_ns.resize(shard_rt.plan.size());
-      shard_rt.candidates.resize(shard_rt.plan.size());
-      for (size_t s = 0; s < shard_rt.plan.size(); ++s) {
-        const std::string label = StrFormat("%zu", s);
-        shard_rt.sim_ns[s] =
-            obs_->GetLabeledCounter("knn.shard.sim_ns", {{"shard", label}});
-        shard_rt.candidates[s] =
-            obs_->GetLabeledCounter("knn.shard.candidates", {{"shard", label}});
-      }
-    }
-  }
 
   // Bind (or re-validate) the contribution cache against this run's protocol
   // shape. A key mismatch — different seed, mode, k, query count, batching or
@@ -435,18 +473,14 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
     }
     apply_membership_marks(&slot.net);
     net::ReliableChannel chan(&slot.net, &slot.clock, retry);
-    // The sharded paths rebuild per-shard state from scratch every run, so
-    // they neither consult nor stage contribution-cache entries (the Rekey
-    // above still rejects shard-layout mismatches for checkpointed runs).
     const QueryEnv env{slot.session.get(), &slot.net, &chan, &slot.clock,
-                       &active, tracer,
-                       (cache_ == nullptr || sharded) ? nullptr : cache_->unit(u),
-                       (cache_ == nullptr || sharded) ? nullptr : &slot.produced,
-                       sharded ? &shard_rt : nullptr};
+                       &active, tracer, shard_rt,
+                       cache_ == nullptr ? nullptr : cache_->unit(u),
+                       cache_ == nullptr ? nullptr : &slot.produced};
     const size_t lo = u * group;
     const size_t hi = std::min(queries.size(), lo + group);
-    if (config.mode == KnnOracleMode::kBase && hi - lo > 1) {
-      auto hoods = RunBaseQueryGroup(env, queries, lo, hi, config.k, &slot.stats);
+    if (config.mode == KnnOracleMode::kBase) {
+      auto hoods = RunBaseUnit(env, queries, lo, hi, config.k, &slot.stats);
       if (hoods.ok()) {
         slot.hoods = hoods.MoveValueUnsafe();
       } else {
@@ -454,19 +488,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
       }
       return;
     }
-    Result<QueryNeighborhood> hood =
-        env.shard != nullptr
-            ? (config.mode == KnnOracleMode::kBase
-                   ? RunBaseQuerySharded(env, queries[lo], config.k,
-                                         &slot.stats)
-                   : RunTopkQuerySharded(env, pseudo, queries[lo], config.k,
-                                         config.fagin_batch, config.mode,
-                                         &slot.stats))
-            : (config.mode == KnnOracleMode::kBase
-                   ? RunBaseQuery(env, queries[lo], config.k, &slot.stats)
-                   : RunTopkQuery(env, pseudo, queries[lo], config.k,
-                                  config.fagin_batch, config.mode,
-                                  &slot.stats));
+    auto hood = RunTopkQuery(env, queries[lo], config.k, config.fagin_batch,
+                             config.mode, &slot.stats);
     if (hood.ok()) {
       slot.hoods.push_back(hood.MoveValueUnsafe());
     } else {
@@ -600,165 +623,584 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   return result;
 }
 
-Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuery(
-    const QueryEnv& env, uint64_t query_row, size_t k,
-    FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
+Status FederatedKnnOracle::PrepareQuery(const QueryEnv& env,
+                                        uint64_t query_row,
+                                        QueryState* q) const {
+  const std::vector<size_t>& active = *env.active;
+  q->row = query_row;
+  // Optional TreeCSS-style pre-filter: nomination happens once, BEFORE any
+  // distance or HE work, and every shard touches only its slice of it.
+  if (env.rt.prefilter != nullptr) {
+    VFPS_ASSIGN_OR_RETURN(q->nominated, RunPrefilterExchange(env, query_row));
+  }
+  // Per-party query slices, gathered once and reused by every shard and by
+  // the d_T recompute.
+  q->slices.resize(active.size());
+  q->norms.assign(active.size(), 0.0);
+  const double* qrow = joint_->Row(query_row);
+  for (size_t ai = 0; ai < active.size(); ++ai) {
+    const ml::FeatureBlock& block = party_blocks_[active[ai]];
+    q->slices[ai].resize(block.cols());
+    block.GatherInto(qrow, q->slices[ai].data());
+    q->norms[ai] = ml::SquaredNorm(q->slices[ai].data(), block.cols());
+  }
+  return Status::OK();
+}
+
+std::vector<uint64_t> FederatedKnnOracle::ShardItems(
+    const ShardRuntime& rt, size_t s, const QueryState& q) const {
+  const data::RowShard& shard = rt.plan[s];
+  std::vector<uint64_t> rows;
+  if (rt.prefilter != nullptr) {
+    const auto first = std::lower_bound(q.nominated.begin(), q.nominated.end(),
+                                        static_cast<uint64_t>(shard.begin));
+    const auto last = std::lower_bound(first, q.nominated.end(),
+                                       static_cast<uint64_t>(shard.end));
+    rows.assign(first, last);
+    if (rt.pseudo != nullptr) {
+      std::sort(rows.begin(), rows.end(), [&](uint64_t x, uint64_t y) {
+        return rt.pseudo->ToPseudo(x) < rt.pseudo->ToPseudo(y);
+      });
+    }
+    return rows;
+  }
+  if (rt.pseudo != nullptr) {
+    rows = rt.pid_rows[s];
+  } else {
+    rows.resize(shard.rows());
+    std::iota(rows.begin(), rows.end(), static_cast<uint64_t>(shard.begin));
+  }
+  // Drop the query row, which sits where its pseudo ID (top-k) or row id
+  // (BASE) sorts.
+  const auto key = [&](uint64_t row) {
+    return rt.pseudo != nullptr ? rt.pseudo->ToPseudo(row) : row;
+  };
+  const auto at = std::partition_point(
+      rows.begin(), rows.end(),
+      [&](uint64_t row) { return key(row) < key(q.row); });
+  if (at != rows.end() && *at == q.row) rows.erase(at);
+  return rows;
+}
+
+const CachedUnit* FederatedKnnOracle::BindCache(const QueryEnv& env,
+                                                const QueryState* queries,
+                                                size_t count) {
+  std::vector<std::vector<uint64_t>> nominated;
+  if (env.rt.prefilter != nullptr) {
+    for (size_t qi = 0; qi < count; ++qi) {
+      nominated.push_back(queries[qi].nominated);
+    }
+  }
+  const bool match =
+      env.cached != nullptr && env.cached->nominated == nominated;
+  if (env.fresh != nullptr) {
+    env.fresh->nominated = std::move(nominated);
+    env.fresh->shards.resize(env.rt.plan.size());
+  }
+  return match ? env.cached : nullptr;
+}
+
+Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseUnit(
+    const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
+    size_t hi, size_t k, FedKnnStats* stats) const {
   const std::vector<size_t>& active = *env.active;
   const size_t a = active.size();  // == p with no quarantine
-  const size_t count = n - 1;      // the query row itself is excluded
+  const size_t g = hi - lo;        // queries sharing each aggregation round
+  const ShardRuntime& rt = env.rt;
 
-  // Repair-cache lookup: a party's contribution is reusable only when its
-  // staged values cover this unit's full candidate range and the server still
-  // holds its ciphertext.
-  const auto cached_for = [&](size_t party) -> const PartyUnitState* {
-    if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
-    const PartyUnitState& st = it->second;
-    return (st.has_cipher && st.values.size() == count) ? &st : nullptr;
-  };
-
-  // Phase 1 (active participants, parallel): local partial distances +
-  // encryption. Everything below indexes by position in `active`. Parties
-  // with a cached contribution skip both compute and upload — on repair only
-  // the membership delta pays.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
-  std::vector<std::vector<double>> partials(a);
-  std::vector<const PartyUnitState*> hits(a, nullptr);
-  std::vector<double> compute_seconds;
-  compute_seconds.reserve(a);
-  size_t fresh = 0;
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      hits[ai] = st;
-      partials[ai] = st->values;  // still needed for the d_T exchange
-      if (stats != nullptr) ++stats->reused_contributions;
-      if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
-      continue;
-    }
-    if (env.cached != nullptr && c_cache_miss_ != nullptr) {
-      c_cache_miss_->Add(1);
-    }
-    obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    partials[ai] = PartialDistances(active[ai], *joint_, query_row, query_row);
-    compute_seconds.push_back(
-        cost_->DistanceSeconds(count, (*partition_)[active[ai]].size()));
-    ++fresh;
+  std::vector<QueryState> qs(g);
+  for (size_t qi = 0; qi < g; ++qi) {
+    VFPS_RETURN_NOT_OK(PrepareQuery(env, queries[lo + qi], &qs[qi]));
   }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
+  const CachedUnit* bound = BindCache(env, qs.data(), g);
 
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  std::vector<he::EncryptedVector> encrypted;
-  if (fresh > 0) {
-    std::vector<std::vector<double>> fresh_values;
-    fresh_values.reserve(fresh);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] == nullptr) fresh_values.push_back(partials[ai]);
+  // Shard loop: the complete BASE round (distances -> encrypt -> aggregate ->
+  // decrypt -> shard-local SmallestK) runs per shard, so only O(shard)
+  // protocol state is ever live.
+  for (size_t s = 0; s < rt.plan.size(); ++s) {
+    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
+    shard_span.SetNode("parties");
+    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
+                           env.clock);
+
+    // Distance stage (active parties, parallel). Each party packs the group's
+    // slices of this shard back to back: query qi occupies
+    // [offset[qi], offset[qi + 1]). The layout is identical across parties,
+    // so slot-wise ciphertext addition aggregates candidate (qi, i) against
+    // exactly candidate (qi, i) everywhere; the final partial chunk's unused
+    // slots are zero-masked by the encoder and never decoded.
+    obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
+    span_dist.SetNode("parties");
+    PhaseTimer phase_dist(c_phase_dist_, env.clock);
+    std::vector<std::vector<uint64_t>> rows(g);
+    std::vector<size_t> offset(g + 1, 0);
+    for (size_t qi = 0; qi < g; ++qi) {
+      rows[qi] = ShardItems(rt, s, qs[qi]);
+      offset[qi + 1] = offset[qi] + rows[qi].size();
     }
-    VFPS_ASSIGN_OR_RETURN(encrypted, env.backend->EncryptBatch(fresh_values));
-    size_t fi = 0;
+    const size_t total = offset[g];
+    if (total == 0) continue;
+    if (env.tracer != nullptr) {
+      shard_span.Annotate("shard", StrFormat("%zu", s));
+      shard_span.Annotate("rows", StrFormat("%zu", total));
+    }
+    if (!rt.candidates.empty()) rt.candidates[s]->Add(total);
+    // Everything below indexes by position in `active`. A party whose cached
+    // entry covers these rows skips both compute and upload — on repair only
+    // the membership delta pays.
+    std::vector<const PartyUnitState*> hits(a, nullptr);
+    std::vector<size_t> fresh_ai;  // positions that compute and upload
+    std::vector<std::vector<double>> fresh_values;
+    std::vector<double> compute_seconds;
     for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] != nullptr) continue;
+      const PartyUnitState* st = ShardEntry(bound, s, active[ai]);
+      if (st != nullptr && st->has_cipher && st->values.size() == total) {
+        hits[ai] = st;
+        if (stats != nullptr) ++stats->reused_contributions;
+        if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
+        continue;
+      }
+      if (env.cached != nullptr && c_cache_miss_ != nullptr) {
+        c_cache_miss_->Add(1);
+      }
+      obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
+      party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
+      const ml::FeatureBlock& block = party_blocks_[active[ai]];
+      std::vector<double> packed(total);
+      double seconds = 0.0;
+      for (size_t qi = 0; qi < g; ++qi) {
+        ShardDistances(block, qs[qi].slices[ai].data(), qs[qi].norms[ai],
+                       rt.plan[s], rows[qi], packed.data() + offset[qi]);
+        seconds += cost_->DistanceSeconds(rows[qi].size(), block.cols());
+      }
+      compute_seconds.push_back(seconds);
+      fresh_ai.push_back(ai);
+      fresh_values.push_back(std::move(packed));
+    }
+    const size_t fresh = fresh_ai.size();
+    if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
+    phase_dist.End();
+    span_dist.End();
+
+    // One packed encrypt per fresh party; cached parties' ciphertexts are
+    // already at the server.
+    obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
+    span_enc.SetNode("parties");
+    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
+    if (fresh > 0) {
+      VFPS_ASSIGN_OR_RETURN(auto encrypted,
+                            env.backend->EncryptBatch(fresh_values));
+      for (size_t fi = 0; fi < fresh; ++fi) {
+        const size_t party = active[fresh_ai[fi]];
+        if (!c_party_enc_values_.empty()) {
+          c_party_enc_values_[party]->Add(total);
+        }
+        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(party),
+                                          net::kAggregationServer,
+                                          std::move(encrypted[fi].blob)));
+      }
+      env.clock->Advance(CostCategory::kEncrypt,
+                         cost_->EncryptSecondsFor(total));
+      ChargeFanIn(env.clock, cost_->EncryptedWireBytes(total), fresh);
+    }
+    phase_enc.End();
+    span_enc.End();
+
+    // Aggregation server: slot-wise sum over the cached ciphertexts it
+    // already holds plus the fresh uploads, in ascending active order so a
+    // repair sums bit-identically to a clean run; forward to the leader.
+    obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
+    span_agg.SetNode("agg-server");
+    PhaseTimer phase_agg(c_phase_agg_, env.clock);
+    std::vector<he::EncryptedVector> received(a);
+    std::vector<const he::EncryptedVector*> ptrs(a);
+    for (size_t ai = 0, fi = 0; ai < a; ++ai) {
+      if (hits[ai] != nullptr) {
+        ptrs[ai] = &hits[ai]->cipher;
+        continue;
+      }
+      VFPS_ASSIGN_OR_RETURN(auto blob,
+                            env.chan->Recv(static_cast<int>(active[ai]),
+                                           net::kAggregationServer));
+      received[ai] = he::EncryptedVector{std::move(blob), total};
+      ptrs[ai] = &received[ai];
+      if (env.fresh != nullptr) {
+        PartyUnitState& st = env.fresh->shards[s][active[ai]];
+        st.values = std::move(fresh_values[fi]);
+        st.cipher = received[ai];
+        st.has_cipher = true;
+      }
+      ++fi;
+    }
+    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
+    env.clock->Advance(CostCategory::kHeEval, static_cast<double>(a - 1) *
+                                                  cost_->HeAddSecondsFor(total));
+    VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader,
+                                      std::move(summed.blob)));
+    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(total), 1);
+    phase_agg.End();
+    span_agg.End();
+
+    // Leader: ONE decrypt for the group, then each query's shard top-k over
+    // its slice of the aggregate, keyed by compressed id (rows renumbered
+    // around the query row, shared by every shard). `rows` ascend, so
+    // compressed ids are monotone in the local index and SmallestK's
+    // (value, local index) order IS the merge's (value, id) order.
+    obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
+    span_rank.SetNode("leader");
+    PhaseTimer phase_rank(c_phase_rank_, env.clock);
+    VFPS_ASSIGN_OR_RETURN(auto blob,
+                          env.chan->Recv(net::kAggregationServer, kLeader));
+    VFPS_ASSIGN_OR_RETURN(
+        auto distances,
+        env.backend->Decrypt(he::EncryptedVector{std::move(blob), total}));
+    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(total));
+    for (size_t qi = 0; qi < g; ++qi) {
+      const size_t count = rows[qi].size();
+      if (count == 0) continue;
+      env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
+      const double* slice = distances.data() + offset[qi];
+      topk::ShardTopk top;
+      for (uint64_t li : SmallestK(slice, count, k)) {
+        const uint64_t row = rows[qi][li];
+        top.values.push_back(slice[li]);
+        top.ids.push_back(row < qs[qi].row ? row : row - 1);
+      }
+      qs[qi].tops.push_back(std::move(top));
+      qs[qi].candidates += count;
+    }
+    phase_rank.End();
+    span_rank.End();
+  }
+
+  std::vector<QueryNeighborhood> hoods(g);
+  for (size_t qi = 0; qi < g; ++qi) {
+    VFPS_ASSIGN_OR_RETURN(hoods[qi], FinishQuery(env, &qs[qi], k, stats));
+  }
+  return hoods;
+}
+
+Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
+    const QueryEnv& env, uint64_t query_row, size_t k, size_t batch,
+    KnnOracleMode mode, FedKnnStats* stats) const {
+  const std::vector<size_t>& active = *env.active;
+  const size_t a = active.size();  // == p with no quarantine
+  const ShardRuntime& rt = env.rt;
+  // Consortium-shared pseudo-ID shuffle (identity security): only pseudo
+  // IDs go on the wire and into the merge.
+  const PseudoIdMap& pseudo = *rt.pseudo;
+
+  QueryState q;
+  VFPS_RETURN_NOT_OK(PrepareQuery(env, query_row, &q));
+  const CachedUnit* bound = BindCache(env, &q, 1);
+
+  for (size_t s = 0; s < rt.plan.size(); ++s) {
+    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
+    shard_span.SetNode("parties");
+    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
+                           env.clock);
+
+    // Distance stage (active parties, parallel): scores over the shard's
+    // ranking items, sorted ascending to form sub-rankings. The items are
+    // the shard's candidate rows in pseudo-ID order, so tied scores break by
+    // pseudo ID and nothing in the ranking reveals the row order the shuffle
+    // hides. Indexed by position in `active`.
+    obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
+    span_dist.SetNode("parties");
+    PhaseTimer phase_dist(c_phase_dist_, env.clock);
+    const std::vector<uint64_t> items = ShardItems(rt, s, q);
+    const size_t m = items.size();
+    if (m == 0) continue;
+    if (env.tracer != nullptr) {
+      shard_span.Annotate("shard", StrFormat("%zu", s));
+      shard_span.Annotate("rows", StrFormat("%zu", m));
+    }
+    if (!rt.candidates.empty()) rt.candidates[s]->Add(m);
+    std::vector<std::vector<double>> scores(a);
+    std::vector<std::vector<uint64_t>> orders(a);
+    // Rows of a party's sub-ranking the server already received in a prior
+    // run of this unit — streaming below skips them.
+    std::vector<size_t> prior_depth(a, 0);
+    std::vector<double> compute_seconds;
+    for (size_t ai = 0; ai < a; ++ai) {
+      const PartyUnitState* st = ShardEntry(bound, s, active[ai]);
+      if (st != nullptr && st->values.size() == m && st->order.size() == m) {
+        scores[ai] = st->values;
+        orders[ai] = st->order;
+        prior_depth[ai] = st->streamed_depth;
+        if (stats != nullptr) ++stats->reused_contributions;
+        if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
+        continue;
+      }
+      if (env.cached != nullptr && c_cache_miss_ != nullptr) {
+        c_cache_miss_->Add(1);
+      }
+      obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
+      party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
+      const ml::FeatureBlock& block = party_blocks_[active[ai]];
+      scores[ai].resize(m);
+      ShardDistances(block, q.slices[ai].data(), q.norms[ai], rt.plan[s],
+                     items, scores[ai].data());
+      orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
+      compute_seconds.push_back(cost_->DistanceSeconds(m, block.cols()) +
+                                cost_->SortSeconds(m));
+      if (env.fresh != nullptr) {
+        // Stage the sub-ranking immediately so a later-phase failure still
+        // salvages this party's work (streamed_depth catches up below).
+        PartyUnitState& staged = env.fresh->shards[s][active[ai]];
+        staged.values = scores[ai];
+        staged.order = orders[ai];
+      }
+    }
+    if (!compute_seconds.empty()) {
+      ChargeParallelCompute(env.clock, compute_seconds);
+    }
+    phase_dist.End();
+    span_dist.End();
+
+    // Ranking stage: the shard-local phase-1 merge (exact within the shard).
+    // The list set takes the score vectors and orders over (no copy); later
+    // lookups read them back through lists.Score().
+    obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
+    span_merge.SetNode("agg-server");
+    PhaseTimer phase_merge(c_phase_merge_, env.clock);
+    VFPS_ASSIGN_OR_RETURN(auto lists,
+                          topk::RankedListSet::BuildPresorted(
+                              std::move(scores), std::move(orders)));
+    topk::TopkResult merge;
+    if (mode == KnnOracleMode::kThreshold) {
+      VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
+    } else {
+      VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
+    }
+    phase_merge.End();
+    span_merge.End();
+
+    // Mini-batch streaming of the sub-rankings to the server (pseudo IDs on
+    // the wire). The phase-1 depth of the merge algorithm determines how
+    // many rounds happen.
+    obs::Span span_stream(env.tracer, "knn.stream_rankings", env.clock);
+    span_stream.SetNode("parties");
+    PhaseTimer phase_stream(c_phase_stream_, env.clock);
+    const size_t depth = merge.depth;
+    for (size_t start = 0; start < depth; start += batch) {
+      const size_t end = std::min(depth, start + batch);
+      size_t senders = 0;
+      for (size_t ai = 0; ai < a; ++ai) {
+        // Parties whose cached sub-ranking already streamed past this round
+        // stay silent; a party partially covered sends only the missing tail.
+        if (prior_depth[ai] >= end) continue;
+        const size_t from = std::max(start, prior_depth[ai]);
+        std::vector<uint64_t> chunk;
+        chunk.reserve(end - from);
+        for (size_t r = from; r < end; ++r) {
+          chunk.push_back(pseudo.ToPseudo(items[lists.IdAtRank(ai, r)]));
+        }
+        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
+                                          net::kAggregationServer,
+                                          EncodeIds(chunk)));
+        VFPS_RETURN_NOT_OK(env.chan->Recv(static_cast<int>(active[ai]),
+                                          net::kAggregationServer)
+                               .status());
+        ++senders;
+      }
+      if (senders > 0) {
+        ChargeFanIn(env.clock, (end - start) * sizeof(uint64_t), senders);
+      }
+    }
+    if (env.fresh != nullptr) {
+      for (size_t ai = 0; ai < a; ++ai) {
+        if (prior_depth[ai] >= depth) continue;
+        // Fresh parties already have a staged entry; for cached parties that
+        // streamed deeper this creates a depth-only entry the cache merges.
+        env.fresh->shards[s][active[ai]].streamed_depth = depth;
+      }
+    }
+    env.clock->Advance(CostCategory::kCompute,
+                       static_cast<double>(merge.sorted_accesses) *
+                           cost_->compare_seconds);
+    if (mode == KnnOracleMode::kThreshold) {
+      // TA's stopping rule needs the aggregate score of each round's
+      // frontier: every participant encrypts one frontier value, the server
+      // sums them, and the leader decrypts the threshold — once per round.
+      const double rounds = std::ceil(static_cast<double>(depth) /
+                                      static_cast<double>(batch));
+      env.clock->Advance(CostCategory::kEncrypt,
+                         rounds * cost_->EncryptSecondsFor(1));
+      env.clock->Advance(CostCategory::kHeEval,
+                         rounds * static_cast<double>(a - 1) *
+                             cost_->HeAddSecondsFor(1));
+      env.clock->Advance(CostCategory::kDecrypt,
+                         rounds * cost_->DecryptSecondsFor(1));
+      env.clock->Advance(
+          CostCategory::kNetwork,
+          rounds * cost_->NetworkSeconds(cost_->EncryptedWireBytes(1) *
+                                             (static_cast<uint64_t>(a) + 1),
+                                         2));
+    }
+    phase_stream.End();
+    span_stream.End();
+
+    // Candidate set: every item phase 1 saw. The server broadcasts their
+    // pseudo IDs; each party maps them back to its own items and encrypts
+    // exactly those partial distances as one batch (identical ciphertexts
+    // at any thread count, see HeBackend::EncryptBatch).
+    obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
+    span_enc.SetNode("parties");
+    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
+    const std::vector<uint64_t>& cand = merge.candidate_ids;  // shard items
+    const size_t c = cand.size();
+    std::vector<uint64_t> cand_pids(c);
+    for (size_t i = 0; i < c; ++i) cand_pids[i] = pseudo.ToPseudo(items[cand[i]]);
+    for (size_t party : active) {
+      VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
+                                        static_cast<int>(party),
+                                        EncodeIds(cand_pids)));
+    }
+    ChargeFanOut(env.clock, c * sizeof(uint64_t), a);
+    std::vector<std::vector<double>> party_values(a);
+    for (size_t ai = 0; ai < a; ++ai) {
+      VFPS_RETURN_NOT_OK(env.chan->Recv(net::kAggregationServer,
+                                        static_cast<int>(active[ai]))
+                             .status());
+      party_values[ai].reserve(c);
+      for (uint64_t li : cand) party_values[ai].push_back(lists.Score(ai, li));
+    }
+    VFPS_ASSIGN_OR_RETURN(auto encrypted,
+                          env.backend->EncryptBatch(party_values));
+    for (size_t ai = 0; ai < a; ++ai) {
       if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(count);
+        c_party_enc_values_[active[ai]]->Add(c);
       }
       VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
                                         net::kAggregationServer,
-                                        std::move(encrypted[fi++].blob)));
+                                        std::move(encrypted[ai].blob)));
     }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), fresh);
-  }
-  phase_enc.End();
-  span_enc.End();
+    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
+    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
+    phase_enc.End();
+    span_enc.End();
 
-  // Phase 2 (aggregation server): homomorphic sum over the cached ciphertexts
-  // it already holds plus the fresh uploads, in ascending active order so a
-  // repair sums bit-identically to a clean run; forward to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  std::vector<he::EncryptedVector> received(a);
-  std::vector<const he::EncryptedVector*> ptrs(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (hits[ai] != nullptr) {
-      ptrs[ai] = &hits[ai]->cipher;
-      continue;
+    // Homomorphic aggregation, forwarded to the leader.
+    obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
+    span_agg.SetNode("agg-server");
+    PhaseTimer phase_agg(c_phase_agg_, env.clock);
+    std::vector<const he::EncryptedVector*> ptrs(a);
+    for (size_t ai = 0; ai < a; ++ai) {
+      VFPS_ASSIGN_OR_RETURN(auto blob,
+                            env.chan->Recv(static_cast<int>(active[ai]),
+                                           net::kAggregationServer));
+      encrypted[ai] = he::EncryptedVector{std::move(blob), c};
+      ptrs[ai] = &encrypted[ai];
     }
+    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
+    env.clock->Advance(CostCategory::kHeEval,
+                       static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
+    VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader,
+                                      std::move(summed.blob)));
+    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
+    phase_agg.End();
+    span_agg.End();
+
+    // Leader: decrypt the candidate aggregates, take the shard's k nearest
+    // keyed by pseudo ID. SmallestK breaks ties by candidate position, which
+    // is not monotone in pseudo ID, so the entries are put in the merge's
+    // (value, id) order.
+    obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
+    span_rank.SetNode("leader");
+    PhaseTimer phase_rank(c_phase_rank_, env.clock);
     VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(static_cast<int>(active[ai]),
-                                         net::kAggregationServer));
-    received[ai] = he::EncryptedVector{std::move(blob), count};
-    ptrs[ai] = &received[ai];
-    if (env.fresh != nullptr) {
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = partials[ai];
-      st.cipher = received[ai];
-      st.has_cipher = true;
+                          env.chan->Recv(net::kAggregationServer, kLeader));
+    VFPS_ASSIGN_OR_RETURN(
+        auto agg_distances,
+        env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
+    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
+    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
+    std::vector<std::pair<double, uint64_t>> entries;
+    for (uint64_t idx : SmallestK(agg_distances.data(), c, k)) {
+      entries.emplace_back(agg_distances[idx], cand_pids[idx]);
     }
+    std::sort(entries.begin(), entries.end());
+    topk::ShardTopk top;
+    for (const auto& [value, pid] : entries) {
+      top.values.push_back(value);
+      top.ids.push_back(pid);
+    }
+    q.tops.push_back(std::move(top));
+    q.candidates += c;
+    q.depth += depth;
+    phase_rank.End();
+    span_rank.End();
   }
-  VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval,
-                     static_cast<double>(a - 1) * cost_->HeAddSecondsFor(count));
-  VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader,
-                     std::move(summed.blob)));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
-  phase_agg.End();
-  span_agg.End();
+  return FinishQuery(env, &q, k, stats);
+}
 
-  // Phase 3 (leader): decrypt, rank, pick the k nearest.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob, env.chan->Recv(net::kAggregationServer, kLeader));
-  VFPS_ASSIGN_OR_RETURN(
-      auto distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), count}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(count));
-  env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-  const auto top = SmallestK(distances, k);
-  phase_rank.End();
-  span_rank.End();
+Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
+    const QueryEnv& env, QueryState* q, size_t k, FedKnnStats* stats) const {
+  const std::vector<size_t>& active = *env.active;
+  const size_t a = active.size();
 
+  // Hierarchical merge at the leader: tournament rounds over the shard
+  // top-ks. Lossless and associative, so the result is the top-k of the
+  // query's whole candidate set for any shard count.
+  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
+  span_merge.SetNode("leader");
+  PhaseTimer phase_merge(c_phase_merge_, env.clock);
+  topk::ShardMergeStats merge_stats;
+  VFPS_ASSIGN_OR_RETURN(auto merged,
+                        topk::HierarchicalTopkMerge(std::move(q->tops), k,
+                                                    &merge_stats));
+  env.clock->Advance(CostCategory::kCompute,
+                     cost_->SortSeconds(merge_stats.entries_in));
+  if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
+  phase_merge.End();
+  span_merge.End();
+
+  // Merge ids are pseudo IDs (top-k modes) or compressed row indices (BASE);
+  // every party maps them back to rows locally.
+  const PseudoIdMap* pseudo = env.rt.pseudo;
+  const auto to_row = [&](uint64_t id) {
+    return static_cast<size_t>(pseudo != nullptr ? pseudo->ToOriginal(id)
+                                                 : CompressedToRow(id, q->row));
+  };
   QueryNeighborhood hood;
-  hood.query_row = query_row;
-  hood.neighbors.reserve(top.size());
-  for (uint64_t idx : top) {
-    hood.neighbors.push_back(CompressedToRow(idx, query_row));
-  }
+  hood.query_row = q->row;
+  hood.neighbors.reserve(merged.size());
+  for (uint64_t id : merged.ids) hood.neighbors.push_back(to_row(id));
 
-  // Phase 4: leader broadcasts T; every active participant returns d_T^p.
+  // d_T exchange: the leader broadcasts the neighbor ids; every active party
+  // returns d_T^p (quarantined slots keep 0). Each party recomputes its k
+  // neighbor rows with single-row kernel calls — the shard-local partials
+  // are gone by design (O(shard) residency).
   obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
   span_dt.SetNode("leader");
   PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  // Quarantined slots keep d_T^p = 0 (the caller drops them anyway).
   for (size_t party : active) {
     if (party == 0) continue;
     VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(top)));
+        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
   }
-  ChargeFanOut(env.clock, top.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
+  ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
+  hood.per_party_dt.assign(num_participants(), 0.0);
+  std::vector<double> dt_seconds(a, 0.0);
   for (size_t ai = 0; ai < a; ++ai) {
     const size_t party = active[ai];
-    std::vector<uint64_t> ids = top;
+    std::vector<uint64_t> ids = merged.ids;
     if (party != 0) {
       VFPS_ASSIGN_OR_RETURN(auto payload,
                             env.chan->Recv(kLeader, static_cast<int>(party)));
       VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
     }
+    const ml::FeatureBlock& block = party_blocks_[party];
     double dt = 0.0;
-    for (uint64_t idx : ids) dt += partials[ai][idx];
+    for (uint64_t id : ids) {
+      const size_t row = to_row(id);
+      double d = 0.0;
+      ml::BlockSquaredDistances(block, q->slices[ai].data(), q->norms[ai], row,
+                                row + 1, &d);
+      dt += d;
+    }
+    dt_seconds[ai] = cost_->DistanceSeconds(ids.size(), block.cols());
     if (party == 0) {
       hood.per_party_dt[0] = dt;
     } else {
@@ -769,503 +1211,25 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuery(
       VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
     }
   }
+  ChargeParallelCompute(env.clock, dt_seconds);
   ChargeFanIn(env.clock, sizeof(double), a - 1);
   phase_dt.End();
   span_dt.End();
 
-  if (h_candidates_ != nullptr) h_candidates_->Record(count);
-  if (stats != nullptr) stats->candidates_encrypted += count;
-  return hood;
-}
-
-Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseQueryGroup(
-    const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
-    size_t hi, size_t k, FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();
-  const size_t count = n - 1;  // candidates per query (query row excluded)
-  const size_t g = hi - lo;    // queries sharing this aggregation round
-  const size_t total = g * count;
-
-  // Phase 1 (active participants, parallel): each party computes the group's
-  // partial-distance vectors and lays them out in ONE slot-aligned packed
-  // vector — query q occupies [q*count, (q+1)*count). The layout is identical
-  // across parties, so slot-wise ciphertext addition aggregates candidate
-  // (q, i) against exactly candidate (q, i) everywhere; the final partial
-  // chunk's unused slots are zero-masked by the encoder and never decoded.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
-  const auto cached_for = [&](size_t party) -> const PartyUnitState* {
-    if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
-    const PartyUnitState& st = it->second;
-    return (st.has_cipher && st.values.size() == total) ? &st : nullptr;
-  };
-  std::vector<std::vector<double>> packed(a);
-  std::vector<const PartyUnitState*> hits(a, nullptr);
-  std::vector<double> compute_seconds;
-  compute_seconds.reserve(a);
-  size_t fresh = 0;
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      hits[ai] = st;
-      packed[ai] = st->values;  // still needed for the d_T exchange
-      if (stats != nullptr) ++stats->reused_contributions;
-      if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
-      continue;
-    }
-    if (env.cached != nullptr && c_cache_miss_ != nullptr) {
-      c_cache_miss_->Add(1);
-    }
-    obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    packed[ai].reserve(total);
-    double seconds = 0.0;
-    for (size_t qi = 0; qi < g; ++qi) {
-      const size_t query_row = queries[lo + qi];
-      const auto partial =
-          PartialDistances(active[ai], *joint_, query_row, query_row);
-      packed[ai].insert(packed[ai].end(), partial.begin(), partial.end());
-      seconds += cost_->DistanceSeconds(count, (*partition_)[active[ai]].size());
-    }
-    compute_seconds.push_back(seconds);
-    ++fresh;
-  }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
-
-  // Phase 2: one packed encrypt per fresh party for the whole group; cached
-  // parties' packed ciphertexts are already at the server.
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  std::vector<he::EncryptedVector> encrypted;
-  if (fresh > 0) {
-    std::vector<std::vector<double>> fresh_values;
-    fresh_values.reserve(fresh);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] == nullptr) fresh_values.push_back(packed[ai]);
-    }
-    VFPS_ASSIGN_OR_RETURN(encrypted, env.backend->EncryptBatch(fresh_values));
-    size_t fi = 0;
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (hits[ai] != nullptr) continue;
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(total);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        std::move(encrypted[fi++].blob)));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(total));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(total), fresh);
-  }
-  phase_enc.End();
-  span_enc.End();
-
-  // Phase 3 (aggregation server): slot-wise sum over cached + fresh
-  // ciphertexts in ascending active order, forward to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  std::vector<he::EncryptedVector> received(a);
-  std::vector<const he::EncryptedVector*> ptrs(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (hits[ai] != nullptr) {
-      ptrs[ai] = &hits[ai]->cipher;
-      continue;
-    }
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(static_cast<int>(active[ai]),
-                                         net::kAggregationServer));
-    received[ai] = he::EncryptedVector{std::move(blob), total};
-    ptrs[ai] = &received[ai];
-    if (env.fresh != nullptr) {
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = packed[ai];
-      st.cipher = received[ai];
-      st.has_cipher = true;
-    }
-  }
-  VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval, static_cast<double>(a - 1) *
-                                                cost_->HeAddSecondsFor(total));
-  VFPS_RETURN_NOT_OK(
-      env.chan->Send(net::kAggregationServer, kLeader,
-                     std::move(summed.blob)));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(total), 1);
-  phase_agg.End();
-  span_agg.End();
-
-  // Phase 4 (leader): ONE decrypt for the group, then rank each query's
-  // slice of the aggregate vector.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob,
-                        env.chan->Recv(net::kAggregationServer, kLeader));
-  VFPS_ASSIGN_OR_RETURN(
-      auto distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), total}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(total));
-  std::vector<QueryNeighborhood> hoods(g);
-  for (size_t qi = 0; qi < g; ++qi) {
-    const size_t query_row = queries[lo + qi];
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-    const auto top = SmallestK(distances.data() + qi * count, count, k);
-    hoods[qi].query_row = query_row;
-    hoods[qi].neighbors.reserve(top.size());
-    for (uint64_t idx : top) {
-      hoods[qi].neighbors.push_back(CompressedToRow(idx, query_row));
-    }
-  }
-  phase_rank.End();
-  span_rank.End();
-
-  // Phase 5: per-query d_T exchange, exactly as in the ungrouped protocol
-  // (plaintext scalars; nothing here benefits from batching).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t qi = 0; qi < g; ++qi) {
-    QueryNeighborhood& hood = hoods[qi];
-    std::vector<uint64_t> top;
-    top.reserve(hood.neighbors.size());
-    const size_t query_row = queries[lo + qi];
-    for (uint64_t row : hood.neighbors) {
-      // Back to compressed candidate index for the partial-distance lookup.
-      top.push_back(row < query_row ? row : row - 1);
-    }
-    for (size_t party : active) {
-      if (party == 0) continue;
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(top)));
-    }
-    ChargeFanOut(env.clock, top.size() * sizeof(uint64_t), a - 1);
-    hood.per_party_dt.assign(p, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const size_t party = active[ai];
-      std::vector<uint64_t> ids = top;
-      if (party != 0) {
-        VFPS_ASSIGN_OR_RETURN(auto payload,
-                              env.chan->Recv(kLeader, static_cast<int>(party)));
-        VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
-      }
-      double dt = 0.0;
-      for (uint64_t idx : ids) dt += packed[ai][qi * count + idx];
-      if (party == 0) {
-        hood.per_party_dt[0] = dt;
-      } else {
-        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(party), kLeader,
-                                          EncodeScalar(dt)));
-        VFPS_ASSIGN_OR_RETURN(auto payload,
-                              env.chan->Recv(static_cast<int>(party), kLeader));
-        VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-      }
-    }
-    ChargeFanIn(env.clock, sizeof(double), a - 1);
-  }
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) {
-    for (size_t qi = 0; qi < g; ++qi) h_candidates_->Record(count);
-  }
-  if (stats != nullptr) stats->candidates_encrypted += total;
-  return hoods;
-}
-
-Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
-    const QueryEnv& env, const PseudoIdMap& pseudo, uint64_t query_row,
-    size_t k, size_t batch, KnnOracleMode mode, FedKnnStats* stats) const {
-  const size_t n = joint_->num_samples();
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();  // == p with no quarantine
-
-  // Step 1: consortium-shared pseudo-ID shuffle (identity security). The map
-  // is built once per Run and shared read-only across query tasks.
-  const uint64_t query_pid = pseudo.ToPseudo(query_row);
-
-  // Step 2 (active participants, parallel): partial distances in pseudo-ID
-  // space, sorted ascending to form sub-rankings. Indexed by position in
-  // `active`.
-  obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
-  span_dist.SetNode("parties");
-  PhaseTimer phase_dist(c_phase_dist_, env.clock);
-  const auto cached_for = [&](size_t party) -> const PartyUnitState* {
-    if (env.cached == nullptr) return nullptr;
-    const auto it = env.cached->parties.find(party);
-    if (it == env.cached->parties.end()) return nullptr;
-    const PartyUnitState& st = it->second;
-    return (st.values.size() == n && st.order.size() == n) ? &st : nullptr;
-  };
-  std::vector<std::vector<double>> scores(a);
-  std::vector<std::vector<uint64_t>> orders(a);
-  // Rows of a party's sub-ranking the server already received in a prior run
-  // of this unit — streaming below skips them.
-  std::vector<size_t> prior_depth(a, 0);
-  std::vector<double> compute_seconds;
-  compute_seconds.reserve(a);
-  size_t fresh = 0;
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (const PartyUnitState* st = cached_for(active[ai])) {
-      scores[ai] = st->values;
-      orders[ai] = st->order;
-      prior_depth[ai] = st->streamed_depth;
-      if (stats != nullptr) ++stats->reused_contributions;
-      if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
-      continue;
-    }
-    if (env.cached != nullptr && c_cache_miss_ != nullptr) {
-      c_cache_miss_->Add(1);
-    }
-    obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
-    party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
-    scores[ai].resize(n);
-    // Same kernel as the BASE path (PartialDistances without exclusion), so
-    // the per-(party, row) values agree exactly across oracle modes; only
-    // the pseudo-ID scatter differs.
-    const auto partial =
-        PartialDistances(active[ai], *joint_, query_row, n /*no exclusion*/);
-    for (size_t i = 0; i < n; ++i) {
-      scores[ai][pseudo.ToPseudo(i)] = partial[i];
-    }
-    scores[ai][query_pid] = std::numeric_limits<double>::infinity();
-    orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
-    compute_seconds.push_back(
-        cost_->DistanceSeconds(n, (*partition_)[active[ai]].size()) +
-        cost_->SortSeconds(n));
-    ++fresh;
-    if (env.fresh != nullptr) {
-      // Stage the sub-ranking immediately so a later-phase failure still
-      // salvages this party's work (streamed_depth catches up below).
-      PartyUnitState& st = env.fresh->parties[active[ai]];
-      st.values = scores[ai];
-      st.order = orders[ai];
-    }
-  }
-  if (fresh > 0) ChargeParallelCompute(env.clock, compute_seconds);
-  phase_dist.End();
-  span_dist.End();
-
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("agg-server");
-  PhaseTimer phase_merge(c_phase_merge_, env.clock);
-  // The list set takes the score vectors and orders over (no per-query
-  // copy); later lookups read them back through lists.Score().
-  VFPS_ASSIGN_OR_RETURN(auto lists,
-                        topk::RankedListSet::BuildPresorted(std::move(scores),
-                                                            std::move(orders)));
-  topk::TopkResult merge;
-  if (mode == KnnOracleMode::kThreshold) {
-    VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
-  } else {
-    VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
-  }
-  const topk::TopkResult& fagin = merge;
-  phase_merge.End();
-  span_merge.End();
-
-  // Steps 3-4: mini-batch streaming of the sub-rankings to the server. The
-  // phase-1 depth of the merge algorithm determines how many rounds happen.
-  obs::Span span_stream(env.tracer, "knn.stream_rankings", env.clock);
-  span_stream.SetNode("parties");
-  PhaseTimer phase_stream(c_phase_stream_, env.clock);
-  const size_t depth = fagin.depth;
-  for (size_t start = 0; start < depth; start += batch) {
-    const size_t end = std::min(depth, start + batch);
-    size_t senders = 0;
-    for (size_t ai = 0; ai < a; ++ai) {
-      // Parties whose cached sub-ranking already streamed past this round
-      // stay silent; a party partially covered sends only the missing tail.
-      if (prior_depth[ai] >= end) continue;
-      const size_t from = std::max(start, prior_depth[ai]);
-      std::vector<uint64_t> chunk;
-      chunk.reserve(end - from);
-      for (size_t r = from; r < end; ++r) chunk.push_back(lists.IdAtRank(ai, r));
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        EncodeIds(chunk)));
-      VFPS_RETURN_NOT_OK(env.chan->Recv(static_cast<int>(active[ai]),
-                                        net::kAggregationServer)
-                             .status());
-      ++senders;
-    }
-    if (senders > 0) {
-      ChargeFanIn(env.clock, (end - start) * sizeof(uint64_t), senders);
-    }
-  }
-  if (env.fresh != nullptr) {
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (prior_depth[ai] >= depth) continue;
-      // Fresh parties already have a staged entry; for cached parties that
-      // streamed deeper this creates a depth-only entry the cache merges.
-      env.fresh->parties[active[ai]].streamed_depth = depth;
-    }
-  }
-  env.clock->Advance(CostCategory::kCompute,
-                     static_cast<double>(fagin.sorted_accesses) * cost_->compare_seconds);
-
-  if (mode == KnnOracleMode::kThreshold) {
-    // TA's stopping rule needs the aggregate score of each round's frontier:
-    // every participant encrypts one frontier value, the server sums them,
-    // and the leader decrypts the threshold — once per streamed round.
-    const double rounds = std::ceil(static_cast<double>(depth) /
-                                    static_cast<double>(batch));
-    env.clock->Advance(CostCategory::kEncrypt, rounds * cost_->EncryptSecondsFor(1));
-    env.clock->Advance(CostCategory::kHeEval,
-                       rounds * static_cast<double>(a - 1) * cost_->HeAddSecondsFor(1));
-    env.clock->Advance(CostCategory::kDecrypt, rounds * cost_->DecryptSecondsFor(1));
-    env.clock->Advance(
-        CostCategory::kNetwork,
-        rounds * cost_->NetworkSeconds(
-                     cost_->EncryptedWireBytes(1) * (static_cast<uint64_t>(a) + 1),
-                     2));
-  }
-
-  phase_stream.End();
-  span_stream.End();
-
-  // Candidate set: everything seen during phase 1 (minus the query itself).
-  std::vector<uint64_t> candidates = fagin.candidate_ids;
-  candidates.erase(std::remove(candidates.begin(), candidates.end(), query_pid),
-                   candidates.end());
-  const size_t c = candidates.size();
-
-  // Step 5: server broadcasts the candidate pseudo IDs; participants look up
-  // exactly those candidates' partial distances and encrypt them as one
-  // batch (the batched-HE fast path; identical ciphertexts at any thread
-  // count, see HeBackend::EncryptBatch).
-  obs::Span span_enc(env.tracer, "he.encrypt", env.clock);
-  span_enc.SetNode("parties");
-  PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-  for (size_t party : active) {
-    VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
-                                      static_cast<int>(party),
-                                      EncodeIds(candidates)));
-  }
-  ChargeFanOut(env.clock, c * sizeof(uint64_t), a);
-
-  std::vector<std::vector<double>> party_values(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    VFPS_ASSIGN_OR_RETURN(auto payload,
-                          env.chan->Recv(net::kAggregationServer,
-                                         static_cast<int>(active[ai])));
-    VFPS_ASSIGN_OR_RETURN(auto ids, DecodeIds(payload));
-    party_values[ai].reserve(ids.size());
-    for (uint64_t pid : ids) party_values[ai].push_back(lists.Score(ai, pid));
-  }
-  VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(party_values));
-  std::vector<const he::EncryptedVector*> ptrs(a);
-  for (size_t ai = 0; ai < a; ++ai) {
-    if (!c_party_enc_values_.empty()) {
-      c_party_enc_values_[active[ai]]->Add(c);
-    }
-    VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                      net::kAggregationServer,
-                                      std::move(encrypted[ai].blob)));
-  }
-  env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
-  ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
-  phase_enc.End();
-  span_enc.End();
-
-  // Step 6: homomorphic aggregation, forwarded to the leader.
-  obs::Span span_agg(env.tracer, "knn.aggregate", env.clock);
-  span_agg.SetNode("agg-server");
-  PhaseTimer phase_agg(c_phase_agg_, env.clock);
-  for (size_t ai = 0; ai < a; ++ai) {
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(static_cast<int>(active[ai]),
-                                         net::kAggregationServer));
-    encrypted[ai] = he::EncryptedVector{std::move(blob), c};
-    ptrs[ai] = &encrypted[ai];
-  }
-  VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-  env.clock->Advance(CostCategory::kHeEval,
-                     static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
-  VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer, kLeader,
-                                    std::move(summed.blob)));
-  ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
-  phase_agg.End();
-  span_agg.End();
-
-  // Step 7 (leader): decrypt candidate aggregates, take the k nearest.
-  obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-  span_rank.SetNode("leader");
-  PhaseTimer phase_rank(c_phase_rank_, env.clock);
-  VFPS_ASSIGN_OR_RETURN(auto blob, env.chan->Recv(net::kAggregationServer, kLeader));
-  VFPS_ASSIGN_OR_RETURN(
-      auto agg_distances,
-      env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
-  env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
-  env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
-  const auto top_local = SmallestK(agg_distances, k);
-  phase_rank.End();
-  span_rank.End();
-  std::vector<uint64_t> neighbor_pids;
-  neighbor_pids.reserve(top_local.size());
-  for (uint64_t idx : top_local) neighbor_pids.push_back(candidates[idx]);
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  VFPS_ASSIGN_OR_RETURN(hood.neighbors, pseudo.MapToOriginal(neighbor_pids));
-
-  // Step 8: leader broadcasts the neighbor set; active participants return
-  // d_T^p (quarantined slots keep 0).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(env.chan->Send(kLeader, static_cast<int>(party),
-                                      EncodeIds(neighbor_pids)));
-  }
-  ChargeFanOut(env.clock, neighbor_pids.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> pids = neighbor_pids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(pids, DecodeIds(payload));
-    }
-    double dt = 0.0;
-    for (uint64_t pid : pids) dt += lists.Score(ai, pid);
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(c);
+  if (h_candidates_ != nullptr) h_candidates_->Record(q->candidates);
   if (stats != nullptr) {
-    stats->candidates_encrypted += c;
-    stats->fagin_depth += depth;
+    stats->candidates_encrypted += q->candidates;
+    stats->fagin_depth += q->depth;
   }
   return hood;
 }
 
 Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
-    const QueryEnv& env, const ShardRuntime& rt, uint64_t query_row) const {
+    const QueryEnv& env, uint64_t query_row) const {
   const size_t n = joint_->num_samples();
   const std::vector<size_t>& active = *env.active;
   const size_t a = active.size();
+  const ShardRuntime& rt = env.rt;
   const std::vector<ml::KMeansResult>& models = *rt.prefilter;
 
   obs::Span span(env.tracer, "knn.prefilter", env.clock);
@@ -1346,574 +1310,23 @@ Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
   return candidates;
 }
 
-Result<QueryNeighborhood> FederatedKnnOracle::RunBaseQuerySharded(
-    const QueryEnv& env, uint64_t query_row, size_t k,
-    FedKnnStats* stats) const {
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();
-  const ShardRuntime& rt = *env.shard;
-
-  // Optional TreeCSS-style pre-filter: nomination happens once, BEFORE any
-  // distance or HE work, and every shard below touches only its slice of the
-  // candidate set. `filtered == false` means every row is a candidate.
-  const bool filtered = rt.prefilter != nullptr;
-  std::vector<uint64_t> candidates;  // ascending original rows, query excluded
-  if (filtered) {
-    VFPS_ASSIGN_OR_RETURN(candidates,
-                          RunPrefilterExchange(env, rt, query_row));
-  }
-
-  // Per-party query slices, gathered once and reused by every shard.
-  std::vector<std::vector<double>> qslices(a);
-  std::vector<double> qnorms(a, 0.0);
-  const double* qrow = joint_->Row(query_row);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const ml::FeatureBlock& block = party_blocks_[active[ai]];
-    qslices[ai].resize(block.cols());
-    block.GatherInto(qrow, qslices[ai].data());
-    qnorms[ai] = ml::SquaredNorm(qslices[ai].data(), block.cols());
-  }
-
-  // Shard loop: the complete BASE round (distances -> encrypt -> aggregate ->
-  // decrypt -> shard-local SmallestK) runs per shard, so only O(shard)
-  // protocol state is ever live. Ids are global COMPRESSED indices (the
-  // unsharded ranking's id space), which keeps the merge's (value, id) order
-  // identical to RunBaseQuery's SmallestK order.
-  std::vector<topk::ShardTopk> shard_tops;
-  shard_tops.reserve(rt.plan.size());
-  size_t total_count = 0;
-  for (size_t s = 0; s < rt.plan.size(); ++s) {
-    const data::RowShard& shard = rt.plan[s];
-    // This shard's candidate rows, ascending, query row excluded.
-    std::vector<uint64_t> rows;
-    if (filtered) {
-      const auto first =
-          std::lower_bound(candidates.begin(), candidates.end(),
-                           static_cast<uint64_t>(shard.begin));
-      const auto last = std::lower_bound(first, candidates.end(),
-                                         static_cast<uint64_t>(shard.end));
-      rows.assign(first, last);
-    } else {
-      rows.reserve(shard.rows());
-      for (size_t row = shard.begin; row < shard.end; ++row) {
-        if (row != query_row) rows.push_back(row);
-      }
-    }
-    const size_t count = rows.size();
-    if (count == 0) continue;
-    total_count += count;
-
-    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
-    shard_span.SetNode("parties");
-    if (env.tracer != nullptr) {
-      shard_span.Annotate("shard", StrFormat("%zu", s));
-      shard_span.Annotate("rows", StrFormat("%zu", count));
-    }
-    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
-                           env.clock);
-    if (!rt.candidates.empty()) rt.candidates[s]->Add(count);
-
-    // Phase 1 (parallel parties): partial distances over the shard's rows via
-    // the range kernel — contiguous sub-ranges around the query row when
-    // unfiltered, single-row calls on the sparse candidate set when filtered.
-    // Either way each row's value is bit-identical to a full-range sweep.
-    PhaseTimer phase_dist(c_phase_dist_, env.clock);
-    std::vector<std::vector<double>> partials(a);
-    std::vector<double> compute_seconds(a, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const ml::FeatureBlock& block = party_blocks_[active[ai]];
-      const double* q = qslices[ai].data();
-      partials[ai].resize(count);
-      if (!filtered) {
-        if (query_row < shard.begin || query_row >= shard.end) {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    shard.end, partials[ai].data());
-        } else {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    query_row, partials[ai].data());
-          ml::BlockSquaredDistances(block, q, qnorms[ai], query_row + 1,
-                                    shard.end,
-                                    partials[ai].data() +
-                                        (query_row - shard.begin));
-        }
-      } else {
-        for (size_t i = 0; i < count; ++i) {
-          const size_t row = static_cast<size_t>(rows[i]);
-          ml::BlockSquaredDistances(block, q, qnorms[ai], row, row + 1,
-                                    &partials[ai][i]);
-        }
-      }
-      compute_seconds[ai] = cost_->DistanceSeconds(count, block.cols());
-    }
-    ChargeParallelCompute(env.clock, compute_seconds);
-    phase_dist.End();
-
-    // Phases 2-4: per-shard encrypted aggregation round — the same wire
-    // shape as the unsharded BASE round, sized by the shard.
-    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto encrypted, env.backend->EncryptBatch(partials));
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(count);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        std::move(encrypted[ai].blob)));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(count));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(count), a);
-    phase_enc.End();
-
-    PhaseTimer phase_agg(c_phase_agg_, env.clock);
-    std::vector<const he::EncryptedVector*> ptrs(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      VFPS_ASSIGN_OR_RETURN(auto blob,
-                            env.chan->Recv(static_cast<int>(active[ai]),
-                                           net::kAggregationServer));
-      encrypted[ai] = he::EncryptedVector{std::move(blob), count};
-      ptrs[ai] = &encrypted[ai];
-    }
-    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-    env.clock->Advance(CostCategory::kHeEval,
-                       static_cast<double>(a - 1) *
-                           cost_->HeAddSecondsFor(count));
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader,
-                       std::move(summed.blob)));
-    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(count), 1);
-    phase_agg.End();
-
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(net::kAggregationServer, kLeader));
-    VFPS_ASSIGN_OR_RETURN(
-        auto distances,
-        env.backend->Decrypt(he::EncryptedVector{std::move(blob), count}));
-    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(count));
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(count));
-    const auto top = SmallestK(distances.data(), count, k);
-    phase_rank.End();
-
-    // Shard-local top-k in the global compressed id space. `rows` is
-    // ascending, so compressed ids are monotone in the local index and
-    // SmallestK's (value, local index) order IS the merge's (value, id)
-    // order — no re-sort needed.
-    topk::ShardTopk st;
-    st.values.reserve(top.size());
-    st.ids.reserve(top.size());
-    for (uint64_t li : top) {
-      st.values.push_back(distances[li]);
-      const uint64_t row = rows[li];
-      st.ids.push_back(row < query_row ? row : row - 1);
-    }
-    shard_tops.push_back(std::move(st));
-  }
-
-  // Hierarchical merge at the leader: tournament rounds over the shard
-  // top-ks. Lossless and associative, so the result equals the top-k of the
-  // concatenated candidate set — i.e. exactly RunBaseQuery's ranking when
-  // the pre-filter is off.
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("leader");
-  PhaseTimer phase_merge(c_phase_merge_, env.clock);
-  topk::ShardMergeStats merge_stats;
-  VFPS_ASSIGN_OR_RETURN(auto merged,
-                        topk::HierarchicalTopkMerge(std::move(shard_tops), k,
-                                                    &merge_stats));
-  env.clock->Advance(CostCategory::kCompute,
-                     cost_->SortSeconds(merge_stats.entries_in));
-  if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
-  phase_merge.End();
-  span_merge.End();
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  hood.neighbors.reserve(merged.size());
-  for (uint64_t idx : merged.ids) {
-    hood.neighbors.push_back(CompressedToRow(idx, query_row));
-  }
-
-  // d_T exchange. The shard-local partials are gone by design (O(shard)
-  // residency), so each party recomputes its k neighbor rows with single-row
-  // kernel calls — bit-identical to the values it aggregated above.
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
-  }
-  ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  std::vector<double> dt_seconds(a, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> ids = merged.ids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
-    }
-    const ml::FeatureBlock& block = party_blocks_[party];
-    double dt = 0.0;
-    for (uint64_t idx : ids) {
-      const size_t row = static_cast<size_t>(CompressedToRow(idx, query_row));
-      double d = 0.0;
-      ml::BlockSquaredDistances(block, qslices[ai].data(), qnorms[ai], row,
-                                row + 1, &d);
-      dt += d;
-    }
-    dt_seconds[ai] = cost_->DistanceSeconds(ids.size(), block.cols());
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeParallelCompute(env.clock, dt_seconds);
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(total_count);
-  if (stats != nullptr) stats->candidates_encrypted += total_count;
-  return hood;
-}
-
-Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuerySharded(
-    const QueryEnv& env, const PseudoIdMap& pseudo, uint64_t query_row,
-    size_t k, size_t batch, KnnOracleMode mode, FedKnnStats* stats) const {
-  const size_t p = num_participants();
-  const std::vector<size_t>& active = *env.active;
-  const size_t a = active.size();
-  const ShardRuntime& rt = *env.shard;
-
-  const bool filtered = rt.prefilter != nullptr;
-  std::vector<uint64_t> candidates;  // ascending original rows, query excluded
-  if (filtered) {
-    VFPS_ASSIGN_OR_RETURN(candidates,
-                          RunPrefilterExchange(env, rt, query_row));
-  }
-
-  std::vector<std::vector<double>> qslices(a);
-  std::vector<double> qnorms(a, 0.0);
-  const double* qrow = joint_->Row(query_row);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const ml::FeatureBlock& block = party_blocks_[active[ai]];
-    qslices[ai].resize(block.cols());
-    block.GatherInto(qrow, qslices[ai].data());
-    qnorms[ai] = ml::SquaredNorm(qslices[ai].data(), block.cols());
-  }
-
-  // Shard loop: each shard runs the COMPLETE Fagin/TA pipeline over its own
-  // rows — sub-ranking sort, phase-1 merge, mini-batch streaming, candidate
-  // encryption, shard-local SmallestK — so resident ranking state is
-  // O(shard·P), never O(N·P). Items live in a shard-local index space; only
-  // pseudo ids go on the wire and into the merge.
-  std::vector<topk::ShardTopk> shard_tops;
-  shard_tops.reserve(rt.plan.size());
-  size_t total_candidates = 0;
-  uint64_t total_depth = 0;
-  for (size_t s = 0; s < rt.plan.size(); ++s) {
-    const data::RowShard& shard = rt.plan[s];
-    std::vector<uint64_t> rows;  // this shard's items (ascending, no query)
-    if (filtered) {
-      const auto first =
-          std::lower_bound(candidates.begin(), candidates.end(),
-                           static_cast<uint64_t>(shard.begin));
-      const auto last = std::lower_bound(first, candidates.end(),
-                                         static_cast<uint64_t>(shard.end));
-      rows.assign(first, last);
-    } else {
-      rows.reserve(shard.rows());
-      for (size_t row = shard.begin; row < shard.end; ++row) {
-        if (row != query_row) rows.push_back(row);
-      }
-    }
-    const size_t m = rows.size();
-    if (m == 0) continue;
-
-    obs::Span shard_span(env.tracer, "knn.shard", env.clock);
-    shard_span.SetNode("parties");
-    if (env.tracer != nullptr) {
-      shard_span.Annotate("shard", StrFormat("%zu", s));
-      shard_span.Annotate("rows", StrFormat("%zu", m));
-    }
-    PhaseTimer shard_timer(rt.sim_ns.empty() ? nullptr : rt.sim_ns[s],
-                           env.clock);
-    if (!rt.candidates.empty()) rt.candidates[s]->Add(m);
-
-    // Phase 1 (parallel parties): shard-local scores + sub-ranking sort.
-    // Unlike the unsharded path the query row is excluded from the item
-    // space up front (instead of carrying an +inf sentinel), which changes
-    // nothing downstream: +inf can never enter a top-k or candidate set.
-    PhaseTimer phase_dist(c_phase_dist_, env.clock);
-    std::vector<uint64_t> pids(m);
-    for (size_t i = 0; i < m; ++i) {
-      pids[i] = pseudo.ToPseudo(static_cast<size_t>(rows[i]));
-    }
-    std::vector<std::vector<double>> scores(a);
-    std::vector<std::vector<uint64_t>> orders(a);
-    std::vector<double> compute_seconds(a, 0.0);
-    for (size_t ai = 0; ai < a; ++ai) {
-      const ml::FeatureBlock& block = party_blocks_[active[ai]];
-      const double* q = qslices[ai].data();
-      scores[ai].resize(m);
-      if (!filtered) {
-        if (query_row < shard.begin || query_row >= shard.end) {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    shard.end, scores[ai].data());
-        } else {
-          ml::BlockSquaredDistances(block, q, qnorms[ai], shard.begin,
-                                    query_row, scores[ai].data());
-          ml::BlockSquaredDistances(block, q, qnorms[ai], query_row + 1,
-                                    shard.end,
-                                    scores[ai].data() +
-                                        (query_row - shard.begin));
-        }
-      } else {
-        for (size_t i = 0; i < m; ++i) {
-          const size_t row = static_cast<size_t>(rows[i]);
-          ml::BlockSquaredDistances(block, q, qnorms[ai], row, row + 1,
-                                    &scores[ai][i]);
-        }
-      }
-      orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
-      compute_seconds[ai] =
-          cost_->DistanceSeconds(m, block.cols()) + cost_->SortSeconds(m);
-    }
-    ChargeParallelCompute(env.clock, compute_seconds);
-    phase_dist.End();
-
-    // Shard-local phase-1 merge (exact within the shard).
-    PhaseTimer phase_merge(c_phase_merge_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(
-        auto lists, topk::RankedListSet::BuildPresorted(std::move(scores),
-                                                        std::move(orders)));
-    topk::TopkResult merge;
-    if (mode == KnnOracleMode::kThreshold) {
-      VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
-    } else {
-      VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
-    }
-    phase_merge.End();
-
-    // Mini-batch streaming of this shard's sub-rankings — the wire carries
-    // pseudo ids, the resident ranking state stays O(shard).
-    PhaseTimer phase_stream(c_phase_stream_, env.clock);
-    const size_t depth = merge.depth;
-    total_depth += depth;
-    for (size_t start = 0; start < depth; start += batch) {
-      const size_t end = std::min(depth, start + batch);
-      for (size_t ai = 0; ai < a; ++ai) {
-        std::vector<uint64_t> chunk;
-        chunk.reserve(end - start);
-        for (size_t r = start; r < end; ++r) {
-          chunk.push_back(pids[lists.IdAtRank(ai, r)]);
-        }
-        VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                          net::kAggregationServer,
-                                          EncodeIds(chunk)));
-        VFPS_RETURN_NOT_OK(env.chan->Recv(static_cast<int>(active[ai]),
-                                          net::kAggregationServer)
-                               .status());
-      }
-      ChargeFanIn(env.clock, (end - start) * sizeof(uint64_t), a);
-    }
-    env.clock->Advance(CostCategory::kCompute,
-                       static_cast<double>(merge.sorted_accesses) *
-                           cost_->compare_seconds);
-    if (mode == KnnOracleMode::kThreshold) {
-      const double rounds = std::ceil(static_cast<double>(depth) /
-                                      static_cast<double>(batch));
-      env.clock->Advance(CostCategory::kEncrypt,
-                         rounds * cost_->EncryptSecondsFor(1));
-      env.clock->Advance(CostCategory::kHeEval,
-                         rounds * static_cast<double>(a - 1) *
-                             cost_->HeAddSecondsFor(1));
-      env.clock->Advance(CostCategory::kDecrypt,
-                         rounds * cost_->DecryptSecondsFor(1));
-      env.clock->Advance(
-          CostCategory::kNetwork,
-          rounds * cost_->NetworkSeconds(cost_->EncryptedWireBytes(1) *
-                                             (static_cast<uint64_t>(a) + 1),
-                                         2));
-    }
-    phase_stream.End();
-
-    // Candidate-set encryption round, sized by this shard's candidates.
-    const std::vector<uint64_t>& cand = merge.candidate_ids;  // local items
-    const size_t c = cand.size();
-    total_candidates += c;
-    std::vector<uint64_t> cand_pids(c);
-    for (size_t i = 0; i < c; ++i) cand_pids[i] = pids[cand[i]];
-
-    PhaseTimer phase_enc(c_phase_encrypt_, env.clock);
-    for (size_t party : active) {
-      VFPS_RETURN_NOT_OK(env.chan->Send(net::kAggregationServer,
-                                        static_cast<int>(party),
-                                        EncodeIds(cand_pids)));
-      VFPS_RETURN_NOT_OK(
-          env.chan->Recv(net::kAggregationServer, static_cast<int>(party))
-              .status());
-    }
-    ChargeFanOut(env.clock, c * sizeof(uint64_t), a);
-    std::vector<std::vector<double>> party_values(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      party_values[ai].reserve(c);
-      for (uint64_t li : cand) party_values[ai].push_back(lists.Score(ai, li));
-    }
-    VFPS_ASSIGN_OR_RETURN(auto encrypted,
-                          env.backend->EncryptBatch(party_values));
-    std::vector<const he::EncryptedVector*> ptrs(a);
-    for (size_t ai = 0; ai < a; ++ai) {
-      if (!c_party_enc_values_.empty()) {
-        c_party_enc_values_[active[ai]]->Add(c);
-      }
-      VFPS_RETURN_NOT_OK(env.chan->Send(static_cast<int>(active[ai]),
-                                        net::kAggregationServer,
-                                        std::move(encrypted[ai].blob)));
-    }
-    env.clock->Advance(CostCategory::kEncrypt, cost_->EncryptSecondsFor(c));
-    ChargeFanIn(env.clock, cost_->EncryptedWireBytes(c), a);
-    phase_enc.End();
-
-    PhaseTimer phase_agg(c_phase_agg_, env.clock);
-    for (size_t ai = 0; ai < a; ++ai) {
-      VFPS_ASSIGN_OR_RETURN(auto blob,
-                            env.chan->Recv(static_cast<int>(active[ai]),
-                                           net::kAggregationServer));
-      encrypted[ai] = he::EncryptedVector{std::move(blob), c};
-      ptrs[ai] = &encrypted[ai];
-    }
-    VFPS_ASSIGN_OR_RETURN(auto summed, env.backend->Sum(ptrs));
-    env.clock->Advance(CostCategory::kHeEval,
-                       static_cast<double>(a - 1) * cost_->HeAddSecondsFor(c));
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(net::kAggregationServer, kLeader,
-                       std::move(summed.blob)));
-    ChargeFanOut(env.clock, cost_->EncryptedWireBytes(c), 1);
-    phase_agg.End();
-
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto blob,
-                          env.chan->Recv(net::kAggregationServer, kLeader));
-    VFPS_ASSIGN_OR_RETURN(
-        auto agg_distances,
-        env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
-    env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
-    env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
-    const auto top_local = SmallestK(agg_distances.data(), c, k);
-    phase_rank.End();
-
-    // Shard top-k keyed by pseudo id. SmallestK ties break by candidate
-    // position, which is not monotone in pid, so canonicalize to the merge's
-    // (value, id) order — a divergence only on exact aggregate ties, which
-    // continuous features make vanishingly unlikely.
-    std::vector<std::pair<double, uint64_t>> entries;
-    entries.reserve(top_local.size());
-    for (uint64_t idx : top_local) {
-      entries.emplace_back(agg_distances[idx], cand_pids[idx]);
-    }
-    std::sort(entries.begin(), entries.end());
-    topk::ShardTopk st;
-    st.values.reserve(entries.size());
-    st.ids.reserve(entries.size());
-    for (const auto& [value, pid] : entries) {
-      st.values.push_back(value);
-      st.ids.push_back(pid);
-    }
-    shard_tops.push_back(std::move(st));
-  }
-
-  // Hierarchical merge over the shard top-ks (pseudo-id space).
-  obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
-  span_merge.SetNode("leader");
-  PhaseTimer phase_hmerge(c_phase_merge_, env.clock);
-  topk::ShardMergeStats merge_stats;
-  VFPS_ASSIGN_OR_RETURN(auto merged,
-                        topk::HierarchicalTopkMerge(std::move(shard_tops), k,
-                                                    &merge_stats));
-  env.clock->Advance(CostCategory::kCompute,
-                     cost_->SortSeconds(merge_stats.entries_in));
-  if (c_shard_merges_ != nullptr) c_shard_merges_->Add(merge_stats.merges);
-  phase_hmerge.End();
-  span_merge.End();
-
-  QueryNeighborhood hood;
-  hood.query_row = query_row;
-  VFPS_ASSIGN_OR_RETURN(hood.neighbors, pseudo.MapToOriginal(merged.ids));
-
-  // d_T exchange, recomputing each neighbor's partial distance per party
-  // (the shard-local score vectors are gone — O(shard) residency).
-  obs::Span span_dt(env.tracer, "knn.dt_exchange", env.clock);
-  span_dt.SetNode("leader");
-  PhaseTimer phase_dt(c_phase_dt_, env.clock);
-  for (size_t party : active) {
-    if (party == 0) continue;
-    VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
-  }
-  ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
-  hood.per_party_dt.assign(p, 0.0);
-  std::vector<double> dt_seconds(a, 0.0);
-  for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    std::vector<uint64_t> pids = merged.ids;
-    if (party != 0) {
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(pids, DecodeIds(payload));
-    }
-    const ml::FeatureBlock& block = party_blocks_[party];
-    double dt = 0.0;
-    for (uint64_t pid : pids) {
-      const size_t row = static_cast<size_t>(pseudo.ToOriginal(pid));
-      double d = 0.0;
-      ml::BlockSquaredDistances(block, qslices[ai].data(), qnorms[ai], row,
-                                row + 1, &d);
-      dt += d;
-    }
-    dt_seconds[ai] = cost_->DistanceSeconds(pids.size(), block.cols());
-    if (party == 0) {
-      hood.per_party_dt[0] = dt;
-    } else {
-      VFPS_RETURN_NOT_OK(
-          env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
-      VFPS_ASSIGN_OR_RETURN(auto payload,
-                            env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
-    }
-  }
-  ChargeParallelCompute(env.clock, dt_seconds);
-  ChargeFanIn(env.clock, sizeof(double), a - 1);
-  phase_dt.End();
-  span_dt.End();
-
-  if (h_candidates_ != nullptr) h_candidates_->Record(total_candidates);
-  if (stats != nullptr) {
-    stats->candidates_encrypted += total_candidates;
-    stats->fagin_depth += total_depth;
-  }
-  return hood;
-}
-
 Result<std::vector<int>> FederatedKnnOracle::ClassifyPredictions(
     const data::Dataset& queries, const std::vector<size_t>& participants,
     size_t k, bool charge_costs) {
   VFPS_CHECK_ARG(!participants.empty(), "fed-knn: empty sub-consortium");
+  VFPS_CHECK_ARG(k >= 1, "fed-knn: k must be >= 1");
   VFPS_CHECK_ARG(queries.num_features() == joint_->num_features(),
                  "fed-knn: query feature width mismatch");
   for (size_t party : participants) {
     VFPS_CHECK_ARG(party < num_participants(),
                    "fed-knn: participant out of range");
   }
+  // A repeated id would count that party's distances twice.
+  std::vector<size_t> sorted_ids = participants;
+  std::sort(sorted_ids.begin(), sorted_ids.end());
+  VFPS_CHECK_ARG(std::adjacent_find(sorted_ids.begin(), sorted_ids.end()) ==
+                     sorted_ids.end(),
+                 "fed-knn: duplicate participant");
   const size_t n = joint_->num_samples();
   const size_t s = participants.size();
 
@@ -1924,7 +1337,7 @@ Result<std::vector<int>> FederatedKnnOracle::ClassifyPredictions(
   const auto classify_one = [&](size_t qi) {
     std::vector<double> aggregate(n, 0.0);
     for (size_t party : participants) {
-      const auto partial = PartialDistances(party, queries, qi, n /*no exclusion*/);
+      const auto partial = PartialDistances(party, queries, qi);
       for (size_t i = 0; i < n; ++i) aggregate[i] += partial[i];
     }
     const auto top = SmallestK(aggregate, k);

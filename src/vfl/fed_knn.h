@@ -52,17 +52,18 @@ struct FedKnnConfig {
   size_t fagin_batch = 64;  // mini-batch rows streamed per participant round
   uint64_t seed = 42;       // shared consortium seed (queries, pseudo IDs)
   /// BASE-mode cross-query slot batching: how many queries share one
-  /// encrypted aggregation round. Each participant concatenates the grouped
-  /// queries' partial-distance vectors (stride N-1, identical layout across
-  /// parties, ragged tail zero-masked by the encoder) into ONE packed
-  /// Encrypt; the server performs slot-wise sums on the group and the leader
-  /// issues one Decrypt per group. With G queries of N-1 candidates over
-  /// S slots this costs ceil(G*(N-1)/S) ciphertexts per party instead of
-  /// G*ceil((N-1)/S) — up to floor(S/(N-1))x fewer HE ops when candidate
-  /// vectors underfill the slots. 1 (default) keeps the one-query-per-round
-  /// protocol bit-identical to previous releases; 0 picks the largest group
-  /// that fits the backend's SlotsPerCiphertext(). Ignored by the Fagin/TA
-  /// modes (their candidate sets are query-specific).
+  /// encrypted aggregation round. In every row shard, each participant
+  /// concatenates the grouped queries' partial-distance slices for that shard
+  /// (identical layout across parties, ragged tail zero-masked by the
+  /// encoder) into ONE packed Encrypt; the server performs slot-wise sums on
+  /// the group and the leader issues one Decrypt per group and shard. With G
+  /// queries of C candidates per shard over S slots this costs
+  /// ceil(G*C/S) ciphertexts per party and shard instead of G*ceil(C/S) —
+  /// up to floor(S/C)x fewer HE ops when candidate vectors underfill the
+  /// slots. 1 (default) runs one query per round; 0 picks the largest group
+  /// whose per-shard vector fits one ciphertext (with one shard,
+  /// max(1, S/(N-1))). Ignored by the Fagin/TA modes (their candidate sets
+  /// are query-specific).
   size_t query_group = 1;
   /// Participants excluded from the protocol (crashed on a previous run and
   /// quarantined by the selector). The leader (0) can never be quarantined;
@@ -89,14 +90,14 @@ struct FedKnnConfig {
   double net_jitter = 0.0;
   /// Row shards per party: every party's FeatureBlock is cut into this many
   /// contiguous row ranges (data::MakeRowShards), each held by a simulated
-  /// storage node. The per-query protocol then runs shard by shard — range
-  /// distance kernels, per-shard encrypted aggregation, shard-local SmallestK
-  /// — and the leader combines shard results with the hierarchical top-k
-  /// merge (topk::HierarchicalTopkMerge), so per-query resident protocol
-  /// state is O(shard), not O(N). 1 (default) keeps the single-node protocol
-  /// bit-identical to previous releases; sharded runs produce the same
-  /// neighborhoods and d_T values as shards=1 (exact-HE paths bit-identical;
-  /// traffic/clock naturally differ). Exposed as --shards on the CLI.
+  /// storage node. The per-query protocol runs shard by shard — range
+  /// distance kernels, per-shard encrypted aggregation, shard-local top-k —
+  /// and the leader combines shard results with the hierarchical top-k merge
+  /// (topk::HierarchicalTopkMerge), so per-query resident protocol state is
+  /// O(shard), not O(N). 1 (default) is a one-entry shard plan through the
+  /// same code; any shard count yields the same neighborhoods and d_T values
+  /// (exact-HE paths bit-identical; traffic/clock naturally differ). Exposed
+  /// as --shards on the CLI.
   size_t shards = 1;
   /// TreeCSS-style clustering pre-filter: 0 (default) = off. Otherwise each
   /// party clusters its local columns into this many k-means clusters once
@@ -161,9 +162,16 @@ struct FedKnnStats {
 /// charged phase by phase with participant-parallel phases costed as the max
 /// over participants.
 ///
+/// One pipeline: every protocol unit — one query, or a BASE group of queries
+/// (FedKnnConfig::query_group) — runs the optional TreeCSS pre-filter stage
+/// first; then, for each row shard of the plan (one entry when shards = 1),
+/// the distance stage, the ranking and streaming stage (Fagin/TA only), one
+/// encrypted aggregation round and a shard top-k; last, for each query, the
+/// hierarchical top-k merge and the d_T exchange.
+///
 /// Threading model: when a ThreadPool is supplied, Run() executes each
-/// query's complete protocol (Fagin/TA phase-1 merge, partial-distance
-/// computation, encryption, aggregation, leader decrypt+rank) as an
+/// unit's complete protocol (pre-filter, every shard's distance, ranking,
+/// encryption, aggregation and leader decrypt+rank, then merge and d_T) as an
 /// independent task. Every task operates on task-local state — its own
 /// SimNetwork, its own SimClock, and its own HeBackend session obtained via
 /// HeBackend::Fork() with a per-query stream seed pre-derived from
@@ -190,20 +198,24 @@ struct FedKnnStats {
 /// survivors.
 ///
 /// Incremental repair: with a SelectionCache attached (set_cache), every
-/// unit records each active party's contribution (partial-distance vectors,
-/// sub-rankings, server-held ciphertexts) into the cache — on success AND on
-/// failure (whatever completed before the fault is salvaged; contents are
-/// thread-count-invariant because every unit runs to its own end and is
-/// internally deterministic). A later Run() with a changed membership but
-/// the same protocol shape reuses cached contributions: surviving parties
-/// skip distance work, encryption, ciphertext uploads, and already-streamed
-/// ranking rows; only newcomers compute from scratch, and only the
-/// membership-dependent aggregation (sums, merges, candidate exchange) is
-/// redone. On the exact (plain) HE path, a repaired run's outputs are
-/// bit-identical to a clean run over the same membership; on CKKS the
-/// cached ciphertexts carry their original encryption randomness, so
-/// results match within the backend's noise tolerance. Simulated-clock
-/// charges reflect the work actually done, so repair is visibly cheaper.
+/// unit records each active party's contribution to each row shard
+/// (partial-distance vectors, sub-rankings, server-held ciphertexts) into
+/// the cache — on success AND on failure (whatever completed before the
+/// fault is salvaged; contents are thread-count-invariant because every unit
+/// runs to its own end and is internally deterministic). A later Run() with
+/// a changed membership but the same protocol shape reuses cached
+/// contributions: surviving parties skip distance work, encryption,
+/// ciphertext uploads, and already-streamed ranking rows; only newcomers
+/// compute from scratch, and only the membership-dependent aggregation
+/// (sums, merges, candidate exchange) is redone. An entry is reused only by
+/// a round over exactly the candidate rows it covers: the pre-filter's
+/// nominations are a union over the active parties, so a membership change
+/// that moves them invalidates the unit. On the exact (plain) HE path, a
+/// repaired run's outputs are bit-identical to a clean run over the same
+/// membership; on CKKS the cached ciphertexts carry their original
+/// encryption randomness, so results match within the backend's noise
+/// tolerance. Simulated-clock charges reflect the work actually done, so
+/// repair is visibly cheaper.
 ///
 /// Thread-safety: one FederatedKnnOracle must only be driven from one thread
 /// at a time (Run/ClassifyAccuracy/ClassifyPredictions are not reentrant);
@@ -276,12 +288,16 @@ class FederatedKnnOracle {
       size_t k, bool charge_costs);
 
  private:
-  /// Run-scoped state of the sharded protocol path, built once per Run()
-  /// (serially, before any query task spawns) and shared read-only by every
-  /// task. Present only when config.shards > 1 or the pre-filter is on; the
-  /// pristine single-node path never sees it.
+  /// Run-scoped state of the per-shard pipeline, built once per Run()
+  /// (serially, before any unit spawns) and shared read-only by every unit.
   struct ShardRuntime {
-    std::vector<data::RowShard> plan;  // contiguous row ranges covering N
+    /// Contiguous row ranges covering N; one entry when shards = 1.
+    std::vector<data::RowShard> plan;
+    /// Top-k modes: the consortium-shared pseudo-ID shuffle, and each shard's
+    /// rows in ascending pseudo-ID order (the order its ranking items take).
+    /// nullptr / empty in BASE mode, whose items stay in row order.
+    const PseudoIdMap* pseudo = nullptr;
+    std::vector<std::vector<uint64_t>> pid_rows;
     /// Per-party k-means models, indexed by participant id (only active
     /// parties filled). nullptr when the pre-filter is off. Owned by Run().
     const std::vector<ml::KMeansResult>* prefilter = nullptr;
@@ -294,9 +310,9 @@ class FederatedKnnOracle {
     std::vector<obs::Counter*> candidates;
   };
 
-  /// Task-local deployment view for one query: its own HE session, metered
-  /// transport, reliable channel, and clock, so query tasks never contend
-  /// (merged afterwards). `active` lists the non-quarantined participants in
+  /// Task-local deployment view for one unit: its own HE session, metered
+  /// transport, reliable channel, and clock, so units never contend (merged
+  /// afterwards). `active` lists the non-quarantined participants in
   /// ascending order (always starting with the leader, 0).
   struct QueryEnv {
     he::HeBackend* backend;
@@ -305,76 +321,73 @@ class FederatedKnnOracle {
     SimClock* clock;
     const std::vector<size_t>* active;
     obs::Tracer* tracer;  // nullptr unless tracing is enabled
+    const ShardRuntime& rt;
     /// Prior contributions for this unit (read-only; nullptr = cold) and the
     /// task-local staging area fresh contributions are recorded into
     /// (nullptr = caching disabled). See SelectionCache.
     const CachedUnit* cached = nullptr;
     CachedUnit* fresh = nullptr;
-    /// Sharded-path runtime; nullptr keeps the pristine single-node path.
-    const ShardRuntime* shard = nullptr;
   };
 
+  /// One query's state across the shard loop (defined in fed_knn.cc).
+  struct QueryState;
+
   // Partial squared distances from participant `p`'s slice of `query_row`
-  // (in `source`) to every train row except `exclude_row` (pass
-  // num_samples() to keep all rows). Output indexed by compressed row index.
+  // (in `source`) to every train row, indexed by row.
   std::vector<double> PartialDistances(size_t participant,
                                        const data::Dataset& source,
-                                       size_t query_row,
-                                       size_t exclude_row) const;
+                                       size_t query_row) const;
 
   // Compressed index <-> original row id around an excluded row.
   static uint64_t CompressedToRow(uint64_t idx, size_t excluded) {
     return idx < excluded ? idx : idx + 1;
   }
 
-  Result<QueryNeighborhood> RunBaseQuery(const QueryEnv& env,
-                                         uint64_t query_row, size_t k,
-                                         FedKnnStats* stats) const;
-  // Slot-batched BASE protocol over queries[lo, hi): one packed encrypt per
-  // party, one slot-wise aggregation, one decrypt for the whole group (see
-  // FedKnnConfig::query_group). Returns the hi-lo neighborhoods in query
-  // order. Equivalent to running RunBaseQuery per query up to the HE
-  // randomness schedule (plaintext-identical results; CKKS within tolerance).
-  Result<std::vector<QueryNeighborhood>> RunBaseQueryGroup(
+  // BASE unit over queries[lo, hi): per shard, one packed encrypt per party,
+  // one slot-wise aggregation and one decrypt for the whole group (see
+  // FedKnnConfig::query_group), then per query the merge and d_T exchange.
+  // Returns the hi-lo neighborhoods in query order.
+  Result<std::vector<QueryNeighborhood>> RunBaseUnit(
       const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
       size_t hi, size_t k, FedKnnStats* stats) const;
-  // Shared implementation of the Fagin and Threshold oracle modes (they
-  // differ in the phase-1 merge algorithm and TA's per-round threshold
-  // exchange). `pseudo` is the consortium-shared shuffle, built once per Run.
+  // Fagin and Threshold oracle modes (they differ in the phase-1 merge
+  // algorithm and TA's per-round threshold exchange). Each shard runs the
+  // complete phase-1 merge, mini-batch streaming and candidate encryption
+  // over its own rows, so resident ranking state is O(shard·P). Per-shard
+  // Fagin/TA is exact within its shard, so the merged result equals the
+  // global one whenever aggregate distances are tie-free (always, in
+  // practice, on continuous features).
   Result<QueryNeighborhood> RunTopkQuery(const QueryEnv& env,
-                                         const PseudoIdMap& pseudo,
                                          uint64_t query_row, size_t k,
                                          size_t batch, KnnOracleMode mode,
                                          FedKnnStats* stats) const;
-  // Sharded BASE protocol: per shard, range-kernel partials over the shard's
-  // rows (candidates only, when a pre-filter nomination is present), a
-  // per-shard encrypted aggregation round, shard-local SmallestK, then the
-  // hierarchical top-k merge. d_T comes from single-row kernel recomputes of
-  // the merged neighbors, so the values are bit-identical to RunBaseQuery's
-  // (each row's distance is independent of the [begin, end) split).
-  Result<QueryNeighborhood> RunBaseQuerySharded(const QueryEnv& env,
-                                                uint64_t query_row, size_t k,
-                                                FedKnnStats* stats) const;
-  // Sharded Fagin/TA: each shard runs the complete phase-1 merge + candidate
-  // encryption over its own rows (mini-batches stream per shard, so resident
-  // ranking state is O(shard·P), not O(N·P)), then shard top-ks merge
-  // hierarchically. Per-shard Fagin/TA is exact within its shard, so the
-  // merged result equals the global one whenever aggregate distances are
-  // tie-free (always, in practice, on continuous features).
-  Result<QueryNeighborhood> RunTopkQuerySharded(const QueryEnv& env,
-                                                const PseudoIdMap& pseudo,
-                                                uint64_t query_row, size_t k,
-                                                size_t batch,
-                                                KnnOracleMode mode,
-                                                FedKnnStats* stats) const;
+  // Pre-filter stage (when on) and the per-party query slices every shard
+  // stage reuses.
+  Status PrepareQuery(const QueryEnv& env, uint64_t query_row,
+                      QueryState* q) const;
+  // The rows shard `s` ranks for query `q`, query row excluded: the shard's
+  // pre-filter nominations when the pre-filter is on, else all its rows.
+  // Row order in BASE mode; pseudo-ID order in the top-k modes.
+  std::vector<uint64_t> ShardItems(const ShardRuntime& rt, size_t s,
+                                   const QueryState& q) const;
+  // The unit's cached entries when they cover exactly this round's candidate
+  // rows (else nullptr), after recording those rows with the unit's fresh
+  // entries.
+  static const CachedUnit* BindCache(const QueryEnv& env,
+                                     const QueryState* queries, size_t count);
+  // Last stage of a query: hierarchical merge of its shard top-ks at the
+  // leader, then the d_T exchange, in which every party recomputes its
+  // neighbor rows with single-row kernel calls (bit-identical to the values
+  // it aggregated; each row's distance is independent of the shard split).
+  Result<QueryNeighborhood> FinishQuery(const QueryEnv& env, QueryState* q,
+                                        size_t k, FedKnnStats* stats) const;
   // TreeCSS-style candidate nomination: each active party ranks its clusters
   // by centroid distance to its query slice and nominates the nearest
   // clusters' rows until ShardRuntime::prefilter_target rows are covered; the
   // union (query row excluded, ascending original row ids) travels through
   // env.chan like the Fagin candidate exchange. A pure function of
-  // (models, query_row), so thread-count-invariant.
+  // (models, active parties, query_row), so thread-count-invariant.
   Result<std::vector<uint64_t>> RunPrefilterExchange(const QueryEnv& env,
-                                                     const ShardRuntime& rt,
                                                      uint64_t query_row) const;
 
   // Clock helpers (charge the given task-local clock).

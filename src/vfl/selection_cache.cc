@@ -14,13 +14,26 @@ void SelectionCache::Rekey(const Key& key) {
 
 void SelectionCache::Absorb(size_t u, CachedUnit&& produced) {
   if (u >= units_.size()) return;
+  const bool staged =
+      std::any_of(produced.shards.begin(), produced.shards.end(),
+                  [](const auto& parties) { return !parties.empty(); });
+  if (!staged) return;
   CachedUnit& unit = units_[u];
-  for (auto& [party, state] : produced.parties) {
-    PartyUnitState& dst = unit.parties[party];
-    if (!state.values.empty()) {
-      dst = std::move(state);
-    } else {
-      dst.streamed_depth = std::max(dst.streamed_depth, state.streamed_depth);
+  if (unit.nominated != produced.nominated) {
+    unit = CachedUnit{};
+    unit.nominated = std::move(produced.nominated);
+  }
+  if (unit.shards.size() < produced.shards.size()) {
+    unit.shards.resize(produced.shards.size());
+  }
+  for (size_t s = 0; s < produced.shards.size(); ++s) {
+    for (auto& [party, state] : produced.shards[s]) {
+      PartyUnitState& dst = unit.shards[s][party];
+      if (!state.values.empty()) {
+        dst = std::move(state);
+      } else {
+        dst.streamed_depth = std::max(dst.streamed_depth, state.streamed_depth);
+      }
     }
   }
 }
@@ -33,7 +46,9 @@ void SelectionCache::Clear() {
 
 size_t SelectionCache::CachedContributions() const {
   size_t n = 0;
-  for (const CachedUnit& unit : units_) n += unit.parties.size();
+  for (const CachedUnit& unit : units_) {
+    for (const auto& parties : unit.shards) n += parties.size();
+  }
   return n;
 }
 

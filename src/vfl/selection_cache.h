@@ -10,8 +10,8 @@
 
 namespace vfps::vfl {
 
-/// \brief One participant's cached contribution to one protocol unit (a
-/// query, or a slot-batched group of queries).
+/// \brief One participant's cached contribution to one row shard of one
+/// protocol unit (a query, or a slot-batched group of queries).
 ///
 /// Privacy framing: `values` (and `order`) are the party's OWN plaintext
 /// partial distances — in a real deployment each party would hold its slice
@@ -21,15 +21,16 @@ namespace vfps::vfl {
 /// ever sees decrypted aggregates, so the cache does not change who learns
 /// what — it only remembers it across membership changes.
 struct PartyUnitState {
-  /// BASE modes: the packed partial-distance vector this party encrypted
-  /// (count values per query, group-concatenated). Top-k modes: the party's
-  /// full n-sized score vector in pseudo-ID space (+inf at the query's own
-  /// pseudo id).
+  /// BASE mode: the packed partial-distance vector this party encrypted for
+  /// the shard (the group's per-query slices, back to back). Top-k modes:
+  /// the party's scores over the shard's ranking items — the shard's
+  /// candidate rows, query row excluded, in ascending pseudo-ID order.
   std::vector<double> values;
-  /// Top-k modes: the party's sub-ranking (pseudo ids sorted ascending by
-  /// score, ties by id) — caching it skips the O(n log n) re-sort on repair.
+  /// Top-k modes: the party's sub-ranking (item indices sorted ascending by
+  /// score, ties by index, i.e. by pseudo ID) — caching it skips the re-sort
+  /// on repair.
   std::vector<uint64_t> order;
-  /// BASE modes: the ciphertext of `values` as held by the aggregation
+  /// BASE mode: the ciphertext of `values` as held by the aggregation
   /// server. On repair the server re-sums cached ciphertexts instead of
   /// asking survivors to recompute, re-encrypt, and resend.
   he::EncryptedVector cipher;
@@ -39,20 +40,30 @@ struct PartyUnitState {
   size_t streamed_depth = 0;
 };
 
-/// \brief Contributions cached for one protocol unit, keyed by participant.
+/// \brief Contributions cached for one protocol unit: per row shard, keyed
+/// by participant, plus the candidate rows they were computed over.
 struct CachedUnit {
-  std::map<size_t, PartyUnitState> parties;
+  /// The pre-filter nominations of the round that produced the entries: one
+  /// ascending row list per query of the unit, empty with the pre-filter
+  /// off. Nominations are a union over the active parties, so they can move
+  /// with membership; entries are reused only by a round with exactly these
+  /// candidate rows (comparing counts alone could splice in values of other
+  /// rows).
+  std::vector<std::vector<uint64_t>> nominated;
+  /// shards[s]: the party entries of row shard s.
+  std::vector<std::map<size_t, PartyUnitState>> shards;
 };
 
 /// \brief Participant-keyed contribution cache that survives membership
 /// changes — the state store behind incremental selection repair.
 ///
 /// The cache is keyed by the protocol shape (seed, mode, k, query set,
-/// grouping, dataset size): re-keying with a different shape drops every
-/// entry, re-keying with the same shape keeps them. Within a matching
-/// shape, unit u of any run computes identical per-party contributions
-/// regardless of which other participants are active (partial distances
-/// and sub-rankings are party-local), which is what makes reuse sound:
+/// grouping, dataset size, shard layout): re-keying with a different shape
+/// drops every entry, re-keying with the same shape keeps them. Within a
+/// matching shape, unit u of any run over the same candidate rows computes
+/// identical per-party, per-shard contributions regardless of which other
+/// participants are active (partial distances and sub-rankings are
+/// party-local), which is what makes reuse sound:
 ///
 ///   - on leave, survivors' cached values/ciphers are reused verbatim and
 ///     only the aggregation over the new membership is redone;
@@ -74,10 +85,9 @@ class SelectionCache {
     size_t group = 1;
     size_t n_rows = 0;
     size_t num_units = 0;
-    /// Shard layout of the run. Sharded runs never stage contributions (the
-    /// per-shard rounds rebuild from scratch), but the fields still guard the
-    /// shape: a cache carried across a --shards/--prefilter change is cleared
-    /// instead of leaking single-node contributions into a sharded repair.
+    /// Shard layout of the run: entries are per row shard, so a cache
+    /// carried across a --shards/--prefilter change is cleared instead of
+    /// splicing contributions over other rows into the repair.
     size_t shards = 1;
     size_t prefilter_clusters = 0;
 
@@ -103,13 +113,15 @@ class SelectionCache {
   /// Fold one unit's freshly produced contributions in. Entries carrying
   /// values replace the cached party state; value-less entries only advance
   /// `streamed_depth` (a cached party whose ranking was streamed deeper).
+  /// Entries staged over other candidate rows than the cached ones replace
+  /// the whole unit: the old entries can never match a round again.
   void Absorb(size_t u, CachedUnit&& produced);
 
   void Clear();
   bool bound() const { return bound_; }
   size_t num_units() const { return units_.size(); }
 
-  /// Total party-unit entries currently cached (for metrics).
+  /// Total party-unit-shard entries currently cached (for metrics).
   size_t CachedContributions() const;
 
  private:

@@ -34,6 +34,7 @@
 
 #include "common/buffer.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/greedy.h"
@@ -46,6 +47,7 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "vfl/fed_knn.h"
+#include "vfl/selection_cache.h"
 
 namespace vfps {
 namespace {
@@ -305,10 +307,11 @@ struct ChurnOutcome {
 // Runs VFPS-SM selection. `spec` attaches a fault plan; `preset` primes the
 // oracle config (used to replay a churned run's final membership on a
 // fault-free network).
-Result<ChurnOutcome> RunSelection(const net::FaultSpec* spec,
-                                  uint64_t fault_seed, size_t threads,
-                                  const vfl::FedKnnConfig* preset = nullptr,
-                                  obs::MetricsRegistry* obs = nullptr) {
+Result<ChurnOutcome> RunSelection(
+    const net::FaultSpec* spec, uint64_t fault_seed, size_t threads,
+    const vfl::FedKnnConfig* preset = nullptr,
+    obs::MetricsRegistry* obs = nullptr,
+    vfl::KnnOracleMode mode = vfl::KnnOracleMode::kFagin) {
   Deployment d = Deployment::Make();
   if (spec != nullptr) d.network.EnableFaults(*spec, fault_seed, &d.clock);
   std::unique_ptr<ThreadPool> pool;
@@ -326,7 +329,7 @@ Result<ChurnOutcome> RunSelection(const net::FaultSpec* spec,
   ctx.knn.k = 6;
   ctx.knn.num_queries = 16;
   ctx.seed = 11;
-  core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+  core::VfpsSmSelector selector(mode);
   auto outcome = selector.Select(ctx, 2);
   if (!outcome.ok()) return outcome.status();
   return ChurnOutcome{outcome.MoveValueUnsafe()};
@@ -339,12 +342,13 @@ size_t ChurnSeedCount() {
   return parsed > 0 ? static_cast<size_t>(parsed) : 4;
 }
 
-TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
-  // Each schedule mixes one churn event with light absorbable noise (the
-  // noise is what the seed sweep varies; the churn thresholds are
-  // deterministic). For every (schedule, seed, threads) cell the repaired
-  // selection must equal a from-scratch fault-free run with the same final
-  // membership preset — bit-identical on the plain backend.
+// Each schedule mixes one churn event with light absorbable noise (the noise
+// is what the seed sweep varies; the churn thresholds are deterministic). For
+// every (schedule, seed, threads) cell the repaired selection must equal a
+// from-scratch fault-free run with the same final membership preset —
+// bit-identical on the plain backend. `layout` sets the oracle's row shards
+// and pre-filter; the repair cache then holds one entry per shard.
+void ExpectRepairEqualsRerun(const vfl::FedKnnConfig& layout) {
   struct Case {
     const char* schedule;
     std::vector<size_t> quarantined;  // expected final exclusions
@@ -366,14 +370,14 @@ TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
       // Baseline at one thread; the thread loop checks both the differential
       // and thread invariance against it.
-      auto churned1 = RunSelection(&*spec, seed, 1);
+      auto churned1 = RunSelection(&*spec, seed, 1, &layout);
       ASSERT_TRUE(churned1.ok()) << c.schedule << " seed=" << seed << ": "
                                  << churned1.status().ToString();
       EXPECT_EQ(churned1->selection.quarantined, c.quarantined)
           << c.schedule << " seed=" << seed;
 
       // From-scratch reference: fault-free network, final membership preset.
-      vfl::FedKnnConfig preset;
+      vfl::FedKnnConfig preset = layout;
       preset.quarantined = churned1->selection.quarantined;
       preset.absent = churned1->selection.absent;
       auto reference = RunSelection(nullptr, 0, 1, &preset);
@@ -386,7 +390,7 @@ TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
 
       for (size_t threads : kThreadCounts) {
         if (threads == 1) continue;  // the baseline above
-        auto churned = RunSelection(&*spec, seed, threads);
+        auto churned = RunSelection(&*spec, seed, threads, &layout);
         ASSERT_TRUE(churned.ok()) << c.schedule << " seed=" << seed
                                   << " threads=" << threads << ": "
                                   << churned.status().ToString();
@@ -402,19 +406,100 @@ TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
   }
 }
 
+TEST(ChurnDifferentialTest, RepairEqualsRerunOverFinalMembership) {
+  ExpectRepairEqualsRerun(vfl::FedKnnConfig{});
+}
+
+TEST(ChurnDifferentialTest, ShardedRepairEqualsRerunOverFinalMembership) {
+  vfl::FedKnnConfig layout;
+  layout.shards = 3;
+  ExpectRepairEqualsRerun(layout);
+}
+
+TEST(ChurnDifferentialTest, PrefilterRepairEqualsRerunOverFinalMembership) {
+  // The pre-filter's nominations are a union over the active parties, so a
+  // leave or join changes the candidate rows of a repaired unit; cached
+  // entries must only be reused when they cover exactly the new rows.
+  vfl::FedKnnConfig layout;
+  layout.shards = 2;
+  layout.prefilter_clusters = 8;
+  ExpectRepairEqualsRerun(layout);
+}
+
 TEST(ChurnDifferentialTest, JoinSpliceReportsTheNewcomer) {
   auto spec = net::ParseFaultSpec("join=3@8");
   ASSERT_TRUE(spec.ok());
-  obs::MetricsRegistry obs;
-  auto churned = RunSelection(&*spec, 1, 1, nullptr, &obs);
-  ASSERT_TRUE(churned.ok()) << churned.status().ToString();
-  // The newcomer joined: nobody is left absent and the splice was counted.
-  EXPECT_TRUE(churned->selection.absent.empty());
-  EXPECT_TRUE(churned->selection.quarantined.empty());
-  EXPECT_EQ(obs.GetCounter("select.repair.joins")->Value(), 1u);
-  EXPECT_GE(obs.GetCounter("select.repair.rounds")->Value(), 1u);
-  // Incremental repair actually reused the first pass's contributions.
-  EXPECT_GT(obs.GetCounter("select.repair.reused_contributions")->Value(), 0u);
+  // The repair cache holds one entry per (unit, shard, party), so a sharded
+  // run splices incrementally too, for BASE as for Fagin.
+  struct Case {
+    size_t shards;
+    vfl::KnnOracleMode mode;
+  };
+  for (const Case& c : {Case{1, vfl::KnnOracleMode::kFagin},
+                        Case{3, vfl::KnnOracleMode::kFagin},
+                        Case{3, vfl::KnnOracleMode::kBase}}) {
+    vfl::FedKnnConfig layout;
+    layout.shards = c.shards;
+    obs::MetricsRegistry obs;
+    auto churned = RunSelection(&*spec, 1, 1, &layout, &obs, c.mode);
+    ASSERT_TRUE(churned.ok()) << churned.status().ToString();
+    const std::string label = StrFormat(
+        "shards=%zu mode=%s", c.shards, vfl::KnnOracleModeName(c.mode));
+    // The newcomer joined: nobody is left absent and the splice was counted.
+    EXPECT_TRUE(churned->selection.absent.empty()) << label;
+    EXPECT_TRUE(churned->selection.quarantined.empty()) << label;
+    EXPECT_EQ(obs.GetCounter("select.repair.joins")->Value(), 1u) << label;
+    EXPECT_GE(obs.GetCounter("select.repair.rounds")->Value(), 1u) << label;
+    // Incremental repair actually reused the first pass's contributions.
+    EXPECT_GT(obs.GetCounter("select.repair.reused_contributions")->Value(),
+              0u)
+        << label;
+  }
+}
+
+TEST(ChurnOracleTest, PrefilterCacheNeverSplicesOtherCandidateRows) {
+  // Swapping one participant for another keeps the survivor count, so a
+  // unit's pre-filter nominations can keep their size per shard while their
+  // rows change (a pure leave cannot: it only shrinks the union). A cache
+  // run over {0,1,2} followed by a run over {0,1,3} must still equal a cold
+  // run over {0,1,3}, exactly. Wide nominations (k = 40 over four clusters)
+  // make such equal-size, different-row shard slices common.
+  for (vfl::KnnOracleMode mode :
+       {vfl::KnnOracleMode::kBase, vfl::KnnOracleMode::kFagin}) {
+    vfl::FedKnnConfig config;
+    config.mode = mode;
+    config.k = 40;
+    config.num_queries = 16;
+    config.seed = 11;
+    config.shards = 2;
+    config.prefilter_clusters = 4;
+
+    Deployment warm = Deployment::Make();
+    vfl::FederatedKnnOracle oracle(&warm.split.train, &warm.partition,
+                                   warm.backend.get(), &warm.network,
+                                   &warm.cost, &warm.clock);
+    vfl::SelectionCache cache;
+    oracle.set_cache(&cache);
+    config.quarantined = {3};
+    ASSERT_TRUE(oracle.Run(config, nullptr).ok());
+    config.quarantined = {2};
+    auto repaired = oracle.Run(config, nullptr);
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+
+    Deployment cold = Deployment::Make();
+    vfl::FederatedKnnOracle fresh(&cold.split.train, &cold.partition,
+                                  cold.backend.get(), &cold.network,
+                                  &cold.cost, &cold.clock);
+    auto reference = fresh.Run(config, nullptr);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(repaired->size(), reference->size());
+    for (size_t q = 0; q < reference->size(); ++q) {
+      EXPECT_EQ((*repaired)[q].neighbors, (*reference)[q].neighbors)
+          << vfl::KnnOracleModeName(mode) << " query " << q;
+      EXPECT_EQ((*repaired)[q].per_party_dt, (*reference)[q].per_party_dt)
+          << vfl::KnnOracleModeName(mode) << " query " << q;
+    }
+  }
 }
 
 TEST(ChurnDifferentialTest, JoinThresholdNeverReachedKeepsNodeAbsent) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "data/scaler.h"
@@ -289,6 +290,14 @@ TEST(FedKnnTest, InvalidConfigsRejected) {
   EXPECT_FALSE(oracle.Run(config, nullptr).ok());
   EXPECT_FALSE(oracle.ClassifyAccuracy(f.test, {}, 5, false).ok());
   EXPECT_FALSE(oracle.ClassifyAccuracy(f.test, {9}, 5, false).ok());
+  // A k so large that k + 1 wraps around must not pass the size check.
+  config = FedKnnConfig{};
+  config.k = std::numeric_limits<size_t>::max();
+  EXPECT_FALSE(oracle.Run(config, nullptr).ok());
+  // k = 0 would vote every query into class 0, and a repeated participant
+  // would count its partial distances twice.
+  EXPECT_FALSE(oracle.ClassifyAccuracy(f.test, {0, 1}, 0, false).ok());
+  EXPECT_FALSE(oracle.ClassifyAccuracy(f.test, {0, 0, 1}, 5, false).ok());
 }
 
 TEST(FedKnnTest, LabelsNeverLeaveTheLeader) {

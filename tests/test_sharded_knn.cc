@@ -1,7 +1,8 @@
 // Sharded-oracle and out-of-core engine contracts:
 //  * --shards=1 vs --shards=S oracle runs are byte-identical (neighbors AND
-//    per-party d_T, exact ==) for BASE and FAGIN, at every thread count —
-//    sharding is a memory/topology knob, never a results knob;
+//    per-party d_T, exact ==) for BASE (with or without query groups) and
+//    FAGIN, at every thread count — sharding is a memory/topology knob,
+//    never a results knob;
 //  * the streaming engine's output is invariant to the shard count and
 //    agrees with a brute-force scan of the equivalent in-memory dataset;
 //  * the TreeCSS pre-filter with one cluster nominates everything and thus
@@ -57,7 +58,8 @@ struct Deployment {
 std::vector<vfl::QueryNeighborhood> RunOracle(vfl::KnnOracleMode mode,
                                               size_t shards, size_t threads,
                                               size_t prefilter = 0,
-                                              vfl::FedKnnStats* stats = nullptr) {
+                                              vfl::FedKnnStats* stats = nullptr,
+                                              size_t query_group = 1) {
   Deployment d = Deployment::Make();
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
@@ -70,6 +72,7 @@ std::vector<vfl::QueryNeighborhood> RunOracle(vfl::KnnOracleMode mode,
   config.seed = 77;
   config.shards = shards;
   config.prefilter_clusters = prefilter;
+  config.query_group = query_group;
   auto result = oracle.Run(config, stats);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.MoveValueUnsafe();
@@ -95,9 +98,13 @@ TEST(ShardedOracleTest, BaseShardedIsBitIdenticalAtAnyThreadCount) {
   const auto pristine = RunOracle(vfl::KnnOracleMode::kBase, 1, 1);
   for (size_t shards : {2, 5}) {
     for (size_t threads : {1, 2, 8}) {
-      ExpectIdentical(pristine,
-                      RunOracle(vfl::KnnOracleMode::kBase, shards, threads),
-                      "base");
+      // Query groups pack per shard; 0 auto-sizes the group.
+      for (size_t group : {1, 3, 0}) {
+        ExpectIdentical(pristine,
+                        RunOracle(vfl::KnnOracleMode::kBase, shards, threads,
+                                  0, nullptr, group),
+                        "base");
+      }
     }
   }
 }
@@ -154,16 +161,12 @@ TEST(ShardedOracleTest, PrefilterPrunesRowsButKeepsPlausibleNeighbors) {
   EXPECT_GE(hits * 2, total);
 }
 
-TEST(ShardedOracleTest, QueryGroupBatchingRejectedWhenSharded) {
+TEST(ShardedOracleTest, ZeroShardsRejected) {
   Deployment d = Deployment::Make();
   vfl::FederatedKnnOracle oracle(&d.train, &d.partition, d.backend.get(),
                                  &d.network, &d.cost, &d.clock);
   vfl::FedKnnConfig config;
   config.mode = vfl::KnnOracleMode::kBase;
-  config.shards = 2;
-  config.query_group = 2;
-  EXPECT_FALSE(oracle.Run(config, nullptr).ok());
-  config.query_group = 1;
   config.shards = 0;
   EXPECT_FALSE(oracle.Run(config, nullptr).ok());
 }
