@@ -73,42 +73,14 @@ std::vector<uint32_t> SelectionCheckpoint::ComputePartyDigests(
   return digests;
 }
 
-uint32_t SelectionCheckpoint::ComputeDataDigest(
-    const data::Dataset& train, const data::VerticalPartition& partition) {
-  Crc32Accumulator acc;
-  const size_t rows = train.num_samples();
-  const size_t cols = train.num_features();
-  acc.Update(static_cast<uint64_t>(rows));
-  acc.Update(static_cast<uint64_t>(cols));
-  // Rows are contiguous: Row(0) spans the whole row-major matrix.
-  acc.Update(std::span<const double>(train.Row(0), rows * cols));
-  acc.Update(static_cast<uint64_t>(partition.size()));
-  for (const std::vector<size_t>& columns : partition) {
-    acc.Update(static_cast<uint64_t>(columns.size()));
-    for (size_t c : columns) acc.Update(static_cast<uint64_t>(c));
-  }
-  return acc.value();
-}
-
 std::vector<uint8_t> SelectionCheckpoint::Serialize() const {
   BinaryWriter body;
-  body.WriteU64(seed);
-  body.WriteI64(mode);
-  body.WriteU64(k);
-  body.WriteU64(num_queries);
-  body.WriteU64(fagin_batch);
-  body.WriteU64(query_group);
-  body.WriteU64(n_rows);
-  body.WriteU64(num_participants);
-  body.WriteU64(shards);
-  body.WriteU64(prefilter_clusters);
-  body.WriteU32(data_digest);
+  shape.Write(&body);
   body.WriteU64(target);
 
-  body.WriteU64Vec(quarantined);
-  body.WriteU64Vec(absent);
-  body.WriteU64Vec(joined);
-  body.WriteU64Vec(healed);
+  for (const auto* ids : {&quarantined, &absent, &joined, &healed}) {
+    WriteU64Sizes(&body, *ids);
+  }
 
   body.WriteU32(static_cast<uint32_t>(neighborhoods.size()));
   for (const vfl::QueryNeighborhood& hood : neighborhoods) {
@@ -145,23 +117,12 @@ Result<SelectionCheckpoint> SelectionCheckpoint::Deserialize(
 
   BinaryReader r(body);
   SelectionCheckpoint ckp;
-  VFPS_ASSIGN_OR_RETURN(ckp.seed, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.mode, r.ReadI64());
-  VFPS_ASSIGN_OR_RETURN(ckp.k, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.num_queries, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.fagin_batch, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.query_group, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.n_rows, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.num_participants, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.shards, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.prefilter_clusters, r.ReadU64());
-  VFPS_ASSIGN_OR_RETURN(ckp.data_digest, r.ReadU32());
+  VFPS_ASSIGN_OR_RETURN(ckp.shape, vfl::ProtocolShape::Read(&r));
   VFPS_ASSIGN_OR_RETURN(ckp.target, r.ReadU64());
 
-  VFPS_ASSIGN_OR_RETURN(ckp.quarantined, r.ReadU64Vec());
-  VFPS_ASSIGN_OR_RETURN(ckp.absent, r.ReadU64Vec());
-  VFPS_ASSIGN_OR_RETURN(ckp.joined, r.ReadU64Vec());
-  VFPS_ASSIGN_OR_RETURN(ckp.healed, r.ReadU64Vec());
+  for (auto* ids : {&ckp.quarantined, &ckp.absent, &ckp.joined, &ckp.healed}) {
+    VFPS_ASSIGN_OR_RETURN(*ids, ReadU64Sizes(&r));
+  }
 
   VFPS_ASSIGN_OR_RETURN(const uint32_t num_hoods, r.ReadU32());
   VFPS_RETURN_NOT_OK(
@@ -211,60 +172,43 @@ Result<SelectionCheckpoint> SelectionCheckpoint::LoadFile(
     return Status::IOError(
         StrFormat("checkpoint: cannot open '%s' for reading", path.c_str()));
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IOError(
-        StrFormat("checkpoint: cannot stat '%s'", path.c_str()));
+  // Read to EOF rather than sizing from ftell(): a directory opens fine and
+  // ext4 reports its size as LLONG_MAX, and /proc files report 0.
+  std::vector<uint8_t> bytes;
+  uint8_t chunk[1 << 14] = {};
+  for (size_t n = 0; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
   }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  const size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
-  if (read != bytes.size()) {
+  if (failed) {
     return Status::IOError(
-        StrFormat("checkpoint: short read from '%s'", path.c_str()));
+        StrFormat("checkpoint: cannot read '%s'", path.c_str()));
   }
   return Deserialize(bytes);
 }
 
-Status SelectionCheckpoint::CompatibleWith(
-    uint64_t run_seed, int64_t run_mode, uint64_t run_k,
-    uint64_t run_num_queries, uint64_t run_fagin_batch,
-    uint64_t run_query_group, uint64_t run_n_rows,
-    uint64_t run_num_participants, uint64_t run_shards,
-    uint64_t run_prefilter_clusters) const {
-  const auto mismatch = [](const char* field, uint64_t have, uint64_t want) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint: %s mismatch (checkpoint %llu vs run %llu)", field,
-        static_cast<unsigned long long>(have),
-        static_cast<unsigned long long>(want)));
-  };
-  if (seed != run_seed) return mismatch("seed", seed, run_seed);
-  if (mode != run_mode) {
-    return mismatch("oracle mode", static_cast<uint64_t>(mode),
-                    static_cast<uint64_t>(run_mode));
+Status SelectionCheckpoint::CheckConsistent() const {
+  const uint64_t p = shape.num_participants;
+  for (const auto* ids : {&quarantined, &absent, &joined, &healed}) {
+    for (size_t id : *ids) {
+      if (id < 1 || id >= p) {
+        return Status::Corrupt("checkpoint: membership id outside [1, P)");
+      }
+    }
   }
-  if (k != run_k) return mismatch("k", k, run_k);
-  if (num_queries != run_num_queries) {
-    return mismatch("num_queries", num_queries, run_num_queries);
+  // ComputePartyDigests skips missing values, so the digests alone would
+  // pass a short d_T vector.
+  for (const vfl::QueryNeighborhood& hood : neighborhoods) {
+    if (hood.per_party_dt.size() != p) {
+      return Status::Corrupt("checkpoint: a d_T vector does not hold P values");
+    }
   }
-  if (fagin_batch != run_fagin_batch) {
-    return mismatch("fagin_batch", fagin_batch, run_fagin_batch);
-  }
-  if (query_group != run_query_group) {
-    return mismatch("query_group", query_group, run_query_group);
-  }
-  if (n_rows != run_n_rows) return mismatch("n_rows", n_rows, run_n_rows);
-  if (num_participants != run_num_participants) {
-    return mismatch("num_participants", num_participants,
-                    run_num_participants);
-  }
-  if (shards != run_shards) return mismatch("shards", shards, run_shards);
-  if (prefilter_clusters != run_prefilter_clusters) {
-    return mismatch("prefilter_clusters", prefilter_clusters,
-                    run_prefilter_clusters);
+  if (party_digests.size() != p ||
+      ComputePartyDigests(neighborhoods, p) != party_digests) {
+    return Status::Corrupt(
+        "checkpoint: per-party d_T digests do not match the stored "
+        "neighborhoods");
   }
   return Status::OK();
 }

@@ -150,7 +150,7 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     VFPS_ASSIGN_OR_RETURN(result.selection, selector->Select(ctx, config.select));
     // Only the VFPS-SM variants fill the checkpoint; an untouched one (other
     // methods) is not worth writing.
-    if (ctx.checkpoint != nullptr && checkpoint.num_participants > 0) {
+    if (ctx.checkpoint != nullptr && checkpoint.shape.num_participants > 0) {
       VFPS_RETURN_NOT_OK(checkpoint.SaveFile(config.checkpoint_out));
     }
   }

@@ -35,10 +35,6 @@ GreedyResult GreedyMaximize(const KnnSubmodularFunction& f, size_t target) {
   return result;
 }
 
-GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target) {
-  return LazyGreedyMaximize(f, target, nullptr, nullptr);
-}
-
 GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target,
                                 const GreedyCheckpoint* resume,
                                 GreedyCheckpoint* checkpoint_out) {
@@ -46,14 +42,21 @@ GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target,
   const size_t p = f.ground_set_size();
   target = std::min(target, p);
 
-  // A checkpoint shaped for a different ground set cannot be trusted; fall
-  // back to a cold start (callers validate compatibility upstream).
-  if (resume != nullptr &&
-      (resume->best.size() != p || resume->bounds.size() != p ||
-       resume->bound_rounds.size() != p ||
-       resume->selected.size() != resume->gains.size() ||
-       resume->selected.size() > p)) {
+  // `chosen` marks the resumed prefix. A checkpoint shaped for another ground
+  // set, or whose prefix names a position outside it or twice, is untrusted:
+  // cold start (callers validate compatibility upstream).
+  std::vector<bool> chosen(p, false);
+  bool fits = resume != nullptr && resume->best.size() == p &&
+              resume->bounds.size() == p && resume->bound_rounds.size() == p &&
+              resume->selected.size() == resume->gains.size();
+  for (size_t i = 0; fits && i < resume->selected.size(); ++i) {
+    const size_t s = resume->selected[i];
+    fits = s < p && !chosen[s];
+    if (fits) chosen[s] = true;
+  }
+  if (!fits) {
     resume = nullptr;
+    chosen.assign(p, false);
   }
 
   // Target inside the resumed prefix: the answer is the truncated prefix
@@ -83,7 +86,6 @@ GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target,
       resume != nullptr
           ? KnnSubmodularFunction::Incremental(&f, resume->best, resume->value)
           : KnnSubmodularFunction::Incremental(&f);
-  std::vector<bool> chosen(p, false);
 
   // (stale upper bound, -index) max-heap; smaller index wins gain ties to
   // match plain greedy's tie-break.
@@ -103,7 +105,6 @@ GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target,
     // uninterrupted one.
     result.selected = resume->selected;
     result.gains = resume->gains;
-    for (size_t s : result.selected) chosen[s] = true;
     for (size_t candidate = 0; candidate < p; ++candidate) {
       if (chosen[candidate]) continue;
       heap.push({resume->bounds[candidate], candidate,

@@ -21,13 +21,6 @@ struct GreedyResult {
 /// submodular f.
 GreedyResult GreedyMaximize(const KnnSubmodularFunction& f, size_t target);
 
-/// \brief Lazy greedy (CELF): exploits submodularity — a participant's gain
-/// can only shrink as S grows, so stale upper bounds from earlier rounds
-/// prune most re-evaluations. Returns exactly the same selection as plain
-/// greedy (modulo equal-gain ties, which both break by smallest index) with
-/// far fewer evaluations; an ablation bench quantifies the savings.
-GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target);
-
 /// \brief Snapshot of a lazy-greedy scan at a pick boundary: the selected
 /// prefix, the incremental f(S) accumulators, and the CELF heap's stale
 /// bounds. Resuming from it reconstructs the exact heap state, so the
@@ -41,14 +34,21 @@ struct GreedyCheckpoint {
   double value = 0.0;                // f(prefix)
 };
 
-/// \brief Lazy greedy with checkpoint/resume. `resume` (nullable) continues a
-/// prior scan: a target inside the resumed prefix returns the truncated
-/// prefix; a larger target runs only the remaining rounds. `checkpoint_out`
-/// (nullable) receives the scan state at the final pick boundary. A resume
-/// whose vectors do not match the ground-set size is ignored (cold start).
+/// \brief Lazy greedy (CELF): exploits submodularity — a participant's gain
+/// can only shrink as S grows, so stale upper bounds from earlier rounds
+/// prune most re-evaluations. Returns exactly the same selection as plain
+/// greedy (modulo equal-gain ties, which both break by smallest index) with
+/// far fewer evaluations; an ablation bench quantifies the savings.
+///
+/// `resume` (nullable) continues a prior scan: a target inside the resumed
+/// prefix returns the truncated prefix; a larger target runs only the
+/// remaining rounds. `checkpoint_out` (nullable) receives the scan state at
+/// the final pick boundary. A resume whose vectors do not match the ground
+/// set's size, or whose prefix names a position outside it or twice, is
+/// ignored (cold start).
 GreedyResult LazyGreedyMaximize(const KnnSubmodularFunction& f, size_t target,
-                                const GreedyCheckpoint* resume,
-                                GreedyCheckpoint* checkpoint_out);
+                                const GreedyCheckpoint* resume = nullptr,
+                                GreedyCheckpoint* checkpoint_out = nullptr);
 
 /// \brief Exhaustive optimum over all subsets of the target size; exponential
 /// in P, only for the approximation-quality ablation (P <= 20).

@@ -65,7 +65,7 @@ struct SelectionContext {
   uint64_t seed = 42;
 
   /// Resume state (nullable; VFPS-SM variants only): a checkpoint previously
-  /// saved via `checkpoint`, validated against this run's fingerprint. On a
+  /// saved via `checkpoint`, validated against this run's shape. On a
   /// match the oracle phase is skipped entirely and the greedy scan continues
   /// from the checkpointed prefix; on a mismatch Select() fails typed.
   const SelectionCheckpoint* resume = nullptr;

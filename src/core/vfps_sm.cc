@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -28,14 +27,6 @@ void SortedInsert(std::vector<size_t>* v, size_t x) {
   }
 }
 
-std::vector<uint64_t> ToU64(const std::vector<size_t>& v) {
-  return std::vector<uint64_t>(v.begin(), v.end());
-}
-
-std::vector<size_t> ToSizes(const std::vector<uint64_t>& v) {
-  return std::vector<size_t>(v.begin(), v.end());
-}
-
 }  // namespace
 
 Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
@@ -44,7 +35,6 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
   Stopwatch job_watch;
   const double clock_before = ctx.clock->Total();
   const size_t p = ctx.partition->size();
-  const size_t n = ctx.split->train.num_samples();
   obs::Tracer* const tracer =
       ctx.obs == nullptr ? nullptr : ctx.obs->tracer();
 
@@ -54,6 +44,11 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
   vfl::FedKnnConfig knn = ctx.knn;
   knn.mode = mode_;
   knn.seed = ctx.seed;
+  // Only a resume or a checkpoint needs the shape, which costs a data pass.
+  vfl::ProtocolShape shape;
+  if (ctx.resume != nullptr || ctx.checkpoint != nullptr) {
+    shape = vfl::ProtocolShape::Of(knn, ctx.split->train, *ctx.partition);
+  }
 
   SelectionOutcome outcome;
   std::vector<vfl::QueryNeighborhood> neighborhoods;
@@ -61,34 +56,13 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
   // --- Resume path: a compatible checkpoint replaces the oracle phase. ---
   if (ctx.resume != nullptr) {
     const SelectionCheckpoint& ckp = *ctx.resume;
-    VFPS_RETURN_NOT_OK(ckp.CompatibleWith(
-        ctx.seed, static_cast<int64_t>(mode_), knn.k, knn.num_queries,
-        knn.fagin_batch, knn.query_group, n, p, knn.shards,
-        knn.prefilter_clusters));
-    // Same shape is not the same run: the checkpoint must also come from
-    // this training data and this column partition.
-    const uint32_t data_digest = SelectionCheckpoint::ComputeDataDigest(
-        ctx.split->train, *ctx.partition);
-    if (ckp.data_digest != data_digest) {
-      return Status::InvalidArgument(StrFormat(
-          "checkpoint: data_digest mismatch (checkpoint 0x%08X vs run 0x%08X): "
-          "the training data or column partition differs",
-          ckp.data_digest, data_digest));
-    }
-    // Re-derive the per-party digests from the stored d_T streams; a frame
-    // that decoded but drifted from its own digests is rejected.
-    const std::vector<uint32_t> digests =
-        SelectionCheckpoint::ComputePartyDigests(ckp.neighborhoods, p);
-    if (digests != ckp.party_digests) {
-      return Status::Corrupt(
-          "checkpoint: per-party d_T digests do not match the stored "
-          "neighborhoods");
-    }
+    VFPS_RETURN_NOT_OK(ckp.shape.CheckMatches(shape));
+    VFPS_RETURN_NOT_OK(ckp.CheckConsistent());
     neighborhoods = ckp.neighborhoods;
-    knn.quarantined = ToSizes(ckp.quarantined);
-    knn.absent = ToSizes(ckp.absent);
-    knn.joined = ToSizes(ckp.joined);
-    knn.healed = ToSizes(ckp.healed);
+    knn.quarantined = ckp.quarantined;
+    knn.absent = ckp.absent;
+    knn.joined = ckp.joined;
+    knn.healed = ckp.healed;
     if (ctx.obs != nullptr) {
       ctx.obs->GetCounter("select.checkpoint.resumed")->Add(1);
     }
@@ -233,8 +207,9 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
   outcome.quarantined = knn.quarantined;
   outcome.absent = knn.absent;
 
-  // Similarity + greedy over the survivors. With no exclusions this is the
-  // pristine P-sized path, bit-identical to the fault-free run.
+  // Similarity + greedy over the survivors. With no exclusions the
+  // compaction below is the identity, so the matrix is bit-identical to the
+  // fault-free run's.
   std::vector<size_t> survivors;
   survivors.reserve(p);
   for (size_t id = 0; id < p; ++id) {
@@ -244,51 +219,25 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
   }
 
   obs::Span span_sim(tracer, "select.similarity", ctx.clock);
-  if (survivors.size() == p) {
-    VFPS_ASSIGN_OR_RETURN(last_similarity_,
-                          BuildSimilarity(neighborhoods, p, ctx.pool));
-  } else {
-    // Compact each neighborhood's per-participant aggregates to survivor
-    // positions so the matrix is indexed 0..|survivors|-1.
-    std::vector<vfl::QueryNeighborhood> compact = neighborhoods;
-    for (vfl::QueryNeighborhood& hood : compact) {
-      std::vector<double> dt;
-      dt.reserve(survivors.size());
-      for (size_t id : survivors) dt.push_back(hood.per_party_dt[id]);
-      hood.per_party_dt = std::move(dt);
+  // Compact each neighborhood's per-participant aggregates to survivor
+  // positions so the matrix is indexed 0..|survivors|-1 (the similarity reads
+  // nothing else; the checkpoint keeps the P-sized aggregates).
+  std::vector<vfl::QueryNeighborhood> compact(neighborhoods.size());
+  for (size_t q = 0; q < neighborhoods.size(); ++q) {
+    for (size_t id : survivors) {
+      compact[q].per_party_dt.push_back(neighborhoods[q].per_party_dt[id]);
     }
-    VFPS_ASSIGN_OR_RETURN(
-        last_similarity_,
-        BuildSimilarity(compact, survivors.size(), ctx.pool));
   }
+  VFPS_ASSIGN_OR_RETURN(last_similarity_,
+                        BuildSimilarity(compact, survivors.size(), ctx.pool));
   span_sim.End();
 
   obs::Span span_greedy(tracer, "select.greedy", ctx.clock);
   KnnSubmodularFunction f(last_similarity_);
-  const size_t effective_target = std::min(target, survivors.size());
   GreedyCheckpoint gc;
-  GreedyResult greedy;
-  if (lazy_greedy_) {
-    greedy = LazyGreedyMaximize(
-        f, effective_target,
-        ctx.resume != nullptr ? &ctx.resume->greedy : nullptr,
-        ctx.checkpoint != nullptr ? &gc : nullptr);
-  } else {
-    greedy = GreedyMaximize(f, effective_target);
-    if (ctx.checkpoint != nullptr) {
-      // Plain greedy keeps no CELF bounds; publish the prefix with vacuous
-      // bounds so a resume re-evaluates every candidate (same selection).
-      KnnSubmodularFunction::Incremental replay(&f);
-      for (size_t s : greedy.selected) replay.Add(s);
-      gc.selected = greedy.selected;
-      gc.gains = greedy.gains;
-      gc.best = replay.best();
-      gc.value = replay.value();
-      gc.bounds.assign(survivors.size(),
-                       std::numeric_limits<double>::infinity());
-      gc.bound_rounds.assign(survivors.size(), 0);
-    }
-  }
+  const GreedyResult greedy = LazyGreedyMaximize(
+      f, target, ctx.resume != nullptr ? &ctx.resume->greedy : nullptr,
+      ctx.checkpoint != nullptr ? &gc : nullptr);
   // The greedy pass runs at the leader over the survivor-sized similarity
   // matrix; its cost is |survivors|^2 per marginal-gain evaluation.
   ctx.clock->Advance(CostCategory::kCompute,
@@ -314,23 +263,12 @@ Result<SelectionOutcome> VfpsSmSelector::Select(const SelectionContext& ctx,
 
   if (ctx.checkpoint != nullptr) {
     SelectionCheckpoint& ckp = *ctx.checkpoint;
-    ckp.seed = ctx.seed;
-    ckp.mode = static_cast<int64_t>(mode_);
-    ckp.k = knn.k;
-    ckp.num_queries = knn.num_queries;
-    ckp.fagin_batch = knn.fagin_batch;
-    ckp.query_group = knn.query_group;
-    ckp.n_rows = n;
-    ckp.num_participants = p;
-    ckp.shards = knn.shards;
-    ckp.prefilter_clusters = knn.prefilter_clusters;
-    ckp.data_digest = SelectionCheckpoint::ComputeDataDigest(
-        ctx.split->train, *ctx.partition);
+    ckp.shape = shape;
     ckp.target = target;
-    ckp.quarantined = ToU64(outcome.quarantined);
-    ckp.absent = ToU64(outcome.absent);
-    ckp.joined = ToU64(knn.joined);
-    ckp.healed = ToU64(knn.healed);
+    ckp.quarantined = outcome.quarantined;
+    ckp.absent = outcome.absent;
+    ckp.joined = knn.joined;
+    ckp.healed = knn.healed;
     ckp.neighborhoods = neighborhoods;
     ckp.party_digests = SelectionCheckpoint::ComputePartyDigests(neighborhoods, p);
     ckp.greedy = gc;

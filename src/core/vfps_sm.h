@@ -45,18 +45,14 @@ class VfpsSmSelector final : public ParticipantSelector {
  public:
   /// \param mode kFagin for VFPS-SM, kBase for the VFPS-SM-BASE ablation
   ///        (kThreshold selects the TA merge variant).
-  /// \param lazy_greedy use the lazy-evaluation greedy (same output as the
-  ///        plain greedy — the submodular function is exact — but fewer
-  ///        marginal-gain evaluations charged to the clock).
-  explicit VfpsSmSelector(vfl::KnnOracleMode mode, bool lazy_greedy = true)
-      : mode_(mode), lazy_greedy_(lazy_greedy) {}
+  explicit VfpsSmSelector(vfl::KnnOracleMode mode) : mode_(mode) {}
 
   std::string name() const override {
     return mode_ == vfl::KnnOracleMode::kFagin ? "VFPS-SM" : "VFPS-SM-BASE";
   }
 
   /// \brief Run selection: |Q| encrypted KNN queries, similarity assembly,
-  /// then (lazy) greedy maximization.
+  /// then lazy greedy maximization.
   ///
   /// Complexity: the oracle dominates — per query O(P * N * F/P + N log N)
   /// simulated work, encrypting only the Fagin/TA candidate set (or N-1
@@ -71,7 +67,6 @@ class VfpsSmSelector final : public ParticipantSelector {
 
  private:
   vfl::KnnOracleMode mode_;
-  bool lazy_greedy_;
   SimilarityMatrix last_similarity_;
 };
 

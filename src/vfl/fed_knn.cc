@@ -406,23 +406,10 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   }
   const size_t num_units = queries.empty() ? 0 : (queries.size() + group - 1) / group;
 
-  // Bind (or re-validate) the contribution cache against this run's protocol
-  // shape. A key mismatch — different seed, mode, k, query count, batching or
-  // dataset size — clears the cache, so stale contributions can never leak
-  // into a differently-shaped run.
+  // Another shape or unit layout than the cached one clears the cache.
   if (cache_ != nullptr) {
-    SelectionCache::Key key;
-    key.seed = config.seed;
-    key.mode = static_cast<int>(config.mode);
-    key.k = config.k;
-    key.num_queries = num_queries;
-    key.fagin_batch = config.fagin_batch;
-    key.group = group;
-    key.n_rows = n;
-    key.num_units = num_units;
-    key.shards = config.shards;
-    key.prefilter_clusters = config.prefilter_clusters;
-    cache_->Rekey(key);
+    cache_->Rekey(ProtocolShape::Of(config, *joint_, *partition_), group,
+                  num_units);
   }
 
   // Pre-derive one HE randomness stream per task unit (== per query when

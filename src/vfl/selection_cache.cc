@@ -5,11 +5,13 @@
 
 namespace vfps::vfl {
 
-void SelectionCache::Rekey(const Key& key) {
-  if (bound_ && key == key_) return;
-  key_ = key;
-  bound_ = true;
-  units_.assign(key.num_units, CachedUnit{});
+void SelectionCache::Rekey(const ProtocolShape& shape, size_t group,
+                           size_t num_units) {
+  // Unbound, the table is empty: binding the default key changes nothing.
+  if (shape == shape_ && group == group_ && num_units == units_.size()) return;
+  shape_ = shape;
+  group_ = group;
+  units_.assign(num_units, CachedUnit{});
 }
 
 void SelectionCache::Absorb(size_t u, CachedUnit&& produced) {
@@ -36,20 +38,6 @@ void SelectionCache::Absorb(size_t u, CachedUnit&& produced) {
       }
     }
   }
-}
-
-void SelectionCache::Clear() {
-  bound_ = false;
-  key_ = Key{};
-  units_.clear();
-}
-
-size_t SelectionCache::CachedContributions() const {
-  size_t n = 0;
-  for (const CachedUnit& unit : units_) {
-    for (const auto& parties : unit.shards) n += parties.size();
-  }
-  return n;
 }
 
 }  // namespace vfps::vfl

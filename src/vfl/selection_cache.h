@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "he/backend.h"
+#include "vfl/protocol_shape.h"
 
 namespace vfps::vfl {
 
@@ -57,12 +58,12 @@ struct CachedUnit {
 /// \brief Participant-keyed contribution cache that survives membership
 /// changes — the state store behind incremental selection repair.
 ///
-/// The cache is keyed by the protocol shape (seed, mode, k, query set,
-/// grouping, dataset size, shard layout): re-keying with a different shape
-/// drops every entry, re-keying with the same shape keeps them. Within a
-/// matching shape, unit u of any run over the same candidate rows computes
-/// identical per-party, per-shard contributions regardless of which other
-/// participants are active (partial distances and sub-rankings are
+/// The cache is keyed by the run's ProtocolShape (the one definition of the
+/// shape) plus the query group and unit count the run resolved from it: any
+/// difference on re-keying drops every entry, the same key keeps them.
+/// Within a matching key, unit u of any run over the same candidate rows
+/// computes identical per-party, per-shard contributions regardless of which
+/// other participants are active (partial distances and sub-rankings are
 /// party-local), which is what makes reuse sound:
 ///
 ///   - on leave, survivors' cached values/ciphers are reused verbatim and
@@ -76,34 +77,11 @@ struct CachedUnit {
 /// so the contents are independent of the thread count.
 class SelectionCache {
  public:
-  struct Key {
-    uint64_t seed = 0;
-    int mode = 0;
-    size_t k = 0;
-    size_t num_queries = 0;
-    size_t fagin_batch = 0;
-    size_t group = 1;
-    size_t n_rows = 0;
-    size_t num_units = 0;
-    /// Shard layout of the run: entries are per row shard, so a cache
-    /// carried across a --shards/--prefilter change is cleared instead of
-    /// splicing contributions over other rows into the repair.
-    size_t shards = 1;
-    size_t prefilter_clusters = 0;
-
-    bool operator==(const Key& o) const {
-      return seed == o.seed && mode == o.mode && k == o.k &&
-             num_queries == o.num_queries && fagin_batch == o.fagin_batch &&
-             group == o.group && n_rows == o.n_rows &&
-             num_units == o.num_units && shards == o.shards &&
-             prefilter_clusters == o.prefilter_clusters;
-    }
-  };
-
-  /// Bind the cache to a protocol shape. A different shape (or the first
-  /// call) clears all entries and sizes the unit table; the same shape is a
-  /// no-op that keeps every cached contribution.
-  void Rekey(const Key& key);
+  /// Bind the cache to a run: its shape, its resolved query group and its
+  /// unit count. A different binding (or the first call) clears all entries
+  /// and sizes the unit table; the same binding is a no-op that keeps every
+  /// cached contribution.
+  void Rekey(const ProtocolShape& shape, size_t group, size_t num_units);
 
   /// The cached state of unit `u`, or nullptr when unbound / out of range.
   const CachedUnit* unit(size_t u) const {
@@ -117,16 +95,9 @@ class SelectionCache {
   /// the whole unit: the old entries can never match a round again.
   void Absorb(size_t u, CachedUnit&& produced);
 
-  void Clear();
-  bool bound() const { return bound_; }
-  size_t num_units() const { return units_.size(); }
-
-  /// Total party-unit-shard entries currently cached (for metrics).
-  size_t CachedContributions() const;
-
  private:
-  Key key_;
-  bool bound_ = false;
+  ProtocolShape shape_;
+  size_t group_ = 0;
   std::vector<CachedUnit> units_;
 };
 

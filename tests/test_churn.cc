@@ -15,18 +15,23 @@
 //      the final membership preset — bit-identical on the plain backend, at
 //      1, 2, and 8 threads. VFPS_CHURN_SEEDS widens the seed sweep (CI runs
 //      16).
-//   5. Checkpoints round-trip bit-exactly, reject corruption, crafted
-//      counts, mismatched run shapes and a different training set or
-//      partition, and a resumed selection (same, larger, or truncated
-//      target) matches the uninterrupted run.
+//   5. Checkpoints round-trip bit-exactly (to a pinned digest), reject
+//      corruption, crafted counts, participant ids outside P, mismatched run
+//      shapes and a different training set or partition, and a resumed
+//      selection (same, larger, or truncated target) matches the
+//      uninterrupted run. Seeded mutations of a valid body never crash the
+//      decoder or the resume.
 //   6. The lazy-greedy scan resumes from a GreedyCheckpoint with the exact
-//      picks and gains of an uninterrupted scan.
+//      picks and gains of an uninterrupted scan; a prefix naming a position
+//      outside the ground set, or one twice, falls back to a cold start.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -539,16 +544,13 @@ TEST(CheckpointTest, SerializeRoundTripsBitExactly) {
   core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
   auto outcome = selector.Select(ctx, 2);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ASSERT_EQ(ckp.num_participants, 4u);
+  ASSERT_EQ(ckp.shape.num_participants, 4u);
   ASSERT_EQ(ckp.neighborhoods.size(), 16u);
 
   const std::vector<uint8_t> bytes = ckp.Serialize();
   auto restored = core::SelectionCheckpoint::Deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->seed, ckp.seed);
-  EXPECT_EQ(restored->mode, ckp.mode);
-  EXPECT_EQ(restored->k, ckp.k);
-  EXPECT_EQ(restored->num_queries, ckp.num_queries);
+  EXPECT_EQ(restored->shape, ckp.shape);
   EXPECT_EQ(restored->target, ckp.target);
   EXPECT_EQ(restored->party_digests, ckp.party_digests);
   EXPECT_EQ(restored->greedy.selected, ckp.greedy.selected);
@@ -567,6 +569,21 @@ TEST(CheckpointTest, SerializeRoundTripsBitExactly) {
   }
   // And the byte stream itself is deterministic.
   EXPECT_EQ(restored->Serialize(), bytes);
+}
+
+TEST(CheckpointTest, SerializedBytesMatchThePinnedDigest) {
+  // The SerializeRoundTripsBitExactly run, pinned: any change to the wire
+  // format or to the values it carries moves this digest. A deliberate
+  // format change must bump the magic and re-pin.
+  Deployment d = Deployment::Make();
+  core::SelectionContext ctx = MakeContext(&d);
+  core::SelectionCheckpoint ckp;
+  ctx.checkpoint = &ckp;
+  core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+  ASSERT_TRUE(selector.Select(ctx, 2).ok());
+  const std::vector<uint8_t> bytes = ckp.Serialize();
+  EXPECT_EQ(bytes.size(), 1848u);
+  EXPECT_EQ(Crc32(bytes), 0xC854206Cu);
 }
 
 TEST(CheckpointTest, EveryCorruptByteIsRejected) {
@@ -775,6 +792,49 @@ TEST(CheckpointTest, ResumeOnOtherDataOrPartitionIsRejected) {
   }
 }
 
+TEST(CheckpointTest, ParticipantIdsOutsidePAreCorruptNotAnOverread) {
+  core::SelectionCheckpoint valid;
+  {
+    Deployment d = Deployment::Make();
+    core::SelectionContext ctx = MakeContext(&d);
+    ctx.checkpoint = &valid;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    ASSERT_TRUE(selector.Select(ctx, 2).ok());
+  }
+  const auto expect_corrupt = [](const core::SelectionCheckpoint& crafted,
+                                 const char* label) {
+    // Through the file format, as a crafted file would arrive.
+    auto loaded = core::SelectionCheckpoint::Deserialize(crafted.Serialize());
+    ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
+    Deployment d = Deployment::Make();
+    core::SelectionContext ctx = MakeContext(&d);
+    ctx.resume = &*loaded;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    auto resumed = selector.Select(ctx, 2);
+    ASSERT_FALSE(resumed.ok()) << label;
+    EXPECT_TRUE(resumed.status().IsCorrupt())
+        << label << ": " << resumed.status().ToString();
+  };
+  {
+    // Three d_T values per neighborhood for P = 4, with digests re-derived
+    // to agree (they skip missing values), and a quarantined party so the
+    // resume compacts to survivors.
+    core::SelectionCheckpoint crafted = valid;
+    crafted.quarantined = {2};
+    for (vfl::QueryNeighborhood& hood : crafted.neighborhoods) {
+      hood.per_party_dt.pop_back();
+    }
+    crafted.party_digests = core::SelectionCheckpoint::ComputePartyDigests(
+        crafted.neighborhoods, 4);
+    expect_corrupt(crafted, "short d_T vectors");
+  }
+  for (size_t id : {size_t{0}, size_t{4}, ~size_t{0}}) {
+    core::SelectionCheckpoint crafted = valid;
+    crafted.absent = {id};
+    expect_corrupt(crafted, "membership id outside [1, P)");
+  }
+}
+
 // Re-frames a checkpoint body behind the magic with a valid CRC, as a
 // crafted file would be.
 std::vector<uint8_t> FrameCheckpointBody(const std::vector<uint8_t>& body) {
@@ -818,6 +878,66 @@ TEST(CheckpointTest, CraftedCountIsCorruptNotAnAbort) {
     EXPECT_TRUE(restored.status().IsCorrupt())
         << "offset " << offset << ": " << restored.status().ToString();
   }
+}
+
+TEST(CheckpointTest, MutatedBodiesNeverCrashTheDecoderOrTheResume) {
+  // Seeded mutations of a valid body, each re-framed with a correct CRC so
+  // the parser and the resume path are exercised, not the frame check.
+  Deployment d = Deployment::Make();
+  core::SelectionCheckpoint ckp;
+  {
+    core::SelectionContext ctx = MakeContext(&d);
+    ctx.checkpoint = &ckp;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    ASSERT_TRUE(selector.Select(ctx, 2).ok());
+  }
+  const std::vector<uint8_t> file = ckp.Serialize();
+  BinaryReader framed(file.data() + 8, file.size() - 8);
+  const std::vector<uint8_t> body = framed.ReadCrcFramed().ValueOrDie();
+
+  Rng rng(0x5EED);
+  size_t decoded = 0;
+  size_t resumed_ok = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<uint8_t> mutated = body;
+    const size_t pos = rng.NextBounded(mutated.size());
+    switch (rng.NextBounded(4)) {
+      case 0:  // bit flip
+        mutated[pos] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+        break;
+      case 1: {  // u32 overwrite: a small count, a huge one, or noise
+        const uint32_t values[] = {0, 1, 2, 3, 4, 5, 0x7FFFFFFFu, 0xFFFFFFFFu,
+                                   static_cast<uint32_t>(rng.Next())};
+        const uint32_t v = values[rng.NextBounded(std::size(values))];
+        std::memcpy(mutated.data() + pos, &v,
+                    std::min(sizeof(v), mutated.size() - pos));
+        break;
+      }
+      case 2:  // truncation
+        mutated.resize(pos);
+        break;
+      default: {  // a span duplicated in place
+        const size_t len = 1 + rng.NextBounded(
+                                   std::min<size_t>(64, mutated.size() - pos));
+        const std::vector<uint8_t> span(mutated.begin() + pos,
+                                        mutated.begin() + pos + len);
+        mutated.insert(mutated.begin() + pos, span.begin(), span.end());
+        break;
+      }
+    }
+    const std::vector<uint8_t> file_bytes = FrameCheckpointBody(mutated);
+    auto restored = core::SelectionCheckpoint::Deserialize(file_bytes);
+    if (!restored.ok()) continue;
+    ++decoded;
+    ASSERT_EQ(restored->Serialize(), file_bytes) << "mutation " << i;
+    core::SelectionContext ctx = MakeContext(&d);
+    ctx.resume = &*restored;
+    core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
+    if (selector.Select(ctx, 2).ok()) ++resumed_ok;
+  }
+  // The mix must reach both the decoder's accept path and a full resume.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(resumed_ok, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -891,6 +1011,28 @@ TEST(GreedyCheckpointTest, MalformedResumeFallsBackToColdStart) {
       core::LazyGreedyMaximize(f, 3, &bogus, nullptr);
   EXPECT_EQ(resumed.selected, full.selected);
   EXPECT_EQ(resumed.gains, full.gains);
+}
+
+TEST(GreedyCheckpointTest, OutOfRangeOrRepeatedPrefixFallsBackToColdStart) {
+  // Sizes all match the ground set, so only the ids themselves are wrong.
+  const core::SimilarityMatrix m = RandomSimilarity(7, 5);
+  core::KnnSubmodularFunction f(m);
+  core::GreedyCheckpoint valid;
+  core::LazyGreedyMaximize(f, 2, nullptr, &valid);
+  for (const std::vector<size_t>& prefix :
+       {std::vector<size_t>{valid.selected[0], 7},
+        std::vector<size_t>{99, valid.selected[1]},
+        std::vector<size_t>{valid.selected[0], valid.selected[0]}}) {
+    core::GreedyCheckpoint bogus = valid;
+    bogus.selected = prefix;
+    for (size_t target : {1, 3}) {  // truncating and continuing resumes
+      const core::GreedyResult cold = core::LazyGreedyMaximize(f, target);
+      const core::GreedyResult resumed =
+          core::LazyGreedyMaximize(f, target, &bogus, nullptr);
+      EXPECT_EQ(resumed.selected, cold.selected) << "target " << target;
+      EXPECT_EQ(resumed.gains, cold.gains) << "target " << target;
+    }
+  }
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 //  * the streaming engine's output is invariant to the shard count and
 //    agrees with a brute-force scan of the equivalent in-memory dataset;
 //  * the TreeCSS pre-filter with one cluster nominates everything and thus
-//    degrades to the exact protocol;
-//  * cache keys and checkpoints treat the shard layout as protocol shape.
+//    degrades to the exact protocol.
 
 #include "vfl/sharded_knn.h"
 
@@ -19,13 +18,11 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/checkpoint.h"
 #include "data/partitioner.h"
 #include "data/scaler.h"
 #include "data/synthetic.h"
 #include "ml/kernels.h"
 #include "vfl/fed_knn.h"
-#include "vfl/selection_cache.h"
 
 namespace vfps {
 namespace {
@@ -169,37 +166,6 @@ TEST(ShardedOracleTest, ZeroShardsRejected) {
   config.mode = vfl::KnnOracleMode::kBase;
   config.shards = 0;
   EXPECT_FALSE(oracle.Run(config, nullptr).ok());
-}
-
-TEST(ShardedOracleTest, CacheKeyIncludesShardLayout) {
-  vfl::SelectionCache::Key a;
-  a.seed = 7;
-  vfl::SelectionCache::Key b = a;
-  EXPECT_TRUE(a == b);
-  b.shards = 4;
-  EXPECT_FALSE(a == b);
-  b = a;
-  b.prefilter_clusters = 16;
-  EXPECT_FALSE(a == b);
-}
-
-TEST(ShardedOracleTest, CheckpointRejectsShardLayoutMismatch) {
-  core::SelectionCheckpoint ckp;
-  ckp.seed = 1;
-  ckp.shards = 4;
-  ckp.prefilter_clusters = 0;
-  EXPECT_TRUE(ckp.CompatibleWith(1, 0, 0, 0, 0, 0, 0, 0, 4, 0).ok());
-  EXPECT_FALSE(ckp.CompatibleWith(1, 0, 0, 0, 0, 0, 0, 0, 1, 0).ok());
-  EXPECT_FALSE(ckp.CompatibleWith(1, 0, 0, 0, 0, 0, 0, 0, 4, 8).ok());
-  // Round-trips carry the new fields.
-  auto back = core::SelectionCheckpoint::Deserialize(ckp.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->shards, 4u);
-  EXPECT_EQ(back->prefilter_clusters, 0u);
-  // Pre-sharding files ("VFPSCKP1" magic) are rejected up front.
-  std::vector<uint8_t> old = ckp.Serialize();
-  old[7] = '1';
-  EXPECT_FALSE(core::SelectionCheckpoint::Deserialize(old).ok());
 }
 
 // ---- Out-of-core engine ----
