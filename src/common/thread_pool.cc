@@ -72,6 +72,15 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   latch.Wait();
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
+    pool->ParallelFor(0, n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

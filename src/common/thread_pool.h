@@ -104,6 +104,13 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// \brief Run fn(i) for i in [0, n): on `pool` when it has more than one
+/// thread and n > 1, inline on the calling thread otherwise (a null pool
+/// included). The one pool-or-loop branch of the pipeline; the contract is
+/// ThreadPool::ParallelFor's.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
+
 }  // namespace vfps
 
 #endif  // VFPS_COMMON_THREAD_POOL_H_

@@ -74,18 +74,9 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
         data::RandomVerticalPartition(synthetic.data.num_features(),
                                       config.participants, config.seed));
   }
-  if (config.duplicates > 0) {
-    if (config.duplicates_round_robin) {
-      for (size_t i = 0; i < config.duplicates; ++i) {
-        VFPS_ASSIGN_OR_RETURN(
-            partition,
-            data::WithDuplicates(partition, i % config.participants, 1));
-      }
-    } else {
-      VFPS_ASSIGN_OR_RETURN(
-          partition, data::WithDuplicates(partition, config.duplicate_source,
-                                          config.duplicates));
-    }
+  for (size_t i = 0; i < config.duplicates; ++i) {
+    VFPS_ASSIGN_OR_RETURN(
+        partition, data::WithDuplicates(partition, i % config.participants, 1));
   }
 
   // Simulated deployment.

@@ -54,12 +54,10 @@ struct ExperimentConfig {
   net::CostModel cost;                   // simulated-deployment calibration
 
   /// Fig. 6 diversity study: append `duplicates` cloned participants to the
-  /// consortium before selection. With round_robin (the paper's protocol of
-  /// "incrementally adding participants with replicated data"), duplicate i
-  /// clones participant (i mod P); otherwise all clone `duplicate_source`.
-  size_t duplicate_source = 0;
+  /// consortium before selection. Following the paper's protocol of
+  /// "incrementally adding participants with replicated data", duplicate i
+  /// clones participant (i mod P).
   size_t duplicates = 0;
-  bool duplicates_round_robin = true;
   PartitionMode partition = PartitionMode::kQualityStratified;
 
   uint64_t seed = 42;

@@ -81,8 +81,6 @@ struct SelectionContext {
   /// extrapolated onto the clock (documented in EXPERIMENTS.md).
   size_t shapley_exact_limit = 12;
   size_t shapley_mc_permutations = 16;
-  /// VF-MINE samples (factor * P) participant groups for MI scoring.
-  size_t vfmine_groups_factor = 2;
 };
 
 /// \brief A selection decision plus its accounting.

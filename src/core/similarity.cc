@@ -40,11 +40,7 @@ Result<SimilarityMatrix> BuildSimilarity(
       }
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(0, num_participants, fill_row);
-  } else {
-    for (size_t a = 0; a < num_participants; ++a) fill_row(a);
-  }
+  ParallelFor(pool, num_participants, fill_row);
 
   const double inv = 1.0 / static_cast<double>(neighborhoods.size());
   for (size_t a = 0; a < num_participants; ++a) {

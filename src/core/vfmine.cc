@@ -9,6 +9,12 @@
 
 namespace vfps::core {
 
+namespace {
+// VF-MINE samples this many participant groups per participant for MI
+// scoring.
+constexpr size_t kGroupsPerParticipant = 2;
+}  // namespace
+
 double MutualInformation(const std::vector<int>& a, const std::vector<int>& b,
                          int num_classes) {
   if (a.empty() || a.size() != b.size() || num_classes < 1) return 0.0;
@@ -55,7 +61,7 @@ Result<SelectionOutcome> VfMineSelector::Select(const SelectionContext& ctx,
 
   // Sample groups of about half the consortium; group g is anchored on
   // participant g mod P so that every participant is scored.
-  const size_t num_groups = std::max<size_t>(p, ctx.vfmine_groups_factor * p);
+  const size_t num_groups = kGroupsPerParticipant * p;
   const size_t group_size = std::max<size_t>(1, (p + 1) / 2);
   std::vector<double> score_sum(p, 0.0);
   std::vector<size_t> group_count(p, 0);

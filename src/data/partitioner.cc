@@ -153,6 +153,7 @@ size_t SelectedFeatureCount(const VerticalPartition& partition,
 
 Result<std::vector<RowShard>> MakeRowShards(size_t rows, size_t shards) {
   VFPS_CHECK_ARG(shards >= 1, "row-shards: need >= 1 shard");
+  VFPS_CHECK_ARG(shards <= rows, "row-shards: more shards than rows");
   std::vector<RowShard> plan;
   plan.reserve(shards);
   const size_t base = rows / shards;

@@ -78,8 +78,8 @@ struct RowShard {
 
 /// \brief Near-equal contiguous row shards: the first (rows % shards) shards
 /// hold one extra row. Deterministic (no seed — contiguity is what makes the
-/// range-splittable distance kernels reusable per shard). shards > rows
-/// yields trailing empty shards, which the top-k merge treats as identity.
+/// range-splittable distance kernels reusable per shard). InvalidArgument
+/// unless 1 <= shards <= rows, so no shard is empty.
 Result<std::vector<RowShard>> MakeRowShards(size_t rows, size_t shards);
 
 /// The shard index holding `row` under MakeRowShards(rows, shards) — O(1)

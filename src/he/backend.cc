@@ -13,32 +13,88 @@ namespace vfps::he {
 
 namespace {
 
-// Run fn(i) for i in [0, n): on the pool when one is attached and useful,
-// serially otherwise. Helpers below guarantee result/stats determinism by
-// keeping all randomness derivation and stats merging on the calling thread.
-void RunIndexed(ThreadPool* pool, size_t n,
-                const std::function<void(size_t)>& fn) {
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelFor(0, n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
+// The one batch path every scheme shares. A scheme supplies DoFork plus a
+// const encrypt / sum / decrypt of one vector that charges the Rng and
+// HeOpStats it is handed; this base owns the session randomness and the six
+// Do* hooks. A batch draws its per-item seeds serially in batch order, fans
+// the items out with ParallelFor and folds their stats back in batch order,
+// so outputs and stats are identical at any thread count.
+class SchemeBackend : public HeBackend {
+ protected:
+  explicit SchemeBackend(uint64_t seed) : rng_(seed) {}
 
-// Per-item scratch for the parallel batch paths.
-struct BatchSlot {
-  Status status = Status::OK();
-  HeOpStats stats;
+  virtual Result<EncryptedVector> EncryptOne(std::span<const double> values,
+                                             Rng* rng,
+                                             HeOpStats* stats) const = 0;
+  virtual Result<EncryptedVector> SumOne(
+      const std::vector<const EncryptedVector*>& vectors,
+      HeOpStats* stats) const = 0;
+  virtual Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
+                                                 HeOpStats* stats) const = 0;
+
+  Rng rng_;  // the session stream; CKKS key generation draws from it first
+
+ private:
+  Result<EncryptedVector> DoEncrypt(std::span<const double> values) final {
+    return EncryptOne(values, &rng_, &stats_);
+  }
+
+  Result<EncryptedVector> DoSum(
+      const std::vector<const EncryptedVector*>& vectors) final {
+    return SumOne(vectors, &stats_);
+  }
+
+  Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) final {
+    return DecryptOne(v, &stats_);
+  }
+
+  Result<std::vector<EncryptedVector>> DoEncryptBatch(
+      const std::vector<std::vector<double>>& batch) final {
+    std::vector<uint64_t> seeds(batch.size());
+    for (uint64_t& seed : seeds) seed = rng_.Next();
+    return RunBatch<EncryptedVector>(
+        batch.size(), [&](size_t i, HeOpStats* st) {
+          Rng rng(seeds[i]);
+          return EncryptOne(batch[i], &rng, st);
+        });
+  }
+
+  Result<std::vector<EncryptedVector>> DoAddBatch(
+      const std::vector<std::vector<const EncryptedVector*>>& groups) final {
+    return RunBatch<EncryptedVector>(
+        groups.size(),
+        [&](size_t g, HeOpStats* st) { return SumOne(groups[g], st); });
+  }
+
+  Result<std::vector<std::vector<double>>> DoDecryptBatch(
+      const std::vector<EncryptedVector>& batch) final {
+    return RunBatch<std::vector<double>>(
+        batch.size(),
+        [&](size_t i, HeOpStats* st) { return DecryptOne(batch[i], st); });
+  }
+
+  // out[i] = op(i, &item_stats[i]). Every item runs; the item stats are then
+  // merged into stats_ in batch order up to the first failure, returned.
+  template <typename T, typename Op>
+  Result<std::vector<T>> RunBatch(size_t n, const Op& op) {
+    std::vector<T> out(n);
+    std::vector<Status> status(n);
+    std::vector<HeOpStats> stats(n);
+    ParallelFor(pool_, n, [&](size_t i) {
+      auto result = op(i, &stats[i]);
+      if (result.ok()) {
+        out[i] = result.MoveValueUnsafe();
+      } else {
+        status[i] = result.status();
+      }
+    });
+    for (size_t i = 0; i < n; ++i) {
+      VFPS_RETURN_NOT_OK(status[i]);
+      stats_.Merge(stats[i]);
+    }
+    return out;
+  }
 };
-
-// Check every slot's status (in order) and fold its counters into `stats`.
-Status MergeSlots(std::vector<BatchSlot>* slots, HeOpStats* stats) {
-  for (auto& slot : *slots) {
-    if (!slot.status.ok()) return slot.status;
-    stats->Merge(slot.stats);
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------------
 // CKKS backend: values are chunked into chunk-slot-sized slices, one
@@ -54,11 +110,11 @@ struct CkksKeyMaterial {
   CkksPublicKey pk;
 };
 
-class CkksBackend final : public HeBackend {
+class CkksBackend final : public SchemeBackend {
  public:
   CkksBackend(std::shared_ptr<const CkksContext> ctx, uint64_t seed,
               size_t chunk_slots)
-      : ctx_(std::move(ctx)), rng_(seed), chunk_slots_(chunk_slots) {
+      : SchemeBackend(seed), ctx_(std::move(ctx)), chunk_slots_(chunk_slots) {
     auto keys = std::make_shared<CkksKeyMaterial>();
     keys->sk = ctx_->GenerateSecretKey(&rng_);
     keys->pk = ctx_->GeneratePublicKey(keys->sk, &rng_);
@@ -69,79 +125,10 @@ class CkksBackend final : public HeBackend {
   CkksBackend(std::shared_ptr<const CkksContext> ctx,
               std::shared_ptr<const CkksKeyMaterial> keys, size_t chunk_slots,
               uint64_t stream_seed)
-      : ctx_(std::move(ctx)), rng_(stream_seed), keys_(std::move(keys)),
-        chunk_slots_(chunk_slots) {}
+      : SchemeBackend(stream_seed), ctx_(std::move(ctx)),
+        keys_(std::move(keys)), chunk_slots_(chunk_slots) {}
 
   std::string name() const override { return "ckks"; }
-
-  Result<EncryptedVector> DoEncrypt(std::span<const double> values) override {
-    return EncryptImpl(values, &rng_, &stats_);
-  }
-
-  Result<EncryptedVector> DoSum(
-      const std::vector<const EncryptedVector*>& vectors) override {
-    return SumImpl(vectors, &stats_);
-  }
-
-  Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) override {
-    return DecryptImpl(v, &stats_);
-  }
-
-  Result<std::vector<EncryptedVector>> DoEncryptBatch(
-      const std::vector<std::vector<double>>& batch) override {
-    const size_t n = batch.size();
-    // Randomness is consumed serially, in batch order, before fanning out:
-    // the ciphertexts are identical at any thread count.
-    std::vector<uint64_t> seeds(n);
-    for (size_t i = 0; i < n; ++i) seeds[i] = rng_.Next();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      Rng rng(seeds[i]);
-      auto enc = EncryptImpl(batch[i], &rng, &slots[i].stats);
-      if (enc.ok()) {
-        out[i] = enc.MoveValueUnsafe();
-      } else {
-        slots[i].status = enc.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups) override {
-    const size_t n = groups.size();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t g) {
-      auto sum = SumImpl(groups[g], &slots[g].stats);
-      if (sum.ok()) {
-        out[g] = sum.MoveValueUnsafe();
-      } else {
-        slots[g].status = sum.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch) override {
-    const size_t n = batch.size();
-    std::vector<std::vector<double>> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      auto dec = DecryptImpl(batch[i], &slots[i].stats);
-      if (dec.ok()) {
-        out[i] = dec.MoveValueUnsafe();
-      } else {
-        slots[i].status = dec.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
 
   Result<std::unique_ptr<HeBackend>> DoFork(uint64_t stream_seed) const override {
     return std::unique_ptr<HeBackend>(
@@ -157,8 +144,8 @@ class CkksBackend final : public HeBackend {
   size_t SlotsPerCiphertext() const override { return chunk_slots_; }
 
  private:
-  Result<EncryptedVector> EncryptImpl(std::span<const double> values,
-                                      Rng* rng, HeOpStats* stats) const {
+  Result<EncryptedVector> EncryptOne(std::span<const double> values, Rng* rng,
+                                     HeOpStats* stats) const override {
     BinaryWriter writer;
     writer.Reserve(CiphertextBytes(values.size()));
     const size_t slots = chunk_slots_;
@@ -183,9 +170,9 @@ class CkksBackend final : public HeBackend {
     return out;
   }
 
-  Result<EncryptedVector> SumImpl(
+  Result<EncryptedVector> SumOne(
       const std::vector<const EncryptedVector*>& vectors,
-      HeOpStats* stats) const {
+      HeOpStats* stats) const override {
     VFPS_CHECK_ARG(!vectors.empty(), "CKKS Sum: no inputs");
     const size_t count = vectors[0]->count;
     std::vector<CkksCiphertext> acc;
@@ -212,8 +199,8 @@ class CkksBackend final : public HeBackend {
     return out;
   }
 
-  Result<std::vector<double>> DecryptImpl(const EncryptedVector& v,
-                                          HeOpStats* stats) const {
+  Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
+                                         HeOpStats* stats) const override {
     std::vector<CkksCiphertext> cts;
     VFPS_RETURN_NOT_OK(ParseChunks(v, &cts));
     std::vector<double> out;
@@ -252,7 +239,6 @@ class CkksBackend final : public HeBackend {
   }
 
   std::shared_ptr<const CkksContext> ctx_;
-  Rng rng_;
   std::shared_ptr<const CkksKeyMaterial> keys_;
   // Values packed per ciphertext: slot_count() (packed) or 1 (scalar mode).
   size_t chunk_slots_;
@@ -261,106 +247,30 @@ class CkksBackend final : public HeBackend {
 // ---------------------------------------------------------------------------
 // Paillier backend: one ciphertext per value, fixed-point encoding.
 // ---------------------------------------------------------------------------
-class PaillierBackend final : public HeBackend {
+class PaillierBackend final : public SchemeBackend {
  public:
-  PaillierBackend(PaillierKeyPair keys, int fractional_bits, uint64_t seed)
-      : keys_(std::move(keys)), frac_scale_(std::ldexp(1.0, fractional_bits)),
-        rng_(seed) {
-    ct_bytes_ = (keys_.pub.n_squared.BitLength() + 7) / 8;
-  }
+  PaillierBackend(PaillierKeyPair keys, double frac_scale, uint64_t seed)
+      : SchemeBackend(seed), keys_(std::move(keys)), frac_scale_(frac_scale),
+        ct_bytes_((keys_.pub.n_squared.BitLength() + 7) / 8) {}
 
   std::string name() const override { return "paillier"; }
 
-  Result<EncryptedVector> DoEncrypt(std::span<const double> values) override {
-    return EncryptImpl(values, &rng_, &stats_);
-  }
-
-  Result<EncryptedVector> DoSum(
-      const std::vector<const EncryptedVector*>& vectors) override {
-    return SumImpl(vectors, &stats_);
-  }
-
-  Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) override {
-    return DecryptImpl(v, &stats_);
-  }
-
-  Result<std::vector<EncryptedVector>> DoEncryptBatch(
-      const std::vector<std::vector<double>>& batch) override {
-    const size_t n = batch.size();
-    std::vector<uint64_t> seeds(n);
-    for (size_t i = 0; i < n; ++i) seeds[i] = rng_.Next();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      Rng rng(seeds[i]);
-      auto enc = EncryptImpl(batch[i], &rng, &slots[i].stats);
-      if (enc.ok()) {
-        out[i] = enc.MoveValueUnsafe();
-      } else {
-        slots[i].status = enc.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups) override {
-    const size_t n = groups.size();
-    std::vector<EncryptedVector> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t g) {
-      auto sum = SumImpl(groups[g], &slots[g].stats);
-      if (sum.ok()) {
-        out[g] = sum.MoveValueUnsafe();
-      } else {
-        slots[g].status = sum.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
-  Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch) override {
-    const size_t n = batch.size();
-    std::vector<std::vector<double>> out(n);
-    std::vector<BatchSlot> slots(n);
-    RunIndexed(pool_, n, [&](size_t i) {
-      auto dec = DecryptImpl(batch[i], &slots[i].stats);
-      if (dec.ok()) {
-        out[i] = dec.MoveValueUnsafe();
-      } else {
-        slots[i].status = dec.status();
-      }
-    });
-    VFPS_RETURN_NOT_OK(MergeSlots(&slots, &stats_));
-    return out;
-  }
-
+  // A fork shares the keys and the encoding and owns its randomness stream.
   Result<std::unique_ptr<HeBackend>> DoFork(uint64_t stream_seed) const override {
-    auto fork = std::unique_ptr<PaillierBackend>(
-        new PaillierBackend(keys_, frac_scale_, ct_bytes_, stream_seed));
-    return std::unique_ptr<HeBackend>(std::move(fork));
+    return std::unique_ptr<HeBackend>(
+        new PaillierBackend(keys_, frac_scale_, stream_seed));
   }
 
   size_t CiphertextBytes(size_t count) const override {
     return sizeof(uint32_t) + count * (sizeof(uint32_t) + ct_bytes_);
   }
 
-  // Paillier has no slot structure: the batch API is served by the loop
-  // adapter below, one ciphertext per value.
+  // Paillier has no slot structure: one ciphertext per value.
   size_t SlotsPerCiphertext() const override { return 1; }
 
  private:
-  // Fork constructor: share keys and encoding, own randomness stream.
-  PaillierBackend(PaillierKeyPair keys, double frac_scale, size_t ct_bytes,
-                  uint64_t stream_seed)
-      : keys_(std::move(keys)), frac_scale_(frac_scale), rng_(stream_seed),
-        ct_bytes_(ct_bytes) {}
-
-  Result<EncryptedVector> EncryptImpl(std::span<const double> values,
-                                      Rng* rng, HeOpStats* stats) const {
+  Result<EncryptedVector> EncryptOne(std::span<const double> values, Rng* rng,
+                                     HeOpStats* stats) const override {
     BinaryWriter writer;
     writer.WriteU32(static_cast<uint32_t>(values.size()));
     for (double v : values) {
@@ -381,9 +291,9 @@ class PaillierBackend final : public HeBackend {
     return out;
   }
 
-  Result<EncryptedVector> SumImpl(
+  Result<EncryptedVector> SumOne(
       const std::vector<const EncryptedVector*>& vectors,
-      HeOpStats* stats) const {
+      HeOpStats* stats) const override {
     VFPS_CHECK_ARG(!vectors.empty(), "Paillier Sum: no inputs");
     const size_t count = vectors[0]->count;
     std::vector<PaillierCiphertext> acc;
@@ -409,8 +319,8 @@ class PaillierBackend final : public HeBackend {
     return out;
   }
 
-  Result<std::vector<double>> DecryptImpl(const EncryptedVector& v,
-                                          HeOpStats* stats) const {
+  Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
+                                         HeOpStats* stats) const override {
     std::vector<PaillierCiphertext> cts;
     VFPS_RETURN_NOT_OK(Parse(v, &cts));
     std::vector<double> out;
@@ -448,60 +358,18 @@ class PaillierBackend final : public HeBackend {
 
   PaillierKeyPair keys_;
   double frac_scale_;
-  Rng rng_;
-  size_t ct_bytes_ = 0;
+  size_t ct_bytes_;
 };
 
 // ---------------------------------------------------------------------------
 // Plain backend: no cryptography; used for debugging and ablations.
 // ---------------------------------------------------------------------------
-class PlainBackend final : public HeBackend {
+class PlainBackend final : public SchemeBackend {
  public:
+  // Keyless and deterministic: the session stream goes unused.
+  PlainBackend() : SchemeBackend(0) {}
+
   std::string name() const override { return "plain"; }
-
-  Result<EncryptedVector> DoEncrypt(std::span<const double> values) override {
-    BinaryWriter writer;
-    writer.WriteDoubleVec(values);
-    stats_.encrypt_ops += values.empty() ? 0 : 1;
-    stats_.values_encrypted += values.size();
-    EncryptedVector out;
-    out.blob = writer.TakeBytes();
-    out.count = values.size();
-    return out;
-  }
-
-  Result<EncryptedVector> DoSum(
-      const std::vector<const EncryptedVector*>& vectors) override {
-    VFPS_CHECK_ARG(!vectors.empty(), "Plain Sum: no inputs");
-    std::vector<double> acc;
-    {
-      BinaryReader reader(vectors[0]->blob);
-      VFPS_ASSIGN_OR_RETURN(acc, reader.ReadDoubleVec());
-    }
-    for (size_t i = 1; i < vectors.size(); ++i) {
-      BinaryReader reader(vectors[i]->blob);
-      VFPS_ASSIGN_OR_RETURN(auto vals, reader.ReadDoubleVec());
-      if (vals.size() != acc.size()) {
-        return Status::InvalidArgument("Plain Sum: count mismatch");
-      }
-      for (size_t j = 0; j < acc.size(); ++j) acc[j] += vals[j];
-      ++stats_.add_ops;
-      stats_.values_added += acc.size();
-    }
-    BinaryWriter writer;
-    writer.WriteDoubleVec(acc);
-    EncryptedVector out;
-    out.blob = writer.TakeBytes();
-    out.count = acc.size();
-    return out;
-  }
-
-  Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) override {
-    BinaryReader reader(v.blob);
-    ++stats_.decrypt_ops;
-    stats_.values_decrypted += v.count;
-    return reader.ReadDoubleVec();
-  }
 
   Result<std::unique_ptr<HeBackend>> DoFork(uint64_t /*stream_seed*/) const override {
     // No randomness, no keys: a fresh instance is a valid session (the
@@ -518,46 +386,58 @@ class PlainBackend final : public HeBackend {
   size_t SlotsPerCiphertext() const override {
     return std::numeric_limits<size_t>::max();
   }
+
+ private:
+  Result<EncryptedVector> EncryptOne(std::span<const double> values,
+                                     Rng* /*rng*/,
+                                     HeOpStats* stats) const override {
+    BinaryWriter writer;
+    writer.WriteDoubleVec(values);
+    stats->encrypt_ops += values.empty() ? 0 : 1;
+    stats->values_encrypted += values.size();
+    EncryptedVector out;
+    out.blob = writer.TakeBytes();
+    out.count = values.size();
+    return out;
+  }
+
+  Result<EncryptedVector> SumOne(
+      const std::vector<const EncryptedVector*>& vectors,
+      HeOpStats* stats) const override {
+    VFPS_CHECK_ARG(!vectors.empty(), "Plain Sum: no inputs");
+    std::vector<double> acc;
+    {
+      BinaryReader reader(vectors[0]->blob);
+      VFPS_ASSIGN_OR_RETURN(acc, reader.ReadDoubleVec());
+    }
+    for (size_t i = 1; i < vectors.size(); ++i) {
+      BinaryReader reader(vectors[i]->blob);
+      VFPS_ASSIGN_OR_RETURN(auto vals, reader.ReadDoubleVec());
+      if (vals.size() != acc.size()) {
+        return Status::InvalidArgument("Plain Sum: count mismatch");
+      }
+      for (size_t j = 0; j < acc.size(); ++j) acc[j] += vals[j];
+      ++stats->add_ops;
+      stats->values_added += acc.size();
+    }
+    BinaryWriter writer;
+    writer.WriteDoubleVec(acc);
+    EncryptedVector out;
+    out.blob = writer.TakeBytes();
+    out.count = acc.size();
+    return out;
+  }
+
+  Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
+                                         HeOpStats* stats) const override {
+    BinaryReader reader(v.blob);
+    ++stats->decrypt_ops;
+    stats->values_decrypted += v.count;
+    return reader.ReadDoubleVec();
+  }
 };
 
 }  // namespace
-
-// Default (serial) batch hooks: the cheap backends (plain) and any future
-// backend get correct behaviour for free; CKKS/Paillier override with
-// internally-parallel versions. They call the Do* hooks — not the public
-// wrappers — so metrics are published exactly once, by the batch wrapper.
-Result<std::vector<EncryptedVector>> HeBackend::DoEncryptBatch(
-    const std::vector<std::vector<double>>& batch) {
-  std::vector<EncryptedVector> out;
-  out.reserve(batch.size());
-  for (const auto& values : batch) {
-    VFPS_ASSIGN_OR_RETURN(auto enc, DoEncrypt(values));
-    out.push_back(std::move(enc));
-  }
-  return out;
-}
-
-Result<std::vector<EncryptedVector>> HeBackend::DoAddBatch(
-    const std::vector<std::vector<const EncryptedVector*>>& groups) {
-  std::vector<EncryptedVector> out;
-  out.reserve(groups.size());
-  for (const auto& group : groups) {
-    VFPS_ASSIGN_OR_RETURN(auto sum, DoSum(group));
-    out.push_back(std::move(sum));
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> HeBackend::DoDecryptBatch(
-    const std::vector<EncryptedVector>& batch) {
-  std::vector<std::vector<double>> out;
-  out.reserve(batch.size());
-  for (const auto& v : batch) {
-    VFPS_ASSIGN_OR_RETURN(auto dec, DoDecrypt(v));
-    out.push_back(std::move(dec));
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // NVI wrappers: delegate to the Do* hooks, then publish the stats_ delta
@@ -695,8 +575,8 @@ Result<std::unique_ptr<HeBackend>> CreatePaillierBackend(size_t modulus_bits,
                                                          uint64_t seed) {
   Rng rng(seed);
   VFPS_ASSIGN_OR_RETURN(auto keys, Paillier::GenerateKeys(modulus_bits, &rng));
-  return std::unique_ptr<HeBackend>(
-      new PaillierBackend(std::move(keys), fractional_bits, seed ^ 0x5EEDF00DULL));
+  return std::unique_ptr<HeBackend>(new PaillierBackend(
+      std::move(keys), std::ldexp(1.0, fractional_bits), seed ^ 0x5EEDF00DULL));
 }
 
 std::unique_ptr<HeBackend> CreatePlainBackend() {

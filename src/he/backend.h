@@ -159,7 +159,7 @@ class HeBackend {
   /// \brief Plaintext values one ciphertext of this backend carries.
   ///
   /// CKKS: the encoder's slot count (n/2), or 1 in scalar packing mode;
-  /// Paillier: 1 (inherently scalar — the loop adapter packs nothing);
+  /// Paillier: 1 (inherently scalar);
   /// plain: SIZE_MAX (a "ciphertext" is the whole serialized vector).
   /// Protocol layers use this to size slot-aligned batches (e.g. how many
   /// queries' distance vectors fit one ciphertext group).
@@ -169,7 +169,6 @@ class HeBackend {
   /// Not thread-safe; set it before sharing the backend. Not inherited by
   /// Fork() sessions.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
 
   /// Attach (or detach, with nullptr) a metrics registry. Counter handles
   /// are cached here, so the per-operation cost is a null check plus relaxed
@@ -201,20 +200,21 @@ class HeBackend {
 
  protected:
   /// Implementation hooks; the public wrappers above add metrics recording.
-  /// Each hook updates stats_ itself (the wrapper publishes the delta).
+  /// Each hook updates stats_ itself (the wrapper publishes the delta). The
+  /// built-in schemes share one implementation of all six (the batch base in
+  /// backend.cc) and differ only in how they encrypt, sum and decrypt one
+  /// vector.
   virtual Result<EncryptedVector> DoEncrypt(
       std::span<const double> values) = 0;
   virtual Result<EncryptedVector> DoSum(
       const std::vector<const EncryptedVector*>& vectors) = 0;
   virtual Result<std::vector<double>> DoDecrypt(const EncryptedVector& v) = 0;
-  /// Default batch hooks loop the scalar hooks (NOT the public wrappers, so
-  /// metrics are recorded exactly once, in the public batch wrapper).
   virtual Result<std::vector<EncryptedVector>> DoEncryptBatch(
-      const std::vector<std::vector<double>>& batch);
+      const std::vector<std::vector<double>>& batch) = 0;
   virtual Result<std::vector<EncryptedVector>> DoAddBatch(
-      const std::vector<std::vector<const EncryptedVector*>>& groups);
+      const std::vector<std::vector<const EncryptedVector*>>& groups) = 0;
   virtual Result<std::vector<std::vector<double>>> DoDecryptBatch(
-      const std::vector<EncryptedVector>& batch);
+      const std::vector<EncryptedVector>& batch) = 0;
   virtual Result<std::unique_ptr<HeBackend>> DoFork(
       uint64_t stream_seed) const = 0;
 

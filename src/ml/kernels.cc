@@ -35,26 +35,6 @@ FeatureBlock::FeatureBlock(const data::Dataset& data,
   for (size_t i = 0; i < rows_; ++i) norms_[i] = SquaredNorm(row(i), cols_);
 }
 
-FeatureBlock::FeatureBlock(const data::Dataset& data,
-                           const std::vector<size_t>& columns,
-                           size_t row_begin, size_t row_end)
-    : rows_(row_end - row_begin), cols_(columns.size()), columns_(columns) {
-  if (IsIdentity(columns, data.num_features())) {
-    // Contiguous row range of a row-major matrix: still an alias.
-    data_ = rows_ > 0 ? data.Row(row_begin) : nullptr;
-  } else {
-    packed_.resize(rows_ * cols_);
-    for (size_t i = 0; i < rows_; ++i) {
-      const double* src = data.Row(row_begin + i);
-      double* dst = packed_.data() + i * cols_;
-      for (size_t j = 0; j < cols_; ++j) dst[j] = src[columns_[j]];
-    }
-    data_ = packed_.data();
-  }
-  norms_.resize(rows_);
-  for (size_t i = 0; i < rows_; ++i) norms_[i] = SquaredNorm(row(i), cols_);
-}
-
 FeatureBlock::FeatureBlock(const data::Dataset& data)
     : rows_(data.num_samples()), cols_(data.num_features()) {
   columns_.resize(cols_);

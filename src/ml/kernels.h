@@ -25,15 +25,6 @@ class FeatureBlock {
   /// 0..num_features-1, which aliases).
   FeatureBlock(const data::Dataset& data, const std::vector<size_t>& columns);
 
-  /// Block over `columns` of the row shard [row_begin, row_end) — what one
-  /// simulated storage node of a party holds. row(i) and row_norm(i) index
-  /// shard-LOCAL rows (0-based); callers translate to global ids by adding
-  /// row_begin. Row values and norms are bit-identical to the same rows of a
-  /// full-range block (the kernels have no cross-row state), so per-shard
-  /// distance work merges exactly against an unsharded run.
-  FeatureBlock(const data::Dataset& data, const std::vector<size_t>& columns,
-               size_t row_begin, size_t row_end);
-
   /// Block over all columns (always aliases the dataset storage).
   explicit FeatureBlock(const data::Dataset& data);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/random.h"
@@ -79,6 +80,29 @@ Result<KMeansResult> KMeansCluster(const FeatureBlock& block, size_t clusters,
     result.members[result.assignment[i]].push_back(static_cast<uint32_t>(i));
   }
   return result;
+}
+
+size_t PrefilterCoverage(size_t k) { return std::max<size_t>(4 * k, 32); }
+
+std::vector<uint32_t> NominateClusterRows(const KMeansResult& km,
+                                          const double* q, double q_norm,
+                                          size_t target) {
+  std::vector<std::pair<double, uint32_t>> ranked;
+  ranked.reserve(km.clusters);
+  for (size_t c = 0; c < km.clusters; ++c) {
+    const double* centroid = km.centroid(c);
+    const double dot = DotProduct(q, centroid, km.cols);
+    const double c_norm = SquaredNorm(centroid, km.cols);
+    ranked.emplace_back(q_norm + c_norm - 2.0 * dot, static_cast<uint32_t>(c));
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<uint32_t> rows;
+  for (const auto& [dist, c] : ranked) {
+    (void)dist;
+    rows.insert(rows.end(), km.members[c].begin(), km.members[c].end());
+    if (rows.size() >= target) break;
+  }
+  return rows;
 }
 
 }  // namespace vfps::ml

@@ -35,6 +35,23 @@ struct KMeansResult {
 Result<KMeansResult> KMeansCluster(const FeatureBlock& block, size_t clusters,
                                    uint64_t seed, size_t max_iters = 8);
 
+/// Lloyd iterations of the TreeCSS-style pre-filter's per-party clustering;
+/// also the basis of its simulated-clock charge.
+inline constexpr size_t kPrefilterKmeansIters = 8;
+
+/// Rows one party's pre-filter nomination covers for a k-NN query: about 4k
+/// keeps recall high while still pruning most rows of a large data set.
+size_t PrefilterCoverage(size_t k);
+
+/// \brief One party's pre-filter nomination for one query: rank `km`'s
+/// clusters by squared centroid distance to the party's query slice `q`
+/// (`q_norm` = its squared norm; ties to the lower cluster id) and return
+/// the member rows of the nearest clusters, cluster by cluster in rank
+/// order, until at least `target` rows are covered.
+std::vector<uint32_t> NominateClusterRows(const KMeansResult& km,
+                                          const double* q, double q_norm,
+                                          size_t target);
+
 }  // namespace vfps::ml
 
 #endif  // VFPS_ML_KMEANS_H_

@@ -61,10 +61,6 @@ Result<double> DecodeScalar(const std::vector<uint8_t>& payload) {
   return reader.ReadDouble();
 }
 
-// Lloyd iterations of the pre-filter's per-party clustering; also the basis
-// of the simulated-clock charge for building the models.
-constexpr size_t kPrefilterKmeansIters = 8;
-
 // Partial squared distances from a party's query slice `q` to `rows` (rows of
 // `shard`, in any order), written to out[0, rows.size()). When `rows` covers
 // the shard — every row but at most the query's — one range-kernel sweep
@@ -245,7 +241,10 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   VFPS_CHECK_ARG(n >= 2 && config.k <= n - 2, "fed-knn: dataset smaller than k");
   VFPS_CHECK_ARG(config.num_queries >= 1, "fed-knn: need >= 1 query");
   VFPS_CHECK_ARG(config.fagin_batch >= 1, "fed-knn: fagin batch must be >= 1");
-  VFPS_CHECK_ARG(config.shards >= 1, "fed-knn: shards must be >= 1");
+  // The row-shard plan (one entry when shards = 1) is built with the other
+  // checks, so a rejected shard count fails the run before anything is sent.
+  ShardRuntime shard_rt;
+  VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
 
   // Survivor view: everybody minus the quarantined and not-yet-joined
   // participants. With no exclusions the list is 0..P-1 and every code path
@@ -337,12 +336,10 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
                                  ? PseudoIdMap()
                                  : PseudoIdMap::Create(n, config.seed);
 
-  // Per-shard pipeline runtime: the row-shard plan (one entry when shards =
-  // 1), the top-k item order, the per-party pre-filter models, and the
-  // per-shard metric handles — all built serially here so units share it
-  // read-only (no registry mutex, no model races).
-  ShardRuntime shard_rt;
-  VFPS_ASSIGN_OR_RETURN(shard_rt.plan, data::MakeRowShards(n, config.shards));
+  // The rest of the per-shard pipeline runtime: the top-k item order, the
+  // per-party pre-filter models, and the per-shard metric handles — all
+  // built serially here so units share it read-only (no registry mutex, no
+  // model races).
   if (config.mode != KnnOracleMode::kBase) {
     shard_rt.pseudo = &pseudo;
     shard_rt.pid_rows.resize(shard_rt.plan.size());
@@ -361,18 +358,16 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
       VFPS_ASSIGN_OR_RETURN(
           prefilter_models[party],
           ml::KMeansCluster(party_blocks_[party], config.prefilter_clusters,
-                            config.seed + party, kPrefilterKmeansIters));
+                            config.seed + party, ml::kPrefilterKmeansIters));
       worst_seconds = std::max(
           worst_seconds,
-          static_cast<double>(kPrefilterKmeansIters) *
+          static_cast<double>(ml::kPrefilterKmeansIters) *
               static_cast<double>(prefilter_models[party].clusters) *
               cost_->DistanceSeconds(n, (*partition_)[party].size()));
     }
     clock_->Advance(CostCategory::kCompute, worst_seconds);
     shard_rt.prefilter = &prefilter_models;
-    // Nominating ~4k rows per party keeps recall high while still pruning
-    // the overwhelming majority of a large shard plan.
-    shard_rt.prefilter_target = std::max<size_t>(4 * config.k, 32);
+    shard_rt.prefilter_target = ml::PrefilterCoverage(config.k);
   }
   if (obs_ != nullptr) {
     shard_rt.sim_ns.resize(shard_rt.plan.size());
@@ -504,11 +499,7 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
     slot.wall_seconds = unit_watch.ElapsedSeconds();
   };
 
-  if (pool_ != nullptr && pool_->num_threads() > 1) {
-    pool_->ParallelFor(0, num_units, run_unit);
-  } else {
-    for (size_t u = 0; u < num_units; ++u) run_unit(u);
-  }
+  ParallelFor(pool_, num_units, run_unit);
 
   // Every slot absorbs whatever contributions it staged into the repair
   // cache — on success AND on failure. All units execute regardless of which
@@ -615,13 +606,8 @@ Status FederatedKnnOracle::PrepareQuery(const QueryEnv& env,
                                         QueryState* q) const {
   const std::vector<size_t>& active = *env.active;
   q->row = query_row;
-  // Optional TreeCSS-style pre-filter: nomination happens once, BEFORE any
-  // distance or HE work, and every shard touches only its slice of it.
-  if (env.rt.prefilter != nullptr) {
-    VFPS_ASSIGN_OR_RETURN(q->nominated, RunPrefilterExchange(env, query_row));
-  }
-  // Per-party query slices, gathered once and reused by every shard and by
-  // the d_T recompute.
+  // Per-party query slices, gathered once and reused by the pre-filter, by
+  // every shard and by the d_T recompute.
   q->slices.resize(active.size());
   q->norms.assign(active.size(), 0.0);
   const double* qrow = joint_->Row(query_row);
@@ -630,6 +616,11 @@ Status FederatedKnnOracle::PrepareQuery(const QueryEnv& env,
     q->slices[ai].resize(block.cols());
     block.GatherInto(qrow, q->slices[ai].data());
     q->norms[ai] = ml::SquaredNorm(q->slices[ai].data(), block.cols());
+  }
+  // Optional TreeCSS-style pre-filter: nomination happens once, BEFORE any
+  // distance or HE work, and every shard touches only its slice of it.
+  if (env.rt.prefilter != nullptr) {
+    VFPS_ASSIGN_OR_RETURN(q->nominated, RunPrefilterExchange(env, *q));
   }
   return Status::OK();
 }
@@ -960,6 +951,9 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     } else {
       VFPS_ASSIGN_OR_RETURN(merge, topk::FaginTopk(lists, k, batch, obs_));
     }
+    env.clock->Advance(CostCategory::kCompute,
+                       static_cast<double>(merge.sorted_accesses) *
+                           cost_->compare_seconds);
     phase_merge.End();
     span_merge.End();
 
@@ -1003,9 +997,6 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
         env.fresh->shards[s][active[ai]].streamed_depth = depth;
       }
     }
-    env.clock->Advance(CostCategory::kCompute,
-                       static_cast<double>(merge.sorted_accesses) *
-                           cost_->compare_seconds);
     if (mode == KnnOracleMode::kThreshold) {
       // TA's stopping rule needs the aggregate score of each round's
       // frontier: every participant encrypts one frontier value, the server
@@ -1212,7 +1203,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
 }
 
 Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
-    const QueryEnv& env, uint64_t query_row) const {
+    const QueryEnv& env, const QueryState& q) const {
   const size_t n = joint_->num_samples();
   const std::vector<size_t>& active = *env.active;
   const size_t a = active.size();
@@ -1221,42 +1212,21 @@ Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(
 
   obs::Span span(env.tracer, "knn.prefilter", env.clock);
   span.SetNode("parties");
-  // Each party ranks its clusters by centroid distance to its slice of the
-  // query and nominates the nearest clusters' member rows until the coverage
-  // target is met. Plaintext and party-local; only row ids cross the wire.
+  // Each party nominates the member rows of its clusters nearest its query
+  // slice. Plaintext and party-local; only row ids cross the wire.
   std::vector<std::vector<uint64_t>> nominated(a);
   std::vector<uint8_t> mask(n, 0);
   double worst_seconds = 0.0;
-  const double* qrow = joint_->Row(query_row);
   for (size_t ai = 0; ai < a; ++ai) {
-    const size_t party = active[ai];
-    const ml::KMeansResult& km = models[party];
-    const ml::FeatureBlock& block = party_blocks_[party];
-    std::vector<double> qslice(block.cols());
-    block.GatherInto(qrow, qslice.data());
-    const double q_norm = ml::SquaredNorm(qslice.data(), block.cols());
-    std::vector<std::pair<double, uint32_t>> ranked;
-    ranked.reserve(km.clusters);
-    for (size_t c = 0; c < km.clusters; ++c) {
-      const double* centroid = km.centroid(c);
-      const double dot = ml::DotProduct(qslice.data(), centroid, block.cols());
-      const double c_norm = ml::SquaredNorm(centroid, block.cols());
-      ranked.emplace_back(q_norm + c_norm - 2.0 * dot,
-                          static_cast<uint32_t>(c));
+    const ml::KMeansResult& km = models[active[ai]];
+    for (uint32_t row : ml::NominateClusterRows(km, q.slices[ai].data(),
+                                                q.norms[ai],
+                                                rt.prefilter_target)) {
+      nominated[ai].push_back(row);
+      if (row != q.row) mask[row] = 1;
     }
-    std::sort(ranked.begin(), ranked.end());
-    size_t covered = 0;
-    for (const auto& [dist, c] : ranked) {
-      (void)dist;
-      for (uint32_t row : km.members[c]) {
-        nominated[ai].push_back(row);
-        if (row != query_row) mask[row] = 1;
-      }
-      covered += km.members[c].size();
-      if (covered >= rt.prefilter_target) break;
-    }
-    worst_seconds = std::max(
-        worst_seconds, cost_->DistanceSeconds(km.clusters, block.cols()));
+    worst_seconds =
+        std::max(worst_seconds, cost_->DistanceSeconds(km.clusters, km.cols));
   }
   env.clock->Advance(CostCategory::kCompute, worst_seconds);
 
@@ -1335,11 +1305,7 @@ Result<std::vector<int>> FederatedKnnOracle::ClassifyPredictions(
     }
     predictions[qi] = ml::MajorityVote(neighbor_labels, joint_->num_classes());
   };
-  if (pool_ != nullptr && pool_->num_threads() > 1) {
-    pool_->ParallelFor(0, queries.num_samples(), classify_one);
-  } else {
-    for (size_t qi = 0; qi < queries.num_samples(); ++qi) classify_one(qi);
-  }
+  ParallelFor(pool_, queries.num_samples(), classify_one);
 
   if (charge_costs) {
     // Per query, the deployment would run the BASE aggregation over the

@@ -381,14 +381,14 @@ class FederatedKnnOracle {
   // it aggregated; each row's distance is independent of the shard split).
   Result<QueryNeighborhood> FinishQuery(const QueryEnv& env, QueryState* q,
                                         size_t k, FedKnnStats* stats) const;
-  // TreeCSS-style candidate nomination: each active party ranks its clusters
-  // by centroid distance to its query slice and nominates the nearest
-  // clusters' rows until ShardRuntime::prefilter_target rows are covered; the
-  // union (query row excluded, ascending original row ids) travels through
+  // TreeCSS-style candidate nomination (ml::NominateClusterRows): each
+  // active party nominates the rows of its clusters nearest its query slice
+  // in q until ShardRuntime::prefilter_target rows are covered; the union
+  // (query row excluded, ascending original row ids) travels through
   // env.chan like the Fagin candidate exchange. A pure function of
-  // (models, active parties, query_row), so thread-count-invariant.
-  Result<std::vector<uint64_t>> RunPrefilterExchange(const QueryEnv& env,
-                                                     uint64_t query_row) const;
+  // (models, active parties, q), so thread-count-invariant.
+  Result<std::vector<uint64_t>> RunPrefilterExchange(
+      const QueryEnv& env, const QueryState& q) const;
 
   // Clock helpers (charge the given task-local clock).
   void ChargeParallelCompute(SimClock* clock,

@@ -12,8 +12,6 @@
 namespace vfps::vfl {
 
 namespace {
-constexpr size_t kPrefilterKmeansIters = 8;
-
 // One query's slice of every party's columns, gathered once up front so the
 // shard loop never touches the (virtual) full matrix again.
 struct QuerySlices {
@@ -25,7 +23,6 @@ struct QuerySlices {
 Result<ShardedKnnOutput> RunShardedKnn(const data::SyntheticConfig& data_config,
                                        const data::VerticalPartition& partition,
                                        const ShardedKnnConfig& config) {
-  VFPS_CHECK_ARG(config.shards >= 1, "sharded-knn: shards must be >= 1");
   VFPS_CHECK_ARG(config.k >= 1, "sharded-knn: k must be >= 1");
   VFPS_CHECK_ARG(config.num_queries >= 1, "sharded-knn: need >= 1 query");
   VFPS_CHECK_ARG(!partition.empty(), "sharded-knn: empty partition");
@@ -102,7 +99,7 @@ Result<ShardedKnnOutput> RunShardedKnn(const data::SyntheticConfig& data_config,
             auto km,
             ml::KMeansCluster(blocks[party], config.prefilter_clusters,
                               config.seed ^ (shard.begin * 0x9E3779B97F4A7C15ULL + party),
-                              kPrefilterKmeansIters));
+                              ml::kPrefilterKmeansIters));
         models.push_back(std::move(km));
       }
     }
@@ -110,7 +107,7 @@ Result<ShardedKnnOutput> RunShardedKnn(const data::SyntheticConfig& data_config,
     agg.resize(m);
     partial.resize(m);
     std::vector<uint8_t> mask;
-    const size_t target = std::max<size_t>(4 * config.k, 32);
+    const size_t target = ml::PrefilterCoverage(config.k);
     for (size_t qi = 0; qi < num_queries; ++qi) {
       const QuerySlices& qs = slices[qi];
       const size_t query_row = query_rows[qi];
@@ -146,24 +143,10 @@ Result<ShardedKnnOutput> RunShardedKnn(const data::SyntheticConfig& data_config,
       // the union pays per-row distance work.
       mask.assign(m, 0);
       for (size_t party = 0; party < p; ++party) {
-        const ml::KMeansResult& km = models[party];
-        std::vector<std::pair<double, uint32_t>> ranked;
-        ranked.reserve(km.clusters);
-        for (size_t c = 0; c < km.clusters; ++c) {
-          const double* centroid = km.centroid(c);
-          const double dot = ml::DotProduct(qs.values[party].data(), centroid,
-                                            km.cols);
-          const double c_norm = ml::SquaredNorm(centroid, km.cols);
-          ranked.emplace_back(qs.norms[party] + c_norm - 2.0 * dot,
-                              static_cast<uint32_t>(c));
-        }
-        std::sort(ranked.begin(), ranked.end());
-        size_t covered = 0;
-        for (const auto& [dist, c] : ranked) {
-          (void)dist;
-          for (uint32_t row : km.members[c]) mask[row] = 1;
-          covered += km.members[c].size();
-          if (covered >= target) break;
+        for (uint32_t row : ml::NominateClusterRows(
+                 models[party], qs.values[party].data(), qs.norms[party],
+                 target)) {
+          mask[row] = 1;
         }
       }
       if (shard.contains(query_row)) mask[query_row - shard.begin] = 0;

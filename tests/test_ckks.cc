@@ -512,6 +512,51 @@ TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigests) {
   EXPECT_EQ(ValuesDigest(decrypted), 0xD7BAE840u);
 }
 
+// Paillier and plain backend digests. The CRC32 values below were taken
+// before the backends' batch hooks were folded into one shared batch path;
+// every blob byte and every decrypted double must stay the same.
+struct BackendDigests {
+  uint32_t encrypt, batched, sum, decrypted;
+};
+
+BackendDigests DigestBackend(HeBackend* backend) {
+  const auto small = UniformValues(601, 5, -50.0, 50.0);
+  const auto medium = UniformValues(602, 17, -50.0, 50.0);
+  const auto large = UniformValues(603, 40, -50.0, 50.0);
+  Crc32Accumulator encrypt;
+  std::vector<EncryptedVector> blobs;
+  for (const auto* values : {&small, &medium, &large}) {
+    blobs.push_back(backend->Encrypt(*values).ValueOrDie());
+    encrypt.Update(blobs.back().blob);
+  }
+  const auto batch = backend->EncryptBatch({small, medium, large}).ValueOrDie();
+  Crc32Accumulator batched;
+  for (const auto& v : batch) batched.Update(v.blob);
+  const auto sum = backend->Sum({&blobs[2], &batch[2]}).ValueOrDie();
+  return {encrypt.value(), batched.value(), Crc32(sum.blob),
+          ValuesDigest(backend->Decrypt(sum).ValueOrDie())};
+}
+
+TEST(BackendDigestTest, PaillierBlobsMatchPinnedDigests) {
+  auto backend = CreatePaillierBackend(/*modulus_bits=*/256,
+                                       /*fractional_bits=*/20, /*seed=*/88)
+                     .ValueOrDie();
+  const BackendDigests d = DigestBackend(backend.get());
+  EXPECT_EQ(d.encrypt, 0xA918A67Bu);
+  EXPECT_EQ(d.batched, 0x5F215D4Cu);
+  EXPECT_EQ(d.sum, 0x1BE4E208u);
+  EXPECT_EQ(d.decrypted, 0xE346178Du);
+}
+
+TEST(BackendDigestTest, PlainBlobsMatchPinnedDigests) {
+  auto backend = CreatePlainBackend();
+  const BackendDigests d = DigestBackend(backend.get());
+  EXPECT_EQ(d.encrypt, 0xBB1EA55Cu);
+  EXPECT_EQ(d.batched, 0xBB1EA55Cu);
+  EXPECT_EQ(d.sum, 0x1AA7D4D6u);
+  EXPECT_EQ(d.decrypted, 0xF7BAC1E4u);
+}
+
 TEST(CkksParamsTest, SinglePrimeContextWorks) {
   CkksParams params;
   params.poly_degree = 1024;

@@ -95,7 +95,6 @@ TEST(ExperimentTest, SimulatedTimeIndependentOfBackend) {
 TEST(ExperimentTest, DuplicateInjectionGrowsConsortium) {
   ExperimentConfig config = SmallConfig();
   config.duplicates = 3;
-  config.duplicate_source = 1;
   auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->consortium_size, 7u);

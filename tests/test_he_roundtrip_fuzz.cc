@@ -183,7 +183,7 @@ TEST_P(HeRoundTripFuzzTest, HomomorphicSumRandomGroups) {
 // The NVI wrappers publish op counts to the registry; for any sequence of
 // API calls the counters must equal the backend's own stats() delta, and
 // batch operations must publish exactly once (no double counting through
-// the default batch hooks).
+// the shared batch hooks).
 TEST_P(HeRoundTripFuzzTest, MetricsCountersMatchApiCalls) {
   HeBackend* be = BackendByName(GetParam());
   obs::MetricsRegistry reg;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -157,9 +158,42 @@ TEST(ParallelDeterminismTest, FedKnnFaginRealCkks) {
   }
 }
 
-TEST(ParallelDeterminismTest, EncryptBatchMatchesAcrossThreadCounts) {
-  // The batched HE entry points must emit the same ciphertext bytes whether
-  // they fan out over a pool or run serially.
+enum class Scheme { kCkks, kPaillier, kPlain };
+
+const char* SchemeName(Scheme scheme) {
+  switch (scheme) {
+    case Scheme::kCkks:
+      return "ckks";
+    case Scheme::kPaillier:
+      return "paillier";
+    case Scheme::kPlain:
+      return "plain";
+  }
+  return "unknown";
+}
+
+struct BatchOutputs {
+  std::vector<std::vector<uint8_t>> encrypted;
+  std::vector<std::vector<uint8_t>> summed;
+  std::vector<std::vector<double>> decrypted;
+  he::HeOpStats stats;
+};
+
+// EncryptBatch over 12 vectors, AddBatch over 4 groups of 3 of the
+// ciphertexts, then DecryptBatch of the sums, on a fresh backend.
+BatchOutputs RunBatches(Scheme scheme, ThreadPool* pool) {
+  std::unique_ptr<he::HeBackend> backend;
+  if (scheme == Scheme::kCkks) {
+    he::CkksParams params;
+    params.poly_degree = 1024;
+    backend = he::CreateCkksBackend(params, 55).MoveValueUnsafe();
+  } else if (scheme == Scheme::kPaillier) {
+    backend = he::CreatePaillierBackend(256, 20, 55).MoveValueUnsafe();
+  } else {
+    backend = he::CreatePlainBackend();
+  }
+  backend->set_thread_pool(pool);
+
   std::vector<std::vector<double>> batch;
   for (size_t i = 0; i < 12; ++i) {
     std::vector<double> v(50);
@@ -168,27 +202,45 @@ TEST(ParallelDeterminismTest, EncryptBatchMatchesAcrossThreadCounts) {
     }
     batch.push_back(std::move(v));
   }
+  BatchOutputs out;
+  const auto encrypted = backend->EncryptBatch(batch).ValueOrDie();
+  std::vector<std::vector<const he::EncryptedVector*>> groups(4);
+  for (size_t i = 0; i < encrypted.size(); ++i) {
+    groups[i / 3].push_back(&encrypted[i]);
+    out.encrypted.push_back(encrypted[i].blob);
+  }
+  const auto summed = backend->AddBatch(groups).ValueOrDie();
+  for (const auto& v : summed) out.summed.push_back(v.blob);
+  out.decrypted = backend->DecryptBatch(summed).ValueOrDie();
+  out.stats = backend->stats();
+  return out;
+}
 
-  he::CkksParams params;
-  params.poly_degree = 1024;
-  auto serial_backend = he::CreateCkksBackend(params, 55).MoveValueUnsafe();
-  auto serial_out = serial_backend->EncryptBatch(batch);
-  ASSERT_TRUE(serial_out.ok());
-
-  for (size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    auto backend = he::CreateCkksBackend(params, 55).MoveValueUnsafe();
-    backend->set_thread_pool(&pool);
-    auto out = backend->EncryptBatch(batch);
-    ASSERT_TRUE(out.ok());
-    ASSERT_EQ(out->size(), serial_out->size());
-    for (size_t i = 0; i < out->size(); ++i) {
-      EXPECT_EQ((*out)[i].blob, (*serial_out)[i].blob)
-          << "threads=" << threads << " item " << i;
+TEST(ParallelDeterminismTest, BatchOpsMatchAcrossSchemesAndThreadCounts) {
+  // Every scheme's batched HE entry points must emit the same ciphertext
+  // bytes, decrypted values and op counters with no pool and on a pool of
+  // any size.
+  for (Scheme scheme : {Scheme::kCkks, Scheme::kPaillier, Scheme::kPlain}) {
+    const BatchOutputs serial = RunBatches(scheme, nullptr);
+    ASSERT_EQ(serial.decrypted.size(), 4u) << SchemeName(scheme);
+    ASSERT_GT(serial.stats.add_ops, 0u) << SchemeName(scheme);
+    for (size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      const BatchOutputs pooled = RunBatches(scheme, &pool);
+      const std::string label =
+          std::string(SchemeName(scheme)) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(pooled.encrypted, serial.encrypted) << label;
+      EXPECT_EQ(pooled.summed, serial.summed) << label;
+      EXPECT_EQ(pooled.decrypted, serial.decrypted) << label;
+      EXPECT_EQ(pooled.stats.encrypt_ops, serial.stats.encrypt_ops) << label;
+      EXPECT_EQ(pooled.stats.decrypt_ops, serial.stats.decrypt_ops) << label;
+      EXPECT_EQ(pooled.stats.add_ops, serial.stats.add_ops) << label;
+      EXPECT_EQ(pooled.stats.values_encrypted, serial.stats.values_encrypted)
+          << label;
+      EXPECT_EQ(pooled.stats.values_decrypted, serial.stats.values_decrypted)
+          << label;
+      EXPECT_EQ(pooled.stats.values_added, serial.stats.values_added) << label;
     }
-    EXPECT_EQ(backend->stats().encrypt_ops, serial_backend->stats().encrypt_ops);
-    EXPECT_EQ(backend->stats().values_encrypted,
-              serial_backend->stats().values_encrypted);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "data/synthetic.h"
@@ -132,6 +133,54 @@ TEST(SelectedFeatureCountTest, SumsWidths) {
   EXPECT_EQ(SelectedFeatureCount(partition, {0, 2}), 5u);
   EXPECT_EQ(SelectedFeatureCount(partition, {1}), 1u);
   EXPECT_EQ(SelectedFeatureCount(partition, {}), 0u);
+}
+
+TEST(RowShardsTest, NearEqualShardsTileTheRowsWidestFirst) {
+  for (size_t rows : {1, 2, 7, 64, 1000, 1001}) {
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, rows}) {
+      if (shards > rows) continue;
+      auto plan = MakeRowShards(rows, shards);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      ASSERT_EQ(plan->size(), shards);
+      size_t next = 0;
+      for (size_t s = 0; s < shards; ++s) {
+        const RowShard& shard = (*plan)[s];
+        EXPECT_EQ(shard.begin, next) << rows << "/" << shards << " shard " << s;
+        EXPECT_GE(shard.rows(), 1u);
+        // Sizes differ by at most one, and never grow along the plan.
+        EXPECT_LE(shard.rows(), (*plan)[0].rows());
+        EXPECT_GE(shard.rows() + 1, (*plan)[0].rows());
+        if (s > 0) {
+          EXPECT_LE(shard.rows(), (*plan)[s - 1].rows());
+        }
+        next = shard.end;
+      }
+      EXPECT_EQ(next, rows) << rows << "/" << shards;
+    }
+  }
+}
+
+TEST(RowShardsTest, ShardOfRowNamesTheShardHoldingTheRow) {
+  for (size_t rows : {1, 5, 64, 1001}) {
+    for (size_t shards : {size_t{1}, size_t{3}, size_t{8}, rows}) {
+      if (shards > rows) continue;
+      const auto plan = MakeRowShards(rows, shards).ValueOrDie();
+      for (size_t row = 0; row < rows; ++row) {
+        const size_t s = ShardOfRow(row, rows, shards);
+        ASSERT_LT(s, plan.size());
+        EXPECT_TRUE(plan[s].contains(row))
+            << "row " << row << " of " << rows << " in " << shards << " shards";
+      }
+    }
+  }
+}
+
+TEST(RowShardsTest, ShardCountOutsideOneToRowsRejected) {
+  EXPECT_TRUE(MakeRowShards(10, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeRowShards(10, 11).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeRowShards(10, SIZE_MAX).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeRowShards(0, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeRowShards(10, 10).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <set>
@@ -22,6 +23,8 @@
 #include "data/scaler.h"
 #include "data/synthetic.h"
 #include "ml/kernels.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "vfl/fed_knn.h"
 
 namespace vfps {
@@ -158,14 +161,51 @@ TEST(ShardedOracleTest, PrefilterPrunesRowsButKeepsPlausibleNeighbors) {
   EXPECT_GE(hits * 2, total);
 }
 
-TEST(ShardedOracleTest, ZeroShardsRejected) {
-  Deployment d = Deployment::Make();
-  vfl::FederatedKnnOracle oracle(&d.train, &d.partition, d.backend.get(),
-                                 &d.network, &d.cost, &d.clock);
-  vfl::FedKnnConfig config;
-  config.mode = vfl::KnnOracleMode::kBase;
-  config.shards = 0;
-  EXPECT_FALSE(oracle.Run(config, nullptr).ok());
+TEST(ShardedOracleTest, ShardCountOutsideOneToNRejected) {
+  // A shard count outside [1, N] is rejected before the query-id broadcast,
+  // so the run sends nothing; the huge ones used to abort the process.
+  for (size_t shards : {size_t{0}, size_t{351}, size_t{1} << 40, SIZE_MAX}) {
+    Deployment d = Deployment::Make();
+    ASSERT_EQ(d.train.num_samples(), 350u);
+    vfl::FederatedKnnOracle oracle(&d.train, &d.partition, d.backend.get(),
+                                   &d.network, &d.cost, &d.clock);
+    vfl::FedKnnConfig config;
+    config.mode = vfl::KnnOracleMode::kBase;
+    config.shards = shards;
+    const Status status = oracle.Run(config, nullptr).status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << "shards=" << shards << ": " << status.ToString();
+    EXPECT_EQ(d.network.total().messages, 0u) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedOracleTest, EveryShardMergeSpanChargesItsCompares) {
+  // The shard-local phase-1 merge runs at the aggregation server, so each
+  // of its knn.topk_merge spans records the simulated compare time.
+  for (vfl::KnnOracleMode mode :
+       {vfl::KnnOracleMode::kFagin, vfl::KnnOracleMode::kThreshold}) {
+    Deployment d = Deployment::Make();
+    obs::MetricsRegistry obs;
+    obs.EnableTracing();
+    vfl::FederatedKnnOracle oracle(&d.train, &d.partition, d.backend.get(),
+                                   &d.network, &d.cost, &d.clock, nullptr,
+                                   &obs);
+    vfl::FedKnnConfig config;
+    config.mode = mode;
+    config.k = 6;
+    config.num_queries = 3;
+    config.seed = 77;
+    config.shards = 2;
+    auto result = oracle.Run(config, nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    size_t merges = 0;
+    for (const auto& e : obs.tracer()->Snapshot()) {
+      if (e.name != "knn.topk_merge" || e.node != "agg-server") continue;
+      ++merges;
+      EXPECT_GT(e.sim_dur_seconds, 0.0) << vfl::KnnOracleModeName(mode);
+    }
+    EXPECT_EQ(merges, 6u) << vfl::KnnOracleModeName(mode);  // 3 queries x 2
+  }
 }
 
 // ---- Out-of-core engine ----
