@@ -1,6 +1,7 @@
 #ifndef VFPS_COMMON_BUFFER_H_
 #define VFPS_COMMON_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -78,11 +79,13 @@ class BinaryWriter {
   }
 
   void WriteBytes(const std::vector<uint8_t>& b) {
+    Grow(sizeof(uint32_t) + b.size());
     WriteU32(static_cast<uint32_t>(b.size()));
     AppendRaw(b.data(), b.size());
   }
 
   void WriteDoubleVec(std::span<const double> v) {
+    Grow(sizeof(uint32_t) + v.size() * sizeof(double));
     WriteU32(static_cast<uint32_t>(v.size()));
     AppendRaw(v.data(), v.size() * sizeof(double));
   }
@@ -93,11 +96,13 @@ class BinaryWriter {
   }
 
   void WriteU64Vec(const std::vector<uint64_t>& v) {
+    Grow(sizeof(uint32_t) + v.size() * sizeof(uint64_t));
     WriteU32(static_cast<uint32_t>(v.size()));
     AppendRaw(v.data(), v.size() * sizeof(uint64_t));
   }
 
   void WriteU32Vec(const std::vector<uint32_t>& v) {
+    Grow(sizeof(uint32_t) + v.size() * sizeof(uint32_t));
     WriteU32(static_cast<uint32_t>(v.size()));
     AppendRaw(v.data(), v.size() * sizeof(uint32_t));
   }
@@ -119,6 +124,15 @@ class BinaryWriter {
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
+  // Room for a length-prefixed vector in one allocation; growth stays
+  // geometric, so a writer appending many vectors still copies O(total).
+  void Grow(size_t more) {
+    const size_t need = bytes_.size() + more;
+    if (need > bytes_.capacity()) {
+      bytes_.reserve(std::max(need, 2 * bytes_.capacity()));
+    }
+  }
+
   void AppendRaw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + n);

@@ -44,6 +44,9 @@ Result<std::unique_ptr<he::HeBackend>> MakeBackend(const ExperimentConfig& confi
 
 Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   Stopwatch wall;
+  // A fault rule for a node this run does not have would never fire.
+  VFPS_RETURN_NOT_OK(
+      config.faults.CheckNodes(config.participants + config.duplicates));
 
   // Data: preset or CSV -> 80/10/10 split -> standardize on train statistics.
   data::SyntheticDataset synthetic;

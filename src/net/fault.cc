@@ -1,6 +1,8 @@
 #include "net/fault.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -9,13 +11,15 @@ namespace vfps::net {
 
 Status FaultSpec::Validate() const {
   for (double p : {drop_prob, duplicate_prob, corrupt_prob, delay_prob}) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {  // written so that NaN fails too
       return Status::InvalidArgument(
           StrFormat("fault-spec: probability %g outside [0, 1]", p));
     }
   }
-  if (delay_seconds < 0.0) {
-    return Status::InvalidArgument("fault-spec: negative delay seconds");
+  if (!(delay_seconds >= 0.0) || std::isinf(delay_seconds)) {
+    return Status::InvalidArgument(StrFormat(
+        "fault-spec: delay seconds %g is not a finite value >= 0",
+        delay_seconds));
   }
   if (delay_prob > 0.0 && delay_seconds == 0.0) {
     return Status::InvalidArgument(
@@ -58,6 +62,39 @@ Status FaultSpec::Validate() const {
   return Status::OK();
 }
 
+Status FaultSpec::CheckNodes(size_t participants) const {
+  const auto check = [participants](const char* key, NodeId node) {
+    if (node == kAggregationServer || node == kKeyServer) return Status::OK();
+    if (node < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "fault-spec: %s= names node %d; the only negative ids are the "
+          "servers %d and %d", key, node, kAggregationServer, kKeyServer));
+    }
+    if (static_cast<size_t>(node) >= participants) {
+      return Status::InvalidArgument(StrFormat(
+          "fault-spec: %s= names participant %d, but the run has %zu "
+          "participants (ids 0..%zu)", key, node, participants,
+          participants - 1));
+    }
+    return Status::OK();
+  };
+  for (const CrashRule& rule : crashes) {
+    VFPS_RETURN_NOT_OK(check("crash", rule.node));
+  }
+  for (const StallRule& rule : stalls) {
+    VFPS_RETURN_NOT_OK(check("stall", rule.node));
+  }
+  for (const LeaveRule& rule : leaves) {
+    VFPS_RETURN_NOT_OK(check("leave", rule.node));
+  }
+  for (const JoinRule& rule : joins) VFPS_RETURN_NOT_OK(check("join", rule.node));
+  for (const HealRule& rule : heals) VFPS_RETURN_NOT_OK(check("heal", rule.node));
+  for (const PartitionRule& rule : partitions) {
+    VFPS_RETURN_NOT_OK(check("part", rule.node));
+  }
+  return Status::OK();
+}
+
 std::vector<NodeId> FaultSpec::InitialAbsentees() const {
   std::vector<NodeId> absent;
   for (const JoinRule& rule : joins) absent.push_back(rule.node);
@@ -69,7 +106,7 @@ std::vector<NodeId> FaultSpec::InitialAbsentees() const {
 namespace {
 Result<double> ParseProb(std::string_view value, const char* key) {
   VFPS_ASSIGN_OR_RETURN(double p, ParseDouble(value));
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // written so that NaN fails too
     return Status::InvalidArgument(
         StrFormat("fault-spec: %s=%g outside [0, 1]", key, p));
   }
@@ -83,7 +120,18 @@ Status ParseNodeAt(std::string_view value, NodeId* node, uint64_t* after) {
     return Status::InvalidArgument(
         "fault-spec: expected NODE@AFTER_SENDS, e.g. crash=2@40");
   }
-  VFPS_ASSIGN_OR_RETURN(int64_t id, ParseInt64(value.substr(0, at)));
+  const std::string_view node_text = value.substr(0, at);
+  VFPS_ASSIGN_OR_RETURN(int64_t id, ParseInt64(node_text));
+  // Checked before the narrowing cast, which would wrap the id onto
+  // another node.
+  if (id < std::numeric_limits<NodeId>::min() ||
+      id > std::numeric_limits<NodeId>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "fault-spec: node '%.*s' is outside the node id range [%d, %d]",
+        static_cast<int>(node_text.size()), node_text.data(),
+        std::numeric_limits<NodeId>::min(),
+        std::numeric_limits<NodeId>::max()));
+  }
   VFPS_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value.substr(at + 1)));
   if (n < 1) {
     return Status::InvalidArgument("fault-spec: AFTER_SENDS must be >= 1");

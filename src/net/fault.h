@@ -111,6 +111,12 @@ struct FaultSpec {
 
   /// Rejects probabilities outside [0, 1] and rules naming invalid nodes.
   Status Validate() const;
+
+  /// Rejects a rule naming a node a run with `participants` participants
+  /// (ids 0..participants-1) does not have: a participant id >=
+  /// `participants`, or a negative id other than the aggregation and key
+  /// servers. Such a rule would never fire.
+  Status CheckNodes(size_t participants) const;
 };
 
 /// \brief Parse the CLI `--fault-spec` mini-language: comma-separated

@@ -44,10 +44,9 @@ void SimNetwork::set_metrics(obs::MetricsRegistry* registry) {
   c_swallowed_dead_ = registry->GetCounter("net.faults.swallowed_dead");
 }
 
-void SimNetwork::Meter(const LinkKey& key, size_t bytes) {
-  auto& stats = stats_[key];
-  stats.messages += 1;
-  stats.bytes += bytes;
+void SimNetwork::Meter(const LinkKey& key, Link& link, size_t bytes) {
+  link.stats.messages += 1;
+  link.stats.bytes += bytes;
   total_.messages += 1;
   total_.bytes += bytes;
   if (c_messages_ != nullptr) {
@@ -91,9 +90,10 @@ Status SimNetwork::Send(NodeId from, NodeId to, std::vector<uint8_t> payload) {
   // Side-band causal metadata: the sender's open span, if any. Never metered.
   const obs::TraceContext ctx =
       tracer_ != nullptr ? obs::Tracer::Current() : obs::TraceContext{};
+  Link& link = links_[key];
   if (injector_ == nullptr) {
-    Meter(key, payload.size());
-    queues_[key].push_back(Envelope{std::move(payload), ctx});
+    Meter(key, link, payload.size());
+    link.queue.push_back(Envelope{std::move(payload), ctx});
     return Status::OK();
   }
 
@@ -106,7 +106,7 @@ Status SimNetwork::Send(NodeId from, NodeId to, std::vector<uint8_t> payload) {
     return Status::OK();
   }
   // The payload left the sender; it is metered even if it is then lost.
-  Meter(key, payload.size());
+  Meter(key, link, payload.size());
   if (fate.extra_delay > 0.0) {
     fault_stats_.delayed += 1;
     fault_stats_.delay_seconds += fate.extra_delay;
@@ -142,66 +142,72 @@ Status SimNetwork::Send(NodeId from, NodeId to, std::vector<uint8_t> payload) {
     fault_stats_.duplicated += 1;
     if (c_duplicated_ != nullptr) c_duplicated_->Add(1);
     FaultInstant("net.fault.duplicated", key);
-    Meter(key, payload.size());  // the duplicate also crossed the wire
-    queues_[key].push_back(Envelope{payload, ctx});
+    Meter(key, link, payload.size());  // the duplicate also crossed the wire
+    link.queue.push_back(Envelope{payload, ctx});
   }
-  queues_[key].push_back(Envelope{std::move(payload), ctx});
+  link.queue.push_back(Envelope{std::move(payload), ctx});
   return Status::OK();
 }
 
 Result<std::vector<uint8_t>> SimNetwork::Recv(NodeId from, NodeId to) {
   const LinkKey key{from, to};
-  auto it = queues_.find(key);
-  if (it == queues_.end() || it->second.empty()) {
-    auto st = stats_.find(key);
-    const uint64_t ever_sent = st == stats_.end() ? 0 : st->second.messages;
+  auto it = links_.find(key);
+  if (it == links_.end() || it->second.head == it->second.queue.size()) {
+    const uint64_t ever_sent =
+        it == links_.end() ? 0 : it->second.stats.messages;
     return Status::ProtocolError(StrFormat(
         "SimNetwork: no pending message on link %s -> %s "
         "(%llu messages ever sent on this link, %zu pending network-wide)",
         NodeName(from).c_str(), NodeName(to).c_str(),
         static_cast<unsigned long long>(ever_sent), PendingCount()));
   }
-  Envelope env = std::move(it->second.front());
-  it->second.pop_front();
+  Link& link = it->second;
+  Envelope env = std::move(link.queue[link.head++]);
+  if (link.head == link.queue.size()) {
+    link.queue.clear();
+    link.head = 0;
+  }
   last_recv_context_ = env.ctx;
   return std::move(env.payload);
 }
 
 size_t SimNetwork::PendingCount() const {
   size_t n = 0;
-  for (const auto& [key, queue] : queues_) n += queue.size();
+  for (const auto& [key, link] : links_) n += link.queue.size() - link.head;
   return n;
 }
 
 TrafficStats SimNetwork::SentBy(NodeId node) const {
   TrafficStats out;
-  for (const auto& [key, stats] : stats_) {
-    if (key.first == node) out.Merge(stats);
+  for (const auto& [key, link] : links_) {
+    if (key.first == node) out.Merge(link.stats);
   }
   return out;
 }
 
 TrafficStats SimNetwork::ReceivedBy(NodeId node) const {
   TrafficStats out;
-  for (const auto& [key, stats] : stats_) {
-    if (key.second == node) out.Merge(stats);
+  for (const auto& [key, link] : links_) {
+    if (key.second == node) out.Merge(link.stats);
   }
   return out;
 }
 
 TrafficStats SimNetwork::LinkStats(NodeId from, NodeId to) const {
-  auto it = stats_.find({from, to});
-  return it == stats_.end() ? TrafficStats{} : it->second;
+  auto it = links_.find({from, to});
+  return it == links_.end() ? TrafficStats{} : it->second.stats;
 }
 
 void SimNetwork::MergeStatsFrom(const SimNetwork& other) {
-  for (const auto& [key, stats] : other.stats_) stats_[key].Merge(stats);
+  for (const auto& [key, link] : other.links_) {
+    links_[key].stats.Merge(link.stats);
+  }
   total_.Merge(other.total_);
   fault_stats_.Merge(other.fault_stats_);
 }
 
 void SimNetwork::ResetStats() {
-  stats_.clear();
+  for (auto& [key, link] : links_) link.stats = TrafficStats{};
   total_ = TrafficStats{};
   fault_stats_ = FaultStats{};
 }

@@ -2,7 +2,6 @@
 #define VFPS_NET_NETWORK_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -214,15 +213,23 @@ class SimNetwork {
     obs::TraceContext ctx;
   };
 
-  void Meter(const LinkKey& key, size_t bytes);
+  /// One directed link: its traffic meter and its FIFO of queued messages.
+  /// The FIFO is read from `head` and cleared once drained, so a lockstep
+  /// exchange reuses one buffer for every message on the link.
+  struct Link {
+    TrafficStats stats;
+    std::vector<Envelope> queue;
+    size_t head = 0;
+  };
+
+  void Meter(const LinkKey& key, Link& link, size_t bytes);
   /// Labeled per-party counters for the link, lazily resolved. The "party"
   /// of a link is its participant endpoint (the server side of every link is
   /// shared infrastructure); leader-to-server links attribute to party 0.
   void MeterParty(const LinkKey& key, size_t bytes);
   void FaultInstant(const char* name, const LinkKey& key);
 
-  std::map<LinkKey, std::deque<Envelope>> queues_;
-  std::map<LinkKey, TrafficStats> stats_;
+  std::map<LinkKey, Link> links_;
   TrafficStats total_;
   FaultStats fault_stats_;
   std::unique_ptr<FaultInjector> injector_;

@@ -7,7 +7,7 @@
 
 namespace vfps::topk {
 
-Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
                              size_t batch, obs::MetricsRegistry* obs) {
   const size_t n = lists.num_items();
   const size_t p = lists.num_parties();
@@ -18,8 +18,11 @@ Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
   TopkResult result;
   // seen_count[id] = number of lists the item has appeared in so far.
   std::vector<uint32_t> seen_count(n, 0);
-  std::vector<uint64_t> seen_order;  // distinct items in first-seen order
-  seen_order.reserve(2 * k * p);
+  // Distinct items in first-seen order. Each round first makes room for
+  // every id it can read, so the loop below appends without a branch: the
+  // id is always written and the end only advances on a first sighting.
+  std::vector<uint64_t>& seen_order = result.candidate_ids;
+  size_t seen = 0;
   size_t fully_seen = 0;
 
   // Phase 1: round-robin sorted access in mini-batches.
@@ -28,28 +31,34 @@ Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
   while (fully_seen < k && depth < n) {
     ++rounds;
     const size_t limit = std::min(n, depth + batch);
+    seen_order.resize(seen + (limit - depth) * p);
     for (size_t party = 0; party < p; ++party) {
       for (size_t r = depth; r < limit; ++r) {
         const uint64_t id = lists.IdAtRank(party, r);
-        ++result.sorted_accesses;
-        if (seen_count[id] == 0) seen_order.push_back(id);
-        if (++seen_count[id] == p) ++fully_seen;
+        const uint32_t count = ++seen_count[id];
+        seen_order[seen] = id;
+        seen += count == 1;
+        fully_seen += count == p;
       }
     }
     depth = limit;
   }
+  seen_order.resize(seen);
   result.depth = depth;
+  result.sorted_accesses = depth * p;
+  // Every seen item's scores not revealed by sorted access.
+  result.random_accesses = seen * p - result.sorted_accesses;
 
-  // Phase 2 + 3: aggregate every seen item (random accesses fill in the
-  // scores not yet revealed by sorted access).
-  std::vector<std::pair<double, uint64_t>> aggregated;
-  aggregated.reserve(seen_order.size());
-  for (uint64_t id : seen_order) {
-    result.random_accesses += p - seen_count[id];
-    aggregated.emplace_back(lists.AggregateScore(id), id);
+  // Phase 2 + 3: aggregate every seen item. Summed party by party, which
+  // adds each item's scores in AggregateScore's order (0.0 + the first).
+  std::vector<std::pair<double, uint64_t>> aggregated(seen);
+  for (size_t i = 0; i < seen; ++i) {
+    aggregated[i] = {0.0 + lists.Score(0, seen_order[i]), seen_order[i]};
   }
-  result.candidates = aggregated.size();
-  result.candidate_ids = seen_order;
+  for (size_t party = 1; party < p; ++party) {
+    for (auto& [sum, id] : aggregated) sum += lists.Score(party, id);
+  }
+  result.candidates = seen;
 
   const size_t take = std::min(k, aggregated.size());
   std::partial_sort(aggregated.begin(), aggregated.begin() + take,

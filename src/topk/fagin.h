@@ -24,7 +24,7 @@ namespace vfps::topk {
 /// \param obs optional metrics sink: bumps `topk.fagin.*` counters (runs,
 ///        rounds, sorted_access_depth, sorted/random accesses) and records
 ///        the candidate-set size in the `topk.fagin.candidates` histogram.
-Result<TopkResult> FaginTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
                              size_t batch = 1,
                              obs::MetricsRegistry* obs = nullptr);
 

@@ -8,7 +8,7 @@
 
 namespace vfps::topk {
 
-Result<TopkResult> ThresholdTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
                                  obs::MetricsRegistry* obs) {
   const size_t n = lists.num_items();
   const size_t p = lists.num_parties();

@@ -17,7 +17,7 @@ namespace vfps::topk {
 /// than FA at the price of more random accesses; VFPS-SM supports it as an
 /// alternative top-k oracle (paper §IV-B "also supports other algorithms").
 /// `obs` (optional) receives the analogous `topk.ta.*` metrics.
-Result<TopkResult> ThresholdTopk(const RankedListSet& lists, size_t k,
+Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
                                  obs::MetricsRegistry* obs = nullptr);
 
 }  // namespace vfps::topk

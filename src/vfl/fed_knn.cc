@@ -163,7 +163,8 @@ FederatedKnnOracle::FederatedKnnOracle(const data::Dataset* joint_train,
     c_phase_dist_ = phase("partial_distance");
     c_phase_encrypt_ = phase("encrypt");
     c_phase_agg_ = phase("aggregate");
-    c_phase_rank_ = phase("decrypt_rank");
+    c_phase_rank_ = phase("rank");
+    c_phase_decrypt_ = phase("decrypt_rank");
     c_phase_dt_ = phase("dt_exchange");
     c_phase_merge_ = phase("topk_merge");
     c_phase_stream_ = phase("stream_rankings");
@@ -330,23 +331,24 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
   }
   ChargeFanOut(clock_, num_queries * sizeof(uint64_t), active.size() - 1);
 
-  // Consortium-shared pseudo-ID shuffle for the top-k modes, derived once per
-  // Run from the shared seed and read concurrently by every query task.
-  const PseudoIdMap pseudo = (config.mode == KnnOracleMode::kBase)
-                                 ? PseudoIdMap()
-                                 : PseudoIdMap::Create(n, config.seed);
-
-  // The rest of the per-shard pipeline runtime: the top-k item order, the
-  // per-party pre-filter models, and the per-shard metric handles — all
-  // built serially here so units share it read-only (no registry mutex, no
-  // model races).
+  // The rest of the per-shard pipeline runtime: the top-k modes' pseudo-ID
+  // plan, the per-party pre-filter models, and the per-shard metric handles
+  // — all built serially here so units share it read-only (no registry
+  // mutex, no model races).
   if (config.mode != KnnOracleMode::kBase) {
-    shard_rt.pseudo = &pseudo;
-    shard_rt.pid_rows.resize(shard_rt.plan.size());
-    for (uint64_t pid = 0; pid < n; ++pid) {
-      const uint64_t row = pseudo.ToOriginal(pid);
-      shard_rt.pid_rows[data::ShardOfRow(row, n, config.shards)].push_back(row);
+    if (!pseudo_plan_ || pseudo_plan_->seed != config.seed ||
+        pseudo_plan_->shards != config.shards) {
+      PseudoPlan plan{config.seed, config.shards,
+                      PseudoIdMap::Create(n, config.seed), {}};
+      plan.pid_rows.resize(shard_rt.plan.size());
+      for (uint64_t pid = 0; pid < n; ++pid) {
+        const uint64_t row = plan.map.ToOriginal(pid);
+        plan.pid_rows[data::ShardOfRow(row, n, config.shards)].push_back(row);
+      }
+      pseudo_plan_ = std::move(plan);
     }
+    shard_rt.pseudo = &pseudo_plan_->map;
+    shard_rt.pid_rows = &pseudo_plan_->pid_rows;
   }
   std::vector<ml::KMeansResult> prefilter_models;
   if (config.prefilter_clusters > 0) {
@@ -403,8 +405,11 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
 
   // Another shape or unit layout than the cached one clears the cache.
   if (cache_ != nullptr) {
-    cache_->Rekey(ProtocolShape::Of(config, *joint_, *partition_), group,
-                  num_units);
+    if (!data_digest_) {
+      data_digest_ = ProtocolShape::DataDigest(*joint_, *partition_);
+    }
+    cache_->Rekey(ProtocolShape::Of(config, *joint_, *partition_, *data_digest_),
+                  group, num_units);
   }
 
   // Pre-derive one HE randomness stream per task unit (== per query when
@@ -643,7 +648,7 @@ std::vector<uint64_t> FederatedKnnOracle::ShardItems(
     return rows;
   }
   if (rt.pseudo != nullptr) {
-    rows = rt.pid_rows[s];
+    rows = (*rt.pid_rows)[s];
   } else {
     rows.resize(shard.rows());
     std::iota(rows.begin(), rows.end(), static_cast<uint64_t>(shard.begin));
@@ -732,7 +737,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseUnit(
     std::vector<double> compute_seconds;
     for (size_t ai = 0; ai < a; ++ai) {
       const PartyUnitState* st = ShardEntry(bound, s, active[ai]);
-      if (st != nullptr && st->has_cipher && st->values.size() == total) {
+      if (st != nullptr && st->has_cipher && st->values != nullptr &&
+          st->values->size() == total) {
         hits[ai] = st;
         if (stats != nullptr) ++stats->reused_contributions;
         if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
@@ -804,7 +810,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseUnit(
       ptrs[ai] = &received[ai];
       if (env.fresh != nullptr) {
         PartyUnitState& st = env.fresh->shards[s][active[ai]];
-        st.values = std::move(fresh_values[fi]);
+        st.values = std::make_shared<const std::vector<double>>(
+            std::move(fresh_values[fi]));
         st.cipher = received[ai];
         st.has_cipher = true;
       }
@@ -824,9 +831,9 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseUnit(
     // around the query row, shared by every shard). `rows` ascend, so
     // compressed ids are monotone in the local index and SmallestK's
     // (value, local index) order IS the merge's (value, id) order.
-    obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-    span_rank.SetNode("leader");
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
+    obs::Span span_decrypt(env.tracer, "knn.decrypt_rank", env.clock);
+    span_decrypt.SetNode("leader");
+    PhaseTimer phase_decrypt(c_phase_decrypt_, env.clock);
     VFPS_ASSIGN_OR_RETURN(auto blob,
                           env.chan->Recv(net::kAggregationServer, kLeader));
     VFPS_ASSIGN_OR_RETURN(
@@ -847,8 +854,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunBaseUnit(
       qs[qi].tops.push_back(std::move(top));
       qs[qi].candidates += count;
     }
-    phase_rank.End();
-    span_rank.End();
+    phase_decrypt.End();
+    span_decrypt.End();
   }
 
   std::vector<QueryNeighborhood> hoods(g);
@@ -879,10 +886,10 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
                            env.clock);
 
     // Distance stage (active parties, parallel): scores over the shard's
-    // ranking items, sorted ascending to form sub-rankings. The items are
-    // the shard's candidate rows in pseudo-ID order, so tied scores break by
-    // pseudo ID and nothing in the ranking reveals the row order the shuffle
-    // hides. Indexed by position in `active`.
+    // ranking items. The items are the shard's candidate rows in pseudo-ID
+    // order, so tied scores break by pseudo ID and nothing in the ranking
+    // reveals the row order the shuffle hides. Indexed by position in
+    // `active`.
     obs::Span span_dist(env.tracer, "knn.partial_distance", env.clock);
     span_dist.SetNode("parties");
     PhaseTimer phase_dist(c_phase_dist_, env.clock);
@@ -894,17 +901,20 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
       shard_span.Annotate("rows", StrFormat("%zu", m));
     }
     if (!rt.candidates.empty()) rt.candidates[s]->Add(m);
-    std::vector<std::vector<double>> scores(a);
-    std::vector<std::vector<uint64_t>> orders(a);
+    std::vector<topk::RankedListSet::SharedScores> scores(a);
+    // Cached parties' known ranked prefixes (empty for fresh parties).
+    std::vector<std::vector<uint32_t>> prefixes(a);
+    std::vector<size_t> known(a, 0);
     // Rows of a party's sub-ranking the server already received in a prior
     // run of this unit — streaming below skips them.
     std::vector<size_t> prior_depth(a, 0);
     std::vector<double> compute_seconds;
     for (size_t ai = 0; ai < a; ++ai) {
       const PartyUnitState* st = ShardEntry(bound, s, active[ai]);
-      if (st != nullptr && st->values.size() == m && st->order.size() == m) {
+      if (st != nullptr && st->values != nullptr && st->values->size() == m) {
         scores[ai] = st->values;
-        orders[ai] = st->order;
+        prefixes[ai] = st->order;
+        known[ai] = st->order.size();
         prior_depth[ai] = st->streamed_depth;
         if (stats != nullptr) ++stats->reused_contributions;
         if (c_cache_hit_ != nullptr) c_cache_hit_->Add(1);
@@ -916,18 +926,13 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
       obs::Span party_span(env.tracer, "knn.party.compute", env.clock);
       party_span.SetNode(net::NodeName(static_cast<int>(active[ai])));
       const ml::FeatureBlock& block = party_blocks_[active[ai]];
-      scores[ai].resize(m);
+      auto party_scores = std::make_shared<std::vector<double>>(m);
       ShardDistances(block, q.slices[ai].data(), q.norms[ai], rt.plan[s],
-                     items, scores[ai].data());
-      orders[ai] = topk::RankedListSet::SortedOrder(scores[ai]);
-      compute_seconds.push_back(cost_->DistanceSeconds(m, block.cols()) +
-                                cost_->SortSeconds(m));
+                     items, party_scores->data());
+      scores[ai] = std::move(party_scores);
+      compute_seconds.push_back(cost_->DistanceSeconds(m, block.cols()));
       if (env.fresh != nullptr) {
-        // Stage the sub-ranking immediately so a later-phase failure still
-        // salvages this party's work (streamed_depth catches up below).
-        PartyUnitState& staged = env.fresh->shards[s][active[ai]];
-        staged.values = scores[ai];
-        staged.order = orders[ai];
+        env.fresh->shards[s][active[ai]].values = scores[ai];
       }
     }
     if (!compute_seconds.empty()) {
@@ -936,15 +941,27 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     phase_dist.End();
     span_dist.End();
 
+    // Rank stage (fresh parties, parallel): each party keys its scores and
+    // buckets them by key; the merge below sorts buckets only as deep as it
+    // reads. A cached party starts from its known prefix and is bucketed
+    // only if the merge reads past it. The list set shares the score
+    // vectors (no copy); later lookups read them through lists.Score().
+    obs::Span span_rank(env.tracer, "knn.rank", env.clock);
+    span_rank.SetNode("parties");
+    PhaseTimer phase_rank(c_phase_rank_, env.clock);
+    VFPS_ASSIGN_OR_RETURN(auto lists,
+                          topk::RankedListSet::BuildPresorted(
+                              std::move(scores), std::move(prefixes)));
+    if (!compute_seconds.empty()) {
+      env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(m));
+    }
+    phase_rank.End();
+    span_rank.End();
+
     // Ranking stage: the shard-local phase-1 merge (exact within the shard).
-    // The list set takes the score vectors and orders over (no copy); later
-    // lookups read them back through lists.Score().
     obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
     span_merge.SetNode("agg-server");
     PhaseTimer phase_merge(c_phase_merge_, env.clock);
-    VFPS_ASSIGN_OR_RETURN(auto lists,
-                          topk::RankedListSet::BuildPresorted(
-                              std::move(scores), std::move(orders)));
     topk::TopkResult merge;
     if (mode == KnnOracleMode::kThreshold) {
       VFPS_ASSIGN_OR_RETURN(merge, topk::ThresholdTopk(lists, k, obs_));
@@ -956,6 +973,16 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
                            cost_->compare_seconds);
     phase_merge.End();
     span_merge.End();
+    const size_t depth = merge.depth;
+    if (env.fresh != nullptr) {
+      // Stage the ranked prefix the merge read before anything is sent, so
+      // a failure while streaming still salvages it. A cached party stages
+      // one only when the merge read past its known prefix.
+      for (size_t ai = 0; ai < a; ++ai) {
+        if (known[ai] >= depth) continue;
+        env.fresh->shards[s][active[ai]].order = lists.RankedPrefix(ai, depth);
+      }
+    }
 
     // Mini-batch streaming of the sub-rankings to the server (pseudo IDs on
     // the wire). The phase-1 depth of the merge algorithm determines how
@@ -963,7 +990,6 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     obs::Span span_stream(env.tracer, "knn.stream_rankings", env.clock);
     span_stream.SetNode("parties");
     PhaseTimer phase_stream(c_phase_stream_, env.clock);
-    const size_t depth = merge.depth;
     for (size_t start = 0; start < depth; start += batch) {
       const size_t end = std::min(depth, start + batch);
       size_t senders = 0;
@@ -1041,8 +1067,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
       VFPS_RETURN_NOT_OK(env.chan->Recv(net::kAggregationServer,
                                         static_cast<int>(active[ai]))
                              .status());
-      party_values[ai].reserve(c);
-      for (uint64_t li : cand) party_values[ai].push_back(lists.Score(ai, li));
+      party_values[ai].resize(c);
+      for (size_t i = 0; i < c; ++i) party_values[ai][i] = lists.Score(ai, cand[i]);
     }
     VFPS_ASSIGN_OR_RETURN(auto encrypted,
                           env.backend->EncryptBatch(party_values));
@@ -1084,9 +1110,9 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     // keyed by pseudo ID. SmallestK breaks ties by candidate position, which
     // is not monotone in pseudo ID, so the entries are put in the merge's
     // (value, id) order.
-    obs::Span span_rank(env.tracer, "knn.decrypt_rank", env.clock);
-    span_rank.SetNode("leader");
-    PhaseTimer phase_rank(c_phase_rank_, env.clock);
+    obs::Span span_decrypt(env.tracer, "knn.decrypt_rank", env.clock);
+    span_decrypt.SetNode("leader");
+    PhaseTimer phase_decrypt(c_phase_decrypt_, env.clock);
     VFPS_ASSIGN_OR_RETURN(auto blob,
                           env.chan->Recv(net::kAggregationServer, kLeader));
     VFPS_ASSIGN_OR_RETURN(
@@ -1094,12 +1120,16 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
         env.backend->Decrypt(he::EncryptedVector{std::move(blob), c}));
     env.clock->Advance(CostCategory::kDecrypt, cost_->DecryptSecondsFor(c));
     env.clock->Advance(CostCategory::kCompute, cost_->SortSeconds(c));
+    const std::vector<uint64_t> nearest = SmallestK(agg_distances.data(), c, k);
     std::vector<std::pair<double, uint64_t>> entries;
-    for (uint64_t idx : SmallestK(agg_distances.data(), c, k)) {
+    entries.reserve(nearest.size());
+    for (uint64_t idx : nearest) {
       entries.emplace_back(agg_distances[idx], cand_pids[idx]);
     }
     std::sort(entries.begin(), entries.end());
     topk::ShardTopk top;
+    top.values.reserve(entries.size());
+    top.ids.reserve(entries.size());
     for (const auto& [value, pid] : entries) {
       top.values.push_back(value);
       top.ids.push_back(pid);
@@ -1107,8 +1137,8 @@ Result<QueryNeighborhood> FederatedKnnOracle::RunTopkQuery(
     q.tops.push_back(std::move(top));
     q.candidates += c;
     q.depth += depth;
-    phase_rank.End();
-    span_rank.End();
+    phase_decrypt.End();
+    span_decrypt.End();
   }
   return FinishQuery(env, &q, k, stats);
 }

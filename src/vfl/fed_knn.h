@@ -2,6 +2,7 @@
 #define VFPS_VFL_FED_KNN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -294,10 +295,11 @@ class FederatedKnnOracle {
     /// Contiguous row ranges covering N; one entry when shards = 1.
     std::vector<data::RowShard> plan;
     /// Top-k modes: the consortium-shared pseudo-ID shuffle, and each shard's
-    /// rows in ascending pseudo-ID order (the order its ranking items take).
-    /// nullptr / empty in BASE mode, whose items stay in row order.
+    /// rows in ascending pseudo-ID order (the order its ranking items take),
+    /// both from the oracle's PseudoPlan. nullptr in BASE mode, whose items
+    /// stay in row order.
     const PseudoIdMap* pseudo = nullptr;
-    std::vector<std::vector<uint64_t>> pid_rows;
+    const std::vector<std::vector<uint64_t>>* pid_rows = nullptr;
     /// Per-party k-means models, indexed by participant id (only active
     /// parties filled). nullptr when the pre-filter is off. Owned by Run().
     const std::vector<ml::KMeansResult>* prefilter = nullptr;
@@ -429,18 +431,34 @@ class FederatedKnnOracle {
   ThreadPool* pool_;
   obs::MetricsRegistry* obs_;
   SelectionCache* cache_ = nullptr;          // borrowed; see set_cache()
+  /// The top-k modes' pseudo-ID plan: the consortium's shuffle of the
+  /// training rows and each row shard's rows in ascending pseudo-ID order.
+  /// It depends on the seed and the shard count alone, so it is kept from one
+  /// Run() to the next and rebuilt only when either changes (a repair reruns
+  /// the plan of the run it repairs).
+  struct PseudoPlan {
+    uint64_t seed = 0;
+    size_t shards = 0;
+    PseudoIdMap map;
+    std::vector<std::vector<uint64_t>> pid_rows;
+  };
+  std::optional<PseudoPlan> pseudo_plan_;
+  /// ProtocolShape::DataDigest of the oracle's training data and partition,
+  /// which are fixed for its lifetime; computed on the first cached Run().
+  std::optional<uint32_t> data_digest_;
   obs::Counter* c_queries_ = nullptr;        // knn.queries
   obs::Histogram* h_candidates_ = nullptr;   // knn.candidates per query
-  /// Labeled dimensions (all bounded: 3 modes, 7 phases, P parties, 2 cache
+  /// Labeled dimensions (all bounded: 3 modes, 8 phases, P parties, 2 cache
   /// outcomes), resolved once at construction so hot paths never touch the
   /// registry mutex.
   obs::Counter* c_queries_mode_[3] = {nullptr, nullptr, nullptr};
   obs::Counter* c_cache_hit_ = nullptr;   // knn.cache.lookups{cache=hit}
   obs::Counter* c_cache_miss_ = nullptr;  // knn.cache.lookups{cache=miss}
   obs::Counter* c_phase_dist_ = nullptr;      // {phase=partial_distance}
+  obs::Counter* c_phase_rank_ = nullptr;      // {phase=rank}
   obs::Counter* c_phase_encrypt_ = nullptr;   // {phase=encrypt}
   obs::Counter* c_phase_agg_ = nullptr;       // {phase=aggregate}
-  obs::Counter* c_phase_rank_ = nullptr;      // {phase=decrypt_rank}
+  obs::Counter* c_phase_decrypt_ = nullptr;   // {phase=decrypt_rank}
   obs::Counter* c_phase_dt_ = nullptr;        // {phase=dt_exchange}
   obs::Counter* c_phase_merge_ = nullptr;     // {phase=topk_merge}
   obs::Counter* c_phase_stream_ = nullptr;    // {phase=stream_rankings}

@@ -52,9 +52,8 @@ std::string Show(uint32_t digest) { return StrFormat("0x%08X", digest); }
 
 }  // namespace
 
-ProtocolShape ProtocolShape::Of(const FedKnnConfig& config,
-                                const data::Dataset& train,
-                                const data::VerticalPartition& partition) {
+uint32_t ProtocolShape::DataDigest(const data::Dataset& train,
+                                  const data::VerticalPartition& partition) {
   const size_t rows = train.num_samples();
   const size_t cols = train.num_features();
   Crc32Accumulator digest;
@@ -67,17 +66,30 @@ ProtocolShape ProtocolShape::Of(const FedKnnConfig& config,
     digest.Update(static_cast<uint64_t>(columns.size()));
     for (size_t c : columns) digest.Update(static_cast<uint64_t>(c));
   }
+  return digest.value();
+}
+
+ProtocolShape ProtocolShape::Of(const FedKnnConfig& config,
+                                const data::Dataset& train,
+                                const data::VerticalPartition& partition) {
+  return Of(config, train, partition, DataDigest(train, partition));
+}
+
+ProtocolShape ProtocolShape::Of(const FedKnnConfig& config,
+                                const data::Dataset& train,
+                                const data::VerticalPartition& partition,
+                                uint32_t data_digest) {
   return ProtocolShape{.seed = config.seed,
                        .mode = config.mode,
                        .k = config.k,
                        .num_queries = config.num_queries,
                        .fagin_batch = config.fagin_batch,
                        .query_group = config.query_group,
-                       .n_rows = rows,
+                       .n_rows = train.num_samples(),
                        .num_participants = partition.size(),
                        .shards = config.shards,
                        .prefilter_clusters = config.prefilter_clusters,
-                       .data_digest = digest.value()};
+                       .data_digest = data_digest};
 }
 
 Status ProtocolShape::CheckMatches(const ProtocolShape& run) const {

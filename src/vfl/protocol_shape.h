@@ -42,6 +42,15 @@ struct ProtocolShape {
   static ProtocolShape Of(const FedKnnConfig& config,
                           const data::Dataset& train,
                           const data::VerticalPartition& partition);
+  /// The same with `data_digest` = DataDigest(train, partition) already
+  /// known, for a caller whose data does not change between runs.
+  static ProtocolShape Of(const FedKnnConfig& config,
+                          const data::Dataset& train,
+                          const data::VerticalPartition& partition,
+                          uint32_t data_digest);
+  /// The `data_digest` field for `train` split by `partition`.
+  static uint32_t DataDigest(const data::Dataset& train,
+                             const data::VerticalPartition& partition);
 
   bool operator==(const ProtocolShape&) const = default;
 

@@ -31,9 +31,12 @@ void SelectionCache::Absorb(size_t u, CachedUnit&& produced) {
   for (size_t s = 0; s < produced.shards.size(); ++s) {
     for (auto& [party, state] : produced.shards[s]) {
       PartyUnitState& dst = unit.shards[s][party];
-      if (!state.values.empty()) {
+      if (state.values != nullptr) {
         dst = std::move(state);
       } else {
+        if (state.order.size() > dst.order.size()) {
+          dst.order = std::move(state.order);
+        }
         dst.streamed_depth = std::max(dst.streamed_depth, state.streamed_depth);
       }
     }

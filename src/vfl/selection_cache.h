@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "he/backend.h"
@@ -25,12 +26,15 @@ struct PartyUnitState {
   /// BASE mode: the packed partial-distance vector this party encrypted for
   /// the shard (the group's per-query slices, back to back). Top-k modes:
   /// the party's scores over the shard's ranking items — the shard's
-  /// candidate rows, query row excluded, in ascending pseudo-ID order.
-  std::vector<double> values;
-  /// Top-k modes: the party's sub-ranking (item indices sorted ascending by
-  /// score, ties by index, i.e. by pseudo ID) — caching it skips the re-sort
-  /// on repair.
-  std::vector<uint64_t> order;
+  /// candidate rows, query row excluded, in ascending pseudo-ID order —
+  /// shared with the rankings built from them, so reuse copies nothing.
+  /// nullptr for an entry that only extends `order`/`streamed_depth`.
+  std::shared_ptr<const std::vector<double>> values;
+  /// Top-k modes: the ranked prefix of the party's sub-ranking that the
+  /// merge read (item indices ascending by score, ties by index, i.e. by
+  /// pseudo ID), as deep as the deepest round of this unit. A repair starts
+  /// its ranking from it and sorts past it only if its merge reads deeper.
+  std::vector<uint32_t> order;
   /// BASE mode: the ciphertext of `values` as held by the aggregation
   /// server. On repair the server re-sums cached ciphertexts instead of
   /// asking survivors to recompute, re-encrypt, and resend.
@@ -89,8 +93,9 @@ class SelectionCache {
   }
 
   /// Fold one unit's freshly produced contributions in. Entries carrying
-  /// values replace the cached party state; value-less entries only advance
-  /// `streamed_depth` (a cached party whose ranking was streamed deeper).
+  /// values replace the cached party state; value-less entries come from a
+  /// cached party that a round read deeper, and only lengthen its `order`
+  /// prefix and advance its `streamed_depth`.
   /// Entries staged over other candidate rows than the cached ones replace
   /// the whole unit: the old entries can never match a round again.
   void Absorb(size_t u, CachedUnit&& produced);

@@ -19,12 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "core/vfps_sm.h"
@@ -78,6 +81,113 @@ TEST(FaultSpecTest, RejectsMalformedInput) {
   EXPECT_FALSE(net::ParseFaultSpec("crash=2@0").ok());       // after < 1
   EXPECT_FALSE(net::ParseFaultSpec("stall=3@10").ok());      // missing +count
   EXPECT_FALSE(net::ParseFaultSpec("delay=0.1:0").ok());     // zero seconds
+  EXPECT_FALSE(net::ParseFaultSpec("drop=nan").ok());
+  EXPECT_FALSE(net::ParseFaultSpec("delay=nan:0.5").ok());
+  EXPECT_FALSE(net::ParseFaultSpec("delay=0.1:inf").ok());
+  EXPECT_FALSE(net::ParseFaultSpec("delay=0.1:nan").ok());
+}
+
+TEST(FaultSpecTest, RejectsNodeIdsOutsideTheNodeRange) {
+  // Narrowed to NodeId, each id would name another node: 4294967299 node 3,
+  // -4294967294 node 2, 4294967297 node 1, 2147483648 node -2147483648.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"leave=4294967299@10", "4294967299"},
+      {"crash=-4294967294@5", "-4294967294"},
+      {"part=4294967297@6+2000", "4294967297"},
+      {"leave=2147483648@10", "2147483648"},
+      {"stall=-2147483649@1+1", "-2147483649"},
+      {"drop=0.01,join=9223372036854775807@3", "9223372036854775807"},
+  };
+  for (const auto& [text, id] : cases) {
+    auto spec = net::ParseFaultSpec(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_TRUE(spec.status().IsInvalidArgument()) << text;
+    // The message quotes the id as written.
+    EXPECT_NE(spec.status().message().find("'" + id + "'"), std::string::npos)
+        << spec.status().ToString();
+  }
+  // The ends of the range still parse (a crash may name any node).
+  EXPECT_TRUE(net::ParseFaultSpec("crash=2147483647@1").ok());
+  EXPECT_TRUE(net::ParseFaultSpec("crash=-2147483648@1").ok());
+}
+
+// Seeded mutation fuzz of the --fault-spec parser. Mutants of valid specs
+// (a digit run replaced by an extreme value, a flipped byte, a truncation,
+// a duplicated term) must never crash it, and every spec it accepts must
+// pass Validate() and hold only in-range values.
+TEST(FaultSpecTest, MutatedSpecsNeverCrashAndAcceptedOnesValidate) {
+  const std::vector<std::string> seeds = {
+      "drop=0.05,dup=0.01,corrupt=0.02,delay=0.1:0.05",
+      "crash=2@40,stall=3@10+5,leave=2@40",
+      "join=3@25,heal=2@60,part=3@10+20",
+      "drop=0.08,corrupt=0.05,delay=0.15:0.02,leave=3@2,heal=3@30",
+  };
+  const std::vector<std::string> extremes = {
+      "",           "0",          "-0",         "1",
+      "-1",         "2147483647", "2147483648", "-2147483648",
+      "-2147483649", "4294967295", "4294967296", "4294967299",
+      "9223372036854775807",      "9223372036854775808",
+      "-9223372036854775808",     "99999999999999999999",
+      "1e308",      "1e-320",     "nan",        "inf",
+  };
+  Rng rng(20261017);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string text = seeds[rng.NextBounded(seeds.size())];
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      switch (rng.NextBounded(4)) {
+        case 0: {  // replace one digit run
+          std::vector<std::pair<size_t, size_t>> runs;
+          for (size_t i = 0; i < text.size();) {
+            if (text[i] < '0' || text[i] > '9') {
+              ++i;
+              continue;
+            }
+            size_t end = i;
+            while (end < text.size() && text[end] >= '0' && text[end] <= '9') {
+              ++end;
+            }
+            runs.emplace_back(i, end);
+            i = end;
+          }
+          if (runs.empty()) break;
+          const auto [begin, end] = runs[rng.NextBounded(runs.size())];
+          text.replace(begin, end - begin,
+                       extremes[rng.NextBounded(extremes.size())]);
+          break;
+        }
+        case 1:  // flip a byte
+          if (!text.empty()) {
+            text[rng.NextBounded(text.size())] ^=
+                static_cast<char>(1 + rng.NextBounded(255));
+          }
+          break;
+        case 2:  // truncate
+          text.resize(rng.NextBounded(text.size() + 1));
+          break;
+        default: {  // duplicate a term
+          const std::vector<std::string> terms = SplitString(text, ',');
+          if (!terms.empty()) text += "," + terms[rng.NextBounded(terms.size())];
+        }
+      }
+    }
+    auto spec = net::ParseFaultSpec(text);
+    if (!spec.ok()) continue;
+    ++accepted;
+    EXPECT_TRUE(spec->Validate().ok()) << text;
+    for (double p : {spec->drop_prob, spec->duplicate_prob, spec->corrupt_prob,
+                     spec->delay_prob}) {
+      EXPECT_TRUE(p >= 0.0 && p <= 1.0) << text;
+    }
+    EXPECT_TRUE(std::isfinite(spec->delay_seconds)) << text;
+    for (const auto& rule : spec->stalls) EXPECT_GE(rule.drop_count, 1u) << text;
+    for (const auto& rule : spec->partitions) {
+      EXPECT_GE(rule.drop_count, 1u) << text;
+    }
+  }
+  // Most mutants are rejected, but not all: the accepted path is exercised.
+  EXPECT_GT(accepted, 100u);
 }
 
 // ---------------------------------------------------------------------------

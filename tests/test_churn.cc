@@ -51,6 +51,7 @@
 #include "net/fault.h"
 #include "net/network.h"
 #include "obs/metrics.h"
+#include "topk/ranked_list.h"
 #include "vfl/fed_knn.h"
 #include "vfl/selection_cache.h"
 
@@ -504,6 +505,65 @@ TEST(ChurnOracleTest, PrefilterCacheNeverSplicesOtherCandidateRows) {
       EXPECT_EQ((*repaired)[q].per_party_dt, (*reference)[q].per_party_dt)
           << vfl::KnnOracleModeName(mode) << " query " << q;
     }
+  }
+}
+
+TEST(ChurnOracleTest, JoinReadsPastCachedPrefixesAndEqualsAColdRun) {
+  // A run over {0,1,2} caches each party's ranked prefix only as deep as
+  // its Fagin merge read. Admitting participant 3 adds a fourth list that
+  // must also see k common items, so the rerun reads past cached prefixes:
+  // each such ranking is rebuilt from the cached scores, the cache keeps
+  // the longer prefix, and the output equals a cold run over {0,1,2,3}.
+  vfl::FedKnnConfig config;
+  config.mode = vfl::KnnOracleMode::kFagin;
+  config.k = 6;
+  config.num_queries = 16;
+  config.seed = 11;
+  config.fagin_batch = 4;
+
+  Deployment warm = Deployment::Make();
+  vfl::FederatedKnnOracle oracle(&warm.split.train, &warm.partition,
+                                 warm.backend.get(), &warm.network, &warm.cost,
+                                 &warm.clock);
+  vfl::SelectionCache cache;
+  oracle.set_cache(&cache);
+  config.absent = {3};
+  ASSERT_TRUE(oracle.Run(config, nullptr).ok());
+  std::vector<size_t> cached_depth;  // party 0's cached prefix, per unit
+  for (size_t u = 0; u < config.num_queries; ++u) {
+    cached_depth.push_back(cache.unit(u)->shards[0].at(0).order.size());
+  }
+
+  config.absent.clear();
+  vfl::FedKnnStats stats;
+  auto repaired = oracle.Run(config, &stats);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(stats.reused_contributions, 3 * config.num_queries);
+  size_t read_deeper = 0;
+  for (size_t u = 0; u < config.num_queries; ++u) {
+    const vfl::PartyUnitState& entry = cache.unit(u)->shards[0].at(0);
+    EXPECT_GE(entry.order.size(), cached_depth[u]) << "unit " << u;
+    if (entry.order.size() > cached_depth[u]) ++read_deeper;
+    // The cached prefix is the head of the party's full ranking.
+    const std::vector<uint64_t> full =
+        topk::RankedListSet::SortedOrder(*entry.values);
+    ASSERT_LE(entry.order.size(), full.size());
+    EXPECT_TRUE(std::equal(entry.order.begin(), entry.order.end(),
+                           full.begin()))
+        << "unit " << u;
+  }
+  EXPECT_GT(read_deeper, 0u) << "no unit read past its cached prefix";
+
+  Deployment cold = Deployment::Make();
+  vfl::FederatedKnnOracle fresh(&cold.split.train, &cold.partition,
+                                cold.backend.get(), &cold.network, &cold.cost,
+                                &cold.clock);
+  auto reference = fresh.Run(config, nullptr);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(repaired->size(), reference->size());
+  for (size_t q = 0; q < reference->size(); ++q) {
+    EXPECT_EQ((*repaired)[q].neighbors, (*reference)[q].neighbors) << q;
+    EXPECT_EQ((*repaired)[q].per_party_dt, (*reference)[q].per_party_dt) << q;
   }
 }
 

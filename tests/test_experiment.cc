@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "net/fault.h"
 #include "vfl/split_train.h"
 
 namespace vfps::core {
@@ -135,6 +138,32 @@ TEST(ExperimentTest, UnknownDatasetFails) {
   ExperimentConfig config = SmallConfig();
   config.dataset = "CIFAR10";
   EXPECT_FALSE(RunExperiment(config).ok());
+}
+
+TEST(ExperimentTest, FaultRuleForAnAbsentNodeIsRejectedBeforeAnyWork) {
+  ExperimentConfig config = SmallConfig();  // participants 0..3
+  // An unknown dataset fails only once work starts, so a fault-spec error
+  // shows that the node check ran first.
+  config.dataset = "CIFAR10";
+  for (const char* text :
+       {"leave=9@2", "leave=4@2", "crash=4@1", "part=5@3+2", "crash=-3@1"}) {
+    config.faults = net::ParseFaultSpec(text).ValueOrDie();
+    const Status status = RunExperiment(config).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << text;
+    EXPECT_NE(status.message().find("fault-spec"), std::string::npos)
+        << text << ": " << status.ToString();
+  }
+  // Both servers are nodes of every run, and duplicates are participants
+  // (ids 4 and 5 with two of them): these rules pass the check and the run
+  // fails on the dataset instead.
+  config.duplicates = 2;
+  for (const char* text : {"crash=-1@5", "stall=-2@1+1", "leave=5@2"}) {
+    config.faults = net::ParseFaultSpec(text).ValueOrDie();
+    const Status status = RunExperiment(config).status();
+    EXPECT_FALSE(status.ok()) << text;
+    EXPECT_EQ(status.message().find("fault-spec"), std::string::npos)
+        << text << ": " << status.ToString();
+  }
 }
 
 TEST(SplitTrainTest, EpochCostGrowsWithParties) {

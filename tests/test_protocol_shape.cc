@@ -21,6 +21,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -149,7 +150,8 @@ TEST(ProtocolShapeTest, UnknownModeIsCorrupt) {
 void CacheOneContribution(vfl::SelectionCache* cache) {
   vfl::CachedUnit unit;
   unit.shards.resize(1);
-  unit.shards[0][1].values = {1.0, 2.0};
+  unit.shards[0][1].values =
+      std::make_shared<const std::vector<double>>(std::vector{1.0, 2.0});
   cache->Absorb(0, std::move(unit));
 }
 

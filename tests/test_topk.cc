@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "topk/fagin.h"
@@ -102,10 +104,120 @@ TEST(RankedListSetTest, SortedOrderMatchesComparatorSortOnRandomLists) {
   }
 }
 
+// A list of n scores drawn from the cases the ranking must order exactly:
+// distance-like values, a small value set (many ties), wide magnitudes of
+// both signs, signed zeros, denormals and +inf.
+std::vector<double> HardScores(size_t n, Rng* rng) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> scores(n);
+  for (double& v : scores) {
+    switch (rng->NextBounded(6)) {
+      case 0:
+        v = rng->Uniform(0.0, 50.0);
+        break;
+      case 1:
+        v = static_cast<double>(rng->NextBounded(8)) * 0.5 - 2.0;
+        break;
+      case 2:
+        v = std::ldexp(rng->Uniform(-1.0, 1.0),
+                       static_cast<int>(rng->NextBounded(200)) - 100);
+        break;
+      case 3:
+        v = rng->Bernoulli(0.5) ? 0.0 : -0.0;
+        break;
+      case 4:
+        v = static_cast<double>(rng->NextBounded(4)) * denorm *
+            (rng->Bernoulli(0.5) ? 1.0 : -1.0);
+        break;
+      default:
+        v = rng->Bernoulli(0.1) ? std::numeric_limits<double>::infinity()
+                                : rng->Uniform(0.0, 1.0);
+    }
+  }
+  return scores;
+}
+
+TEST(RankedListSetTest, LazyRanksEqualSortedOrderAtEveryRead) {
+  // Reads in increasing order to a random depth, then at random ranks; and
+  // the same from a known prefix of random length, read past it. Every read
+  // must equal SortedOrder's rank.
+  Rng rng(7);
+  const size_t sizes[] = {1, 2, 3, 17, 100, 1000, 4099, 19200};
+  for (size_t n : sizes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> scores = HardScores(n, &rng);
+      // A distance-like list with a few outliers as the fourth case.
+      if (trial == 2) {
+        for (double& v : scores) v = rng.Uniform(0.0, 20.0);
+        scores[rng.NextBounded(n)] = std::numeric_limits<double>::infinity();
+      }
+      const std::vector<uint64_t> reference = RankedListSet::SortedOrder(scores);
+      ASSERT_EQ(reference, ComparatorOrder(scores)) << "n=" << n;
+
+      const size_t known = rng.NextBounded(n + 1);
+      std::vector<uint64_t> prefix(reference.begin(),
+                                   reference.begin() + known);
+      auto built = RankedListSet::Build({scores});
+      auto presorted = RankedListSet::BuildPresorted(
+          std::vector<std::vector<double>>{scores}, {prefix});
+      ASSERT_TRUE(built.ok() && presorted.ok()) << "n=" << n;
+      for (RankedListSet* set : {&*built, &*presorted}) {
+        const size_t depth = rng.NextBounded(n + 1);
+        for (size_t r = 0; r < depth; ++r) {
+          ASSERT_EQ(set->IdAtRank(0, r), reference[r])
+              << "n=" << n << " known=" << known << " rank=" << r;
+        }
+        for (int read = 0; read < 200; ++read) {
+          const size_t r = rng.NextBounded(n);
+          ASSERT_EQ(set->IdAtRank(0, r), reference[r])
+              << "n=" << n << " known=" << known << " rank=" << r;
+        }
+        const size_t cut = rng.NextBounded(n + 1);
+        const std::vector<uint32_t> head = set->RankedPrefix(0, cut);
+        ASSERT_EQ(head.size(), cut);
+        for (size_t r = 0; r < cut; ++r) ASSERT_EQ(head[r], reference[r]);
+      }
+    }
+  }
+}
+
 TEST(RankedListSetTest, RejectsBadInput) {
   EXPECT_FALSE(RankedListSet::Build({}).ok());
   EXPECT_FALSE(RankedListSet::Build({{}}).ok());
   EXPECT_FALSE(RankedListSet::Build({{1.0, 2.0}, {1.0}}).ok());
+
+  // Known prefixes: a whole SortedOrder and any head of it are accepted.
+  const std::vector<double> scores = {3.0, 1.0, 2.0, 1.0};  // order 1,3,2,0
+  const auto presorted = [&](std::vector<uint64_t> prefix) {
+    return RankedListSet::BuildPresorted(
+        std::vector<std::vector<double>>{scores}, {std::move(prefix)});
+  };
+  EXPECT_TRUE(presorted({1, 3, 2, 0}).ok());
+  EXPECT_TRUE(presorted({1, 3}).ok());
+  EXPECT_TRUE(presorted({}).ok());
+  // Each bad prefix with the reason its rejection must name.
+  const std::vector<std::pair<std::vector<uint64_t>, std::string>> bad = {
+      {{1, 3, 2, 0, 1}, "longer than the list"},
+      {{1, 4}, "id >= N"},  // a merge would read past N
+      {{uint64_t{1} << 32}, "id >= N"},  // narrowing would wrap it to 0
+      {{1, 1}, "order"},                 // a repeated id
+      {{3, 1}, "order"},                 // a tie out of id order
+      {{2, 1}, "order"},                 // scores out of order
+  };
+  for (const auto& [prefix, reason] : bad) {
+    auto set = presorted(prefix);
+    ASSERT_FALSE(set.ok()) << reason;
+    EXPECT_TRUE(set.status().IsInvalidArgument()) << set.status().ToString();
+    EXPECT_NE(set.status().message().find(reason), std::string::npos)
+        << set.status().ToString();
+  }
+  // Party-count mismatch between scores and prefixes.
+  EXPECT_FALSE(RankedListSet::BuildPresorted(
+                   std::vector<std::vector<double>>{scores, scores},
+                   std::vector<std::vector<uint64_t>>{{1}})
+                   .ok());
+  // Lists longer than UINT32_MAX items are rejected as well (ids are stored
+  // as uint32_t); such a list does not fit a test's memory.
 }
 
 TEST(FaginTest, PaperFigure2Example) {

@@ -189,6 +189,9 @@ Result<core::ExperimentConfig> BuildConfig(const Flags& flags) {
   config.num_threads = static_cast<size_t>(threads);
   VFPS_ASSIGN_OR_RETURN(config.faults,
                         net::ParseFaultSpec(flags.Get("fault-spec", "")));
+  // The run has one participant per --participants and per --duplicates.
+  VFPS_RETURN_NOT_OK(
+      config.faults.CheckNodes(config.participants + config.duplicates));
   VFPS_ASSIGN_OR_RETURN(int64_t fault_seed,
                         ParseInt64(flags.Get("fault-seed", "0")));
   config.fault_seed = static_cast<uint64_t>(fault_seed);
