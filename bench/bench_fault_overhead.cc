@@ -23,9 +23,8 @@
 #include <memory>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/vfps_sm.h"
-#include "data/scaler.h"
-#include "data/synthetic.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "net/network.h"
@@ -33,18 +32,12 @@
 namespace vfps {
 namespace {
 
-std::vector<uint8_t> MakePayload(size_t bytes) {
-  std::vector<uint8_t> payload(bytes);
-  for (size_t i = 0; i < bytes; ++i) payload[i] = static_cast<uint8_t>(i);
-  return payload;
-}
-
 // arg0: payload bytes; arg1: 1 = attach a zero-probability fault plan.
 void BM_RawSendRecv(benchmark::State& state) {
   net::SimNetwork net;
   SimClock clock;
   if (state.range(1) != 0) net.EnableFaults(net::FaultSpec{}, 7, &clock);
-  const auto payload = MakePayload(static_cast<size_t>(state.range(0)));
+  const auto payload = bench::MakePayload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     (void)net.Send(0, 1, payload);
     auto got = net.Recv(0, 1);
@@ -64,7 +57,7 @@ void BM_ChannelSendRecv(benchmark::State& state) {
   SimClock clock;
   if (state.range(1) != 0) net.EnableFaults(net::FaultSpec{}, 7, &clock);
   net::ReliableChannel chan(&net, &clock);
-  const auto payload = MakePayload(static_cast<size_t>(state.range(0)));
+  const auto payload = bench::MakePayload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     (void)chan.Send(0, 1, payload);
     auto got = chan.Recv(0, 1);
@@ -80,36 +73,13 @@ BENCHMARK(BM_ChannelSendRecv)
 // arg0: 1 = attach a zero-probability fault plan. Mirrors the Fig. 7 cell
 // shape (4 participants, select 2, FAGIN oracle) at chaos-suite scale.
 void BM_VfpsSmSelection(benchmark::State& state) {
-  data::SyntheticConfig config;
-  config.num_samples = 400;
-  config.num_features = 12;
-  config.num_informative = 6;
-  config.num_redundant = 3;
-  config.seed = 31;
-  auto generated = data::GenerateClassification(config);
-  auto split = data::SplitDataset(generated->data, 0.8, 0.1, 5).MoveValueUnsafe();
-  data::StandardizeSplit(&split).Abort("standardize");
-  auto partition =
-      data::RandomVerticalPartition(config.num_features, 4, 9).MoveValueUnsafe();
-  auto backend = he::CreatePlainBackend();
-  net::SimNetwork network;
-  net::CostModel cost;
-  SimClock clock;
-  if (state.range(0) != 0) network.EnableFaults(net::FaultSpec{}, 7, &clock);
-
-  core::SelectionContext ctx;
-  ctx.split = &split;
-  ctx.partition = &partition;
-  ctx.backend = backend.get();
-  ctx.network = &network;
-  ctx.cost = &cost;
-  ctx.clock = &clock;
-  ctx.knn.k = 6;
-  ctx.knn.num_queries = 16;
-  ctx.seed = 11;
+  bench::OverheadSelection sel;
+  if (state.range(0) != 0) {
+    sel.network.EnableFaults(net::FaultSpec{}, 7, &sel.clock);
+  }
   core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
   for (auto _ : state) {
-    auto outcome = selector.Select(ctx, 2);
+    auto outcome = selector.Select(sel.ctx, 2);
     if (!outcome.ok()) state.SkipWithError(outcome.status().ToString().c_str());
     benchmark::DoNotOptimize(outcome);
   }
@@ -128,24 +98,14 @@ BENCHMARK(BM_VfpsSmSelection)
 // is repair < 30% of clean-slate on this shape (FAGIN oracle, n = 2000
 // rows, 4 participants, |Q| = 16).
 void BM_SelectRepair(benchmark::State& state) {
-  data::SyntheticConfig config;
-  config.num_samples = 2000;
-  config.num_features = 12;
-  config.num_informative = 6;
-  config.num_redundant = 3;
-  config.seed = 31;
-  auto generated = data::GenerateClassification(config);
-  auto split = data::SplitDataset(generated->data, 0.8, 0.1, 5).MoveValueUnsafe();
-  data::StandardizeSplit(&split).Abort("standardize");
-  auto partition =
-      data::RandomVerticalPartition(config.num_features, 4, 9).MoveValueUnsafe();
+  const bench::OverheadData data(2000);
   auto backend = he::CreatePlainBackend();
   net::SimNetwork network;
   net::CostModel cost;
   SimClock clock;
 
-  vfl::FederatedKnnOracle oracle(&split.train, &partition, backend.get(),
-                                 &network, &cost, &clock);
+  vfl::FederatedKnnOracle oracle(&data.split.train, &data.partition,
+                                 backend.get(), &network, &cost, &clock);
   vfl::FedKnnConfig knn;
   knn.mode = vfl::KnnOracleMode::kFagin;
   knn.k = 6;

@@ -4,9 +4,10 @@
 // compare runs across PRs: the same name always measures "what the product
 // does for this operation today".
 //
-// Coverage: 64-bit modular multiplication, the negacyclic NTT, the CKKS
-// ciphertext ops on the selection hot path (encrypt/decrypt/add/rescale) and
-// the layers inside them (encode, decode, noise sampling), a whole backend
+// Coverage: 64-bit modular multiplication, the negacyclic NTT (at 54-bit
+// and at the default 50-bit primes), the CKKS ciphertext ops on the
+// selection hot path (encrypt/decrypt/add/rescale) and the layers inside
+// them (encode, decode, noise sampling, the key product), a whole backend
 // Encrypt including the wire write, Paillier encrypt/add, the plaintext
 // distance kernels behind KnnClassifier / FederatedKnnOracle, the per-party
 // sub-ranking sort, the bounded top-k selection, the CRC-32 every
@@ -117,8 +118,11 @@ BENCHMARK(BM_MulModShoup);
 // Negacyclic NTT
 // ---------------------------------------------------------------------------
 
-void NttForwardBody(benchmark::State& state, size_t n) {
-  auto prime = he::GeneratePrime(54, 2 * n);
+// The unsuffixed rows keep 54-bit primes, as they always had; the
+// `bits:50` siblings measure the default CKKS prime width, which takes the
+// IFMA butterflies on AVX-512 CPUs that have them (docs/KERNELS.md).
+void NttForwardBody(benchmark::State& state, size_t n, int bits) {
+  auto prime = he::GeneratePrime(bits, 2 * n);
   auto tables = he::NttTables::Create(n, *prime);
   Rng rng(1);
   std::vector<uint64_t> poly(n);
@@ -134,12 +138,12 @@ void NttForwardBody(benchmark::State& state, size_t n) {
 }
 
 void BM_NttForward(benchmark::State& state) {
-  NttForwardBody(state, static_cast<size_t>(state.range(0)));
+  NttForwardBody(state, static_cast<size_t>(state.range(0)), 54);
 }
 BENCHMARK(BM_NttForward)->Arg(1024)->Arg(4096);
 
-void NttInverseBody(benchmark::State& state, size_t n) {
-  auto prime = he::GeneratePrime(54, 2 * n);
+void NttInverseBody(benchmark::State& state, size_t n, int bits) {
+  auto prime = he::GeneratePrime(bits, 2 * n);
   auto tables = he::NttTables::Create(n, *prime);
   Rng rng(2);
   std::vector<uint64_t> poly(n);
@@ -155,9 +159,18 @@ void NttInverseBody(benchmark::State& state, size_t n) {
 }
 
 void BM_NttInverse(benchmark::State& state) {
-  NttInverseBody(state, static_cast<size_t>(state.range(0)));
+  NttInverseBody(state, static_cast<size_t>(state.range(0)), 54);
 }
 BENCHMARK(BM_NttInverse)->Arg(1024)->Arg(4096);
+
+// Registered in RegisterRows below under "BM_NttForward/4096/bits:50" and
+// "BM_NttInverse/4096/bits:50".
+void NttForward50Body(benchmark::State& state) {
+  NttForwardBody(state, 4096, 50);
+}
+void NttInverse50Body(benchmark::State& state) {
+  NttInverseBody(state, 4096, 50);
+}
 
 // ---------------------------------------------------------------------------
 // CKKS scheme operations (the encrypted-KNN oracle's per-query HE cost)
@@ -192,6 +205,30 @@ void BM_CkksEncrypt(benchmark::State& state) {
                           static_cast<int64_t>(f.values.size()));
 }
 BENCHMARK(BM_CkksEncrypt)->Arg(4096);
+
+// The fixed-operand product of encryption: b * u over both primes, with
+// the public key's per-coefficient Shoup companions (the Shoup kernel of
+// he/poly_simd.h; IFMA at the default primes where the CPU has it).
+void CkksKeyProductBody(benchmark::State& state, size_t degree) {
+  CkksKernelFixture f(degree);
+  Rng rng(11);
+  he::RnsPoly u = he::SampleTernary(f.ctx->rns(), &rng);
+  he::ToNtt(f.ctx->rns(), &u);
+  he::RnsPoly out;
+  for (auto _ : state) {
+    he::MulFixedInto(f.ctx->rns(), u, f.pk.b, f.pk.b_shoup, &out);
+    benchmark::DoNotOptimize(out.residues[0].data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(degree * u.num_primes()));
+  SetIsaCounter(state);
+}
+
+void BM_CkksKeyProduct(benchmark::State& state) {
+  CkksKeyProductBody(state, static_cast<size_t>(state.range(0)));
+}
+BENCHMARK(BM_CkksKeyProduct)->Arg(4096);
 
 void BM_CkksDecrypt(benchmark::State& state) {
   CkksKernelFixture f(static_cast<size_t>(state.range(0)));
@@ -644,7 +681,11 @@ auto PinnedTo(simd::Isa isa, Body body) {
   };
 }
 
-void RegisterIsaPinnedVariants() {
+// The dispatched rows whose names carry an argument label, and the ISA-pinned
+// variants of every ISA-sensitive row.
+void RegisterRows() {
+  benchmark::RegisterBenchmark("BM_NttForward/4096/bits:50", NttForward50Body);
+  benchmark::RegisterBenchmark("BM_NttInverse/4096/bits:50", NttInverse50Body);
   const simd::Isa widest = simd::DetectCpuIsa();
   for (simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
@@ -652,10 +693,17 @@ void RegisterIsaPinnedVariants() {
     const std::string tag = std::string("/isa:") + simd::IsaName(isa);
     benchmark::RegisterBenchmark(
         ("BM_NttForward/4096" + tag).c_str(),
-        PinnedTo(isa, [](benchmark::State& s) { NttForwardBody(s, 4096); }));
+        PinnedTo(isa, [](benchmark::State& s) { NttForwardBody(s, 4096, 54); }));
     benchmark::RegisterBenchmark(
         ("BM_NttInverse/4096" + tag).c_str(),
-        PinnedTo(isa, [](benchmark::State& s) { NttInverseBody(s, 4096); }));
+        PinnedTo(isa, [](benchmark::State& s) { NttInverseBody(s, 4096, 54); }));
+    benchmark::RegisterBenchmark(("BM_NttForward/4096/bits:50" + tag).c_str(),
+                                 PinnedTo(isa, NttForward50Body));
+    benchmark::RegisterBenchmark(("BM_NttInverse/4096/bits:50" + tag).c_str(),
+                                 PinnedTo(isa, NttInverse50Body));
+    benchmark::RegisterBenchmark(
+        ("BM_CkksKeyProduct/4096" + tag).c_str(),
+        PinnedTo(isa, [](benchmark::State& s) { CkksKeyProductBody(s, 4096); }));
     benchmark::RegisterBenchmark(
         ("BM_CkksRescale/4096" + tag).c_str(),
         PinnedTo(isa, [](benchmark::State& s) { CkksRescaleBody(s, 4096); }));
@@ -695,7 +743,7 @@ void RegisterIsaPinnedVariants() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  vfps::RegisterIsaPinnedVariants();
+  vfps::RegisterRows();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

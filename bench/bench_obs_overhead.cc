@@ -15,8 +15,8 @@
 #include <memory>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/vfps_sm.h"
-#include "data/scaler.h"
 #include "data/synthetic.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -41,18 +41,12 @@ void BM_CounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterAdd)->ArgNames({"obs"})->Arg(0)->Arg(1);
 
-std::vector<uint8_t> MakePayload(size_t bytes) {
-  std::vector<uint8_t> payload(bytes);
-  for (size_t i = 0; i < bytes; ++i) payload[i] = static_cast<uint8_t>(i);
-  return payload;
-}
-
 // arg0: payload bytes; arg1: 1 = attach a metrics registry.
 void BM_RawSendRecv(benchmark::State& state) {
   net::SimNetwork net;
   obs::MetricsRegistry registry;
   if (state.range(1) != 0) net.set_metrics(&registry);
-  const auto payload = MakePayload(static_cast<size_t>(state.range(0)));
+  const auto payload = bench::MakePayload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     (void)net.Send(0, 1, payload);
     auto got = net.Recv(0, 1);
@@ -66,45 +60,21 @@ BENCHMARK(BM_RawSendRecv)
     ->Args({4096, 0})->Args({4096, 1});
 
 // arg0: 0 = no registry (the pre-obs code path), 1 = registry attached,
-// 2 = registry + tracing. Workload mirrors BM_VfpsSmSelection in
-// bench_fault_overhead exactly, so the two benches are cross-comparable.
+// 2 = registry + tracing. The workload is bench_fault_overhead's
+// BM_VfpsSmSelection (bench::OverheadSelection), so the two benches are
+// cross-comparable.
 void BM_VfpsSmSelection(benchmark::State& state) {
-  data::SyntheticConfig config;
-  config.num_samples = 400;
-  config.num_features = 12;
-  config.num_informative = 6;
-  config.num_redundant = 3;
-  config.seed = 31;
-  auto generated = data::GenerateClassification(config);
-  auto split = data::SplitDataset(generated->data, 0.8, 0.1, 5).MoveValueUnsafe();
-  data::StandardizeSplit(&split).Abort("standardize");
-  auto partition =
-      data::RandomVerticalPartition(config.num_features, 4, 9).MoveValueUnsafe();
-  auto backend = he::CreatePlainBackend();
-  net::SimNetwork network;
-  net::CostModel cost;
-  SimClock clock;
+  bench::OverheadSelection sel;
   obs::MetricsRegistry registry;
   if (state.range(0) >= 2) registry.EnableTracing();
-
-  core::SelectionContext ctx;
-  ctx.split = &split;
-  ctx.partition = &partition;
-  ctx.backend = backend.get();
-  ctx.network = &network;
-  ctx.cost = &cost;
-  ctx.clock = &clock;
-  ctx.knn.k = 6;
-  ctx.knn.num_queries = 16;
-  ctx.seed = 11;
   if (state.range(0) != 0) {
-    ctx.obs = &registry;
-    backend->set_metrics(&registry);
-    network.set_metrics(&registry);
+    sel.ctx.obs = &registry;
+    sel.backend->set_metrics(&registry);
+    sel.network.set_metrics(&registry);
   }
   core::VfpsSmSelector selector(vfl::KnnOracleMode::kFagin);
   for (auto _ : state) {
-    auto outcome = selector.Select(ctx, 2);
+    auto outcome = selector.Select(sel.ctx, 2);
     if (!outcome.ok()) state.SkipWithError(outcome.status().ToString().c_str());
     benchmark::DoNotOptimize(outcome);
   }

@@ -2,20 +2,27 @@
 #define VFPS_BENCH_BENCH_UTIL_H_
 
 // Shared helpers for the table/figure reproduction harnesses: tiny flag
-// parsing (--key=value), monospace table rendering, and the canonical
-// experiment-grid defaults used across benches.
+// parsing (--key=value), monospace table rendering, the canonical
+// experiment-grid defaults used across benches, and the set-up the
+// overhead microbenchmarks (bench_fault_overhead, bench_obs_overhead) share.
 
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "core/experiment.h"
+#include "data/scaler.h"
+#include "data/synthetic.h"
+#include "he/backend.h"
+#include "net/network.h"
 
 namespace vfps::bench {
 
@@ -161,6 +168,65 @@ inline void RunOrDie(const char* what, const Status& status) {
     std::exit(1);
   }
 }
+
+/// A payload of `bytes` bytes 0, 1, 2, ... (mod 256), for the overhead
+/// benches' BM_RawSendRecv and BM_ChannelSendRecv rows.
+inline std::vector<uint8_t> MakePayload(size_t bytes) {
+  std::vector<uint8_t> payload(bytes);
+  for (size_t i = 0; i < bytes; ++i) payload[i] = static_cast<uint8_t>(i);
+  return payload;
+}
+
+/// The data of the overhead benches' selection rows: a standardized
+/// synthetic split (12 features, 6 informative and 3 redundant, seed 31;
+/// 80/10/10) and a random 4-way column partition.
+struct OverheadData {
+  data::DataSplit split;
+  data::VerticalPartition partition;
+
+  explicit OverheadData(size_t rows) {
+    data::SyntheticConfig config;
+    config.num_samples = rows;
+    config.num_features = 12;
+    config.num_informative = 6;
+    config.num_redundant = 3;
+    config.seed = 31;
+    auto generated = data::GenerateClassification(config);
+    split = data::SplitDataset(generated->data, 0.8, 0.1, 5).MoveValueUnsafe();
+    data::StandardizeSplit(&split).Abort("standardize");
+    partition = data::RandomVerticalPartition(config.num_features, 4, 9)
+                    .MoveValueUnsafe();
+  }
+};
+
+/// \brief The BM_VfpsSmSelection set-up of bench_fault_overhead and
+/// bench_obs_overhead, one definition so the two rows stay cross-comparable:
+/// a Fig. 7-style VFPS-SM cell (4 participants, 400 rows, plain backend,
+/// |Q| = 16, k = 6) at chaos-suite scale. Each bench attaches its fault plan
+/// or metrics registry to `network`, `backend` and `ctx`, then times
+/// `Select(ctx, 2)`. `ctx` points into the object, so it is not copyable.
+struct OverheadSelection {
+  OverheadData data{400};
+  std::unique_ptr<he::HeBackend> backend = he::CreatePlainBackend();
+  net::SimNetwork network;
+  net::CostModel cost;
+  SimClock clock;
+  core::SelectionContext ctx;
+
+  OverheadSelection() {
+    ctx.split = &data.split;
+    ctx.partition = &data.partition;
+    ctx.backend = backend.get();
+    ctx.network = &network;
+    ctx.cost = &cost;
+    ctx.clock = &clock;
+    ctx.knn.k = 6;
+    ctx.knn.num_queries = 16;
+    ctx.seed = 11;
+  }
+  OverheadSelection(const OverheadSelection&) = delete;
+  OverheadSelection& operator=(const OverheadSelection&) = delete;
+};
 
 }  // namespace vfps::bench
 

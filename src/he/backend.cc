@@ -446,12 +446,8 @@ class PlainBackend final : public SchemeBackend {
 
 void HeBackend::set_metrics(obs::MetricsRegistry* registry) {
   obs_registry_ = registry;
-  if (registry == nullptr) {
-    c_encrypt_count_ = c_encrypt_values_ = c_encrypt_bytes_ = nullptr;
-    c_decrypt_count_ = c_decrypt_values_ = nullptr;
-    c_add_count_ = c_add_values_ = nullptr;
-    return;
-  }
+  meters_ = Meters{};
+  if (registry == nullptr) return;
   // The `.count` counters meter ciphertexts, the `.values` counters meter
   // plaintext slots; their ratio is the realized packing density. With
   // metric labels set (see set_metric_labels) the series carry the label
@@ -461,34 +457,34 @@ void HeBackend::set_metrics(obs::MetricsRegistry* registry) {
                ? registry->GetCounter(name)
                : registry->GetLabeledCounter(name, metric_labels_);
   };
-  c_encrypt_count_ = get("he.encrypt.count");
-  c_encrypt_values_ = get("he.encrypt.values");
-  c_encrypt_bytes_ = get("he.encrypt.bytes");
-  c_decrypt_count_ = get("he.decrypt.count");
-  c_decrypt_values_ = get("he.decrypt.values");
-  c_add_count_ = get("he.add.count");
-  c_add_values_ = get("he.add.values");
+  meters_.encrypt_count = get("he.encrypt.count");
+  meters_.encrypt_values = get("he.encrypt.values");
+  meters_.encrypt_bytes = get("he.encrypt.bytes");
+  meters_.decrypt_count = get("he.decrypt.count");
+  meters_.decrypt_values = get("he.decrypt.values");
+  meters_.add_count = get("he.add.count");
+  meters_.add_values = get("he.add.values");
 }
 
 void HeBackend::PublishDelta(const HeOpStats& before, uint64_t bytes_out) {
   if (uint64_t d = stats_.encrypt_ops - before.encrypt_ops; d != 0) {
-    c_encrypt_count_->Add(d);
+    meters_.encrypt_count->Add(d);
   }
   if (uint64_t d = stats_.values_encrypted - before.values_encrypted; d != 0) {
-    c_encrypt_values_->Add(d);
+    meters_.encrypt_values->Add(d);
   }
-  if (bytes_out != 0) c_encrypt_bytes_->Add(bytes_out);
+  if (bytes_out != 0) meters_.encrypt_bytes->Add(bytes_out);
   if (uint64_t d = stats_.decrypt_ops - before.decrypt_ops; d != 0) {
-    c_decrypt_count_->Add(d);
+    meters_.decrypt_count->Add(d);
   }
   if (uint64_t d = stats_.values_decrypted - before.values_decrypted; d != 0) {
-    c_decrypt_values_->Add(d);
+    meters_.decrypt_values->Add(d);
   }
   if (uint64_t d = stats_.add_ops - before.add_ops; d != 0) {
-    c_add_count_->Add(d);
+    meters_.add_count->Add(d);
   }
   if (uint64_t d = stats_.values_added - before.values_added; d != 0) {
-    c_add_values_->Add(d);
+    meters_.add_values->Add(d);
   }
 }
 
@@ -547,7 +543,8 @@ Result<std::vector<std::vector<double>>> HeBackend::DecryptBatch(
 Result<std::unique_ptr<HeBackend>> HeBackend::Fork(uint64_t stream_seed) const {
   VFPS_ASSIGN_OR_RETURN(auto fork, DoFork(stream_seed));
   fork->set_metric_labels(metric_labels_);
-  if (obs_registry_ != nullptr) fork->set_metrics(obs_registry_);
+  fork->obs_registry_ = obs_registry_;
+  fork->meters_ = meters_;
   return fork;
 }
 

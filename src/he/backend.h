@@ -226,15 +226,21 @@ class HeBackend {
   /// cached counter handles. Caller checks obs_registry_ first.
   void PublishDelta(const HeOpStats& before, uint64_t bytes_out);
 
+  /// The `he.*` counter handles set_metrics resolves. Fork() copies them,
+  /// so a session forked inside a query task never takes the registry mutex.
+  struct Meters {
+    obs::Counter* encrypt_count = nullptr;
+    obs::Counter* encrypt_values = nullptr;
+    obs::Counter* encrypt_bytes = nullptr;
+    obs::Counter* decrypt_count = nullptr;
+    obs::Counter* decrypt_values = nullptr;
+    obs::Counter* add_count = nullptr;
+    obs::Counter* add_values = nullptr;
+  };
+
   obs::MetricsRegistry* obs_registry_ = nullptr;
   std::vector<std::pair<std::string, std::string>> metric_labels_;
-  obs::Counter* c_encrypt_count_ = nullptr;
-  obs::Counter* c_encrypt_values_ = nullptr;
-  obs::Counter* c_encrypt_bytes_ = nullptr;
-  obs::Counter* c_decrypt_count_ = nullptr;
-  obs::Counter* c_decrypt_values_ = nullptr;
-  obs::Counter* c_add_count_ = nullptr;
-  obs::Counter* c_add_values_ = nullptr;
+  Meters meters_;
 };
 
 /// \brief How the CKKS backend maps values to ciphertext slots.

@@ -36,6 +36,7 @@ CkksSecretKey CkksContext::GenerateSecretKey(Rng* rng) const {
   CkksSecretKey sk;
   sk.s = SampleTernary(*rns_, rng);
   ToNtt(*rns_, &sk.s);
+  sk.s_shoup = ShoupCompanions(*rns_, sk.s);
   return sk;
 }
 
@@ -50,14 +51,16 @@ CkksPublicKey CkksContext::GeneratePublicKey(const CkksSecretKey& sk,
   MulPointwiseInPlace(*rns_, &pk.b, sk.s);
   AddInPlace(*rns_, &pk.b, e);
   NegateInPlace(*rns_, &pk.b);
+  pk.b_shoup = ShoupCompanions(*rns_, pk.b);
+  pk.a_shoup = ShoupCompanions(*rns_, pk.a);
   return pk;
 }
 
 RnsPoly CkksContext::Decrypt(const CkksSecretKey& sk,
                              const CkksCiphertext& ct) const {
   // m' = c0 + c1 * s
-  RnsPoly m = ct.c1;
-  MulPointwiseInPlace(*rns_, &m, sk.s);
+  RnsPoly m;
+  MulFixedInto(*rns_, ct.c1, sk.s, sk.s_shoup, &m);
   AddInPlace(*rns_, &m, ct.c0);
   return m;
 }
@@ -91,13 +94,12 @@ Status CkksContext::EncryptVectorInto(const CkksPublicKey& pk,
   ToNtt(*rns_, &e1);
 
   out->scale = params_.scale;
-  // c0 = b*u + (e0 + m). Copy-assignment reuses out's buffers.
-  out->c0 = pk.b;
-  MulPointwiseInPlace(*rns_, &out->c0, u);
+  // c0 = b*u + (e0 + m) and c1 = a*u + e1, multiplying by the keys through
+  // their Shoup companions (the same residues as a Barrett product). The
+  // products write into out's buffers, reusing them.
+  MulFixedInto(*rns_, u, pk.b, pk.b_shoup, &out->c0);
   AddInPlace(*rns_, &out->c0, e0);
-  // c1 = a*u + e1
-  out->c1 = pk.a;
-  MulPointwiseInPlace(*rns_, &out->c1, u);
+  MulFixedInto(*rns_, u, pk.a, pk.a_shoup, &out->c1);
   AddInPlace(*rns_, &out->c1, e1);
   return Status::OK();
 }

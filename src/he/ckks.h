@@ -16,27 +16,37 @@ namespace vfps::he {
 
 /// \brief CKKS scheme parameters.
 ///
-/// The defaults (n = 4096, two 54-bit primes, scale 2^40) match the additive
-/// workload of the VFPS-SM protocol: Q ~ 2^108 leaves > 60 bits of headroom
-/// above the scale, so dozens of ciphertext additions stay far from overflow.
+/// The defaults (n = 4096, two 50-bit primes, scale 2^40) match the additive
+/// workload of the VFPS-SM protocol: Q ~ 2^100 is within the 109-bit bound
+/// of the HE standard for 128-bit security at n = 4096, and leaves ~2^59 of
+/// headroom above the scale, so dozens of ciphertext additions stay far from
+/// overflow. Primes below 2^50 also let the NTT and the key products run on
+/// AVX-512 IFMA where the CPU has it (docs/KERNELS.md).
 struct CkksParams {
   size_t poly_degree = 4096;
-  std::vector<int> prime_bits = {54, 54};
+  std::vector<int> prime_bits = {50, 50};
   double scale = 1099511627776.0;  // 2^40
   /// Standard deviation of the rounded-Gaussian error; must be finite and
   /// in (0, GaussianCdt::kMaxSigma].
   double noise_sigma = 3.2;
 };
 
-/// Secret key: a ternary ring element (stored in NTT form).
+/// Secret key: a ternary ring element (stored in NTT form), with the Shoup
+/// companions of its residues for the c1 * s product of decryption.
+/// Built only by CkksContext::GenerateSecretKey.
 struct CkksSecretKey {
   RnsPoly s;
+  ShoupTable s_shoup;
 };
 
-/// Public key (b, a) with b = -(a*s + e); both in NTT form.
+/// Public key (b, a) with b = -(a*s + e); both in NTT form, each with the
+/// Shoup companions of its residues for the b * u and a * u products of
+/// encryption. Built only by CkksContext::GeneratePublicKey.
 struct CkksPublicKey {
   RnsPoly b;
   RnsPoly a;
+  ShoupTable b_shoup;
+  ShoupTable a_shoup;
 };
 
 /// RLWE ciphertext (c0, c1); decryption computes c0 + c1 * s.

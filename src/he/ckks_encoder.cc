@@ -11,6 +11,21 @@ namespace vfps::he {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+
+// min(2^62, floor(Q/2)), rounded down to a double: |c| below it rounds to
+// an integer of magnitude <= floor(Q/2), which the centred CRT decode maps
+// back to itself.
+double CoeffBound(const RnsContext& ctx) {
+  unsigned __int128 big_q = 1;
+  for (uint64_t q : ctx.primes()) big_q *= q;
+  const unsigned __int128 half = big_q / 2;
+  constexpr uint64_t kTwo62 = uint64_t{1} << 62;
+  if (half >= kTwo62) return static_cast<double>(kTwo62);
+  const uint64_t h = static_cast<uint64_t>(half);
+  double bound = static_cast<double>(h);
+  if (static_cast<uint64_t>(bound) > h) bound = std::nextafter(bound, 0.0);
+  return bound;
+}
 }  // namespace
 
 Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
@@ -19,6 +34,7 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
   if (n < 4 || (n & (n - 1)) != 0) {
     return Status::InvalidArgument("CkksEncoder: ring degree must be a power of two >= 4");
   }
+  enc.coeff_bound_ = CoeffBound(*enc.ctx_);
   enc.twist_re_.resize(n);
   enc.twist_im_.resize(n);
   for (size_t k = 0; k < n; ++k) {
@@ -106,7 +122,7 @@ Status CkksEncoder::RoundAndReduceScalar(const double* re, const double* im,
     // c_k = (2/n) * Re(w^{-k} * A_k) * scale
     const double coeff =
         inv * (twist_re_[k] * re[k] + twist_im_[k] * im[k]) * scale;
-    if (!(std::abs(coeff) < kCoeffBound)) {
+    if (!(std::abs(coeff) < coeff_bound_)) {
       return Status::OutOfRange(
           StrFormat("CkksEncoder: coefficient %.3e overflows encode bound; "
                     "reduce the scale or the value magnitudes",
@@ -192,13 +208,14 @@ Result<std::vector<double>> CkksEncoder::Decode(const RnsPoly& poly,
   FromNtt(*ctx_, &coeff_form);
   // Same reuse trick as Encode: every element is written below (at its
   // bit-reversed position) before the FFT reads it.
-  thread_local std::vector<double> re, im;
+  thread_local std::vector<double> coeffs, re, im;
+  coeffs.resize(n);
   re.resize(n);
   im.resize(n);
+  ComposeToDouble(*ctx_, coeff_form, coeffs.data());
   for (size_t k = 0; k < n; ++k) {
-    const double c = ComposeCoeffToDouble(*ctx_, coeff_form, k);
-    re[bit_rev_[k]] = twist_re_[k] * c;
-    im[bit_rev_[k]] = twist_im_[k] * c;
+    re[bit_rev_[k]] = twist_re_[k] * coeffs[k];
+    im[bit_rev_[k]] = twist_im_[k] * coeffs[k];
   }
   Fft(re.data(), im.data(), /*inverse=*/true);
   std::vector<double> out(count);

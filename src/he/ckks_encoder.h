@@ -40,7 +40,8 @@ class CkksEncoder {
 
   /// \brief Encode at most slot_count() values with the given scale. The
   /// result is returned in NTT (evaluation) form, ready for pointwise ops.
-  /// Fails if any rounded coefficient would overflow the 62-bit safety bound.
+  /// Fails with OutOfRange if any coefficient reaches min(2^62, Q/2) in
+  /// magnitude: past Q/2 it would wrap mod Q and decode as another value.
   /// Values beyond `values.size()` implicitly encode as zero (the unused
   /// slots of a partially-filled ciphertext are zero-masked by construction).
   /// Accepts a span so batched callers can encode sub-ranges without copying.
@@ -60,10 +61,6 @@ class CkksEncoder {
                                      size_t count) const;
 
  private:
-  // Encoded coefficients must stay well below the smallest RNS prime (>= 2^53
-  // by construction) times headroom; 2^62 also guards the int64 rounding path.
-  static constexpr double kCoeffBound = 4.611686018427387904e18;  // 2^62
-
   explicit CkksEncoder(std::shared_ptr<const RnsContext> ctx)
       : ctx_(std::move(ctx)) {}
 
@@ -80,7 +77,7 @@ class CkksEncoder {
   // Coefficient k of the encoding from the forward FFT output:
   // round((2/n) * Re(w^{-k} * A_k) * scale), reduced into every prime of
   // `out`. The scalar loop covers k in [begin, n) and returns OutOfRange at
-  // the first coefficient past the 2^62 bound. The vector backends cover
+  // the first coefficient past coeff_bound_. The vector backends cover
   // whole vectors from k = 0 and stop at the first vector with a lane out
   // of bounds (or NaN), returning where they stopped; the scalar loop
   // finishes from there, so the error is the scalar one.
@@ -92,6 +89,10 @@ class CkksEncoder {
                               double scale, RnsPoly* out) const;
 
   std::shared_ptr<const RnsContext> ctx_;
+  // min(2^62, Q/2), rounded down to a double: a coefficient below it in
+  // magnitude rounds to an integer that decodes back to itself. 2^62 also
+  // guards the int64 rounding path.
+  double coeff_bound_ = 0.0;
   // Twist factors w^k = exp(i*pi*k/n), k in [0, n).
   std::vector<double> twist_re_;
   std::vector<double> twist_im_;

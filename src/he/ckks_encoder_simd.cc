@@ -378,13 +378,13 @@ void CkksEncoder::FftAvx512(double* re, double* im,
 size_t CkksEncoder::RoundAndReduceAvx2(const double* re, const double* im,
                                        double scale, RnsPoly* out) const {
   return RoundAndReduceAvx2Impl(re, im, twist_re_.data(), twist_im_.data(),
-                                ctx_->n(), scale, kCoeffBound, *ctx_, out);
+                                ctx_->n(), scale, coeff_bound_, *ctx_, out);
 }
 
 size_t CkksEncoder::RoundAndReduceAvx512(const double* re, const double* im,
                                          double scale, RnsPoly* out) const {
   return RoundAndReduceAvx512Impl(re, im, twist_re_.data(), twist_im_.data(),
-                                  ctx_->n(), scale, kCoeffBound, *ctx_, out);
+                                  ctx_->n(), scale, coeff_bound_, *ctx_, out);
 }
 
 #else  // !VFPS_SIMD_X86

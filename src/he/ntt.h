@@ -33,11 +33,12 @@ class NttTables {
   const std::vector<size_t>& bit_rev() const { return bit_rev_; }
 
   /// \brief In-place forward negacyclic NTT (coefficient -> evaluation
-  /// form), dispatched to the widest backend simd::ActiveIsa() allows.
-  /// Input residues must be < q; output residues are fully reduced to
-  /// [0, q). Every backend is bit-identical to ForwardScalar: between
-  /// butterfly stages values stay lazy in [0, 4q) and the final pass reduces
-  /// (see docs/KERNELS.md).
+  /// form), dispatched to the widest backend simd::ActiveIsa() allows; the
+  /// AVX-512 backend multiplies in 52 bits (IFMA) when the CPU has it and
+  /// q < 2^50. Input residues must be < q; output residues are fully
+  /// reduced to [0, q). Every backend is bit-identical to ForwardScalar:
+  /// between butterfly stages values stay lazy in [0, 4q) and the final
+  /// pass reduces (see docs/KERNELS.md).
   void Forward(uint64_t* a) const;
 
   /// \brief In-place inverse negacyclic NTT (evaluation -> coefficient
@@ -60,7 +61,8 @@ class NttTables {
  private:
   NttTables() = default;
 
-  // Vector backends (ntt_simd.cc). On non-x86 builds they fall back to the
+  // Vector backends (ntt_simd.cc); the AVX-512 pair takes its IFMA variant
+  // itself (detail::UseIfma). On non-x86 builds they fall back to the
   // scalar reference; the dispatcher never selects them there anyway.
   void ForwardAvx2(uint64_t* a) const;
   void InverseAvx2(uint64_t* a) const;

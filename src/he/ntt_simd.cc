@@ -6,6 +6,13 @@
 // the final pass — just 4 or 8 residues per instruction, so the outputs are
 // bit-identical by construction (the differential test enforces it).
 //
+// On a CPU with AVX-512 IFMA and a prime below 2^50, the AVX-512 backend
+// runs an IFMA variant instead: the same butterflies with the lazy product
+// taken from 52-bit multiply-adds (three vpmadd52 per product, against the
+// DQ path's seven 32-bit partial products and two vpmullq). Its lazy values
+// may differ from the scalar ones by q between stages; the fully reduced
+// outputs cannot (see the comment above ForwardTailStageIfma).
+//
 // Stages whose butterfly span t is narrower than a vector cannot load a
 // contiguous run of u's or v's, so they get dedicated shuffle passes: a
 // window of two vectors is permuted into a u-vector and a v-vector, the
@@ -65,63 +72,68 @@ inline void ScalarInverseButterfly(uint64_t* a, size_t j, size_t t, uint64_t w,
   a[j + t] = MulModShoupLazy(u + two_q - v, w, ws, q);
 }
 
+// A narrow stage's lane tables in registers (span t ∈ {1, 2, 4}): u and v
+// gather the u and v halves of the window's blocks, a and b interleave the
+// results back, and w expands the per-block twiddles to one per lane.
+struct TailIdx512 {
+  __m512i u, v, a, b, w;
+  bool expand;
+
+  VFPS_TARGET_AVX512 explicit TailIdx512(size_t t) : expand(t != 1) {
+    switch (t) {
+      case 4:
+        u = a = _mm512_load_si512(kTail4U);
+        v = b = _mm512_load_si512(kTail4V);
+        w = _mm512_load_si512(kTail4W);
+        break;
+      case 2:
+        u = _mm512_load_si512(kTail2U);
+        v = _mm512_load_si512(kTail2V);
+        a = _mm512_load_si512(kTail2OutA);
+        b = _mm512_load_si512(kTail2OutB);
+        w = _mm512_load_si512(kTail2W);
+        break;
+      default:  // t == 1: twiddles are already one per lane.
+        u = _mm512_load_si512(kTail1U);
+        v = _mm512_load_si512(kTail1V);
+        a = _mm512_load_si512(kTail1OutA);
+        b = _mm512_load_si512(kTail1OutB);
+        w = _mm512_setzero_si512();
+        break;
+    }
+  }
+
+  // The twiddles of the window starting at a + k, one per lane of the
+  // u-vector. The t=4 and t=2 loads read up to 6 slots past the stage's own
+  // range, which stays inside the size-n tables (absolute index <= n/2 + 3).
+  VFPS_TARGET_AVX512 __m512i Twiddles(const uint64_t* base, size_t k,
+                                      size_t two_t) const {
+    const __m512i x = _mm512_loadu_si512(base + k / two_t);
+    return expand ? _mm512_permutexvar_epi64(w, x) : x;
+  }
+};
+
 // One whole narrow stage (t ∈ {1, 2, 4}) over a[0, n), n ≥ 16. w_base /
-// ws_base point at the stage's first twiddle (roots + m resp. inv_roots + h);
-// the t=4 and t=2 twiddle loads read up to 6 slots past the stage's own
-// range, which stays inside the size-n tables (absolute index ≤ n/2 + 3).
+// ws_base point at the stage's first twiddle (roots + m resp. inv_roots + h).
 VFPS_TARGET_AVX512 void ForwardTailStageAvx512(uint64_t* a, size_t n, size_t t,
                                                const uint64_t* w_base,
                                                const uint64_t* ws_base,
                                                __m512i vq, __m512i v2q) {
-  const uint64_t* iu;
-  const uint64_t* iv;
-  const uint64_t* ia;
-  const uint64_t* ib;
-  const uint64_t* iw = nullptr;
-  switch (t) {
-    case 4:
-      iu = ia = kTail4U;
-      iv = ib = kTail4V;
-      iw = kTail4W;
-      break;
-    case 2:
-      iu = kTail2U;
-      iv = kTail2V;
-      ia = kTail2OutA;
-      ib = kTail2OutB;
-      iw = kTail2W;
-      break;
-    default:  // t == 1: twiddles are already one per lane.
-      iu = kTail1U;
-      iv = kTail1V;
-      ia = kTail1OutA;
-      ib = kTail1OutB;
-      break;
-  }
-  const __m512i idx_u = _mm512_load_si512(iu);
-  const __m512i idx_v = _mm512_load_si512(iv);
-  const __m512i idx_a = _mm512_load_si512(ia);
-  const __m512i idx_b = _mm512_load_si512(ib);
-  const __m512i idx_w =
-      iw != nullptr ? _mm512_load_si512(iw) : _mm512_setzero_si512();
+  const TailIdx512 idx(t);
   const size_t two_t = 2 * t;
   for (size_t k = 0; k < n; k += 16) {
     const __m512i x0 = _mm512_loadu_si512(a + k);
     const __m512i x1 = _mm512_loadu_si512(a + k + 8);
-    __m512i u = _mm512_permutex2var_epi64(x0, idx_u, x1);
-    const __m512i x = _mm512_permutex2var_epi64(x0, idx_v, x1);
-    __m512i vw = _mm512_loadu_si512(w_base + k / two_t);
-    __m512i vws = _mm512_loadu_si512(ws_base + k / two_t);
-    if (iw != nullptr) {
-      vw = _mm512_permutexvar_epi64(idx_w, vw);
-      vws = _mm512_permutexvar_epi64(idx_w, vws);
-    }
+    __m512i u = _mm512_permutex2var_epi64(x0, idx.u, x1);
+    const __m512i x = _mm512_permutex2var_epi64(x0, idx.v, x1);
+    const __m512i vw = idx.Twiddles(w_base, k, two_t);
+    const __m512i vws = idx.Twiddles(ws_base, k, two_t);
     u = detail::Avx512CSub(u, v2q);
     const __m512i v = detail::Avx512MulModShoupLazy(x, vw, vws, vq);
     const __m512i lo = _mm512_add_epi64(u, v);
     const __m512i hi = _mm512_add_epi64(u, _mm512_sub_epi64(v2q, v));
-    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(lo, idx_a, hi));
-    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(lo, idx_b, hi));
+    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(lo, idx.a, hi));
+    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(lo, idx.b, hi));
   }
 }
 
@@ -129,55 +141,21 @@ VFPS_TARGET_AVX512 void InverseTailStageAvx512(uint64_t* a, size_t n, size_t t,
                                                const uint64_t* w_base,
                                                const uint64_t* ws_base,
                                                __m512i vq, __m512i v2q) {
-  const uint64_t* iu;
-  const uint64_t* iv;
-  const uint64_t* ia;
-  const uint64_t* ib;
-  const uint64_t* iw = nullptr;
-  switch (t) {
-    case 4:
-      iu = ia = kTail4U;
-      iv = ib = kTail4V;
-      iw = kTail4W;
-      break;
-    case 2:
-      iu = kTail2U;
-      iv = kTail2V;
-      ia = kTail2OutA;
-      ib = kTail2OutB;
-      iw = kTail2W;
-      break;
-    default:
-      iu = kTail1U;
-      iv = kTail1V;
-      ia = kTail1OutA;
-      ib = kTail1OutB;
-      break;
-  }
-  const __m512i idx_u = _mm512_load_si512(iu);
-  const __m512i idx_v = _mm512_load_si512(iv);
-  const __m512i idx_a = _mm512_load_si512(ia);
-  const __m512i idx_b = _mm512_load_si512(ib);
-  const __m512i idx_w =
-      iw != nullptr ? _mm512_load_si512(iw) : _mm512_setzero_si512();
+  const TailIdx512 idx(t);
   const size_t two_t = 2 * t;
   for (size_t k = 0; k < n; k += 16) {
     const __m512i x0 = _mm512_loadu_si512(a + k);
     const __m512i x1 = _mm512_loadu_si512(a + k + 8);
-    const __m512i u = _mm512_permutex2var_epi64(x0, idx_u, x1);
-    const __m512i v = _mm512_permutex2var_epi64(x0, idx_v, x1);
-    __m512i vw = _mm512_loadu_si512(w_base + k / two_t);
-    __m512i vws = _mm512_loadu_si512(ws_base + k / two_t);
-    if (iw != nullptr) {
-      vw = _mm512_permutexvar_epi64(idx_w, vw);
-      vws = _mm512_permutexvar_epi64(idx_w, vws);
-    }
+    const __m512i u = _mm512_permutex2var_epi64(x0, idx.u, x1);
+    const __m512i v = _mm512_permutex2var_epi64(x0, idx.v, x1);
+    const __m512i vw = idx.Twiddles(w_base, k, two_t);
+    const __m512i vws = idx.Twiddles(ws_base, k, two_t);
     __m512i s = _mm512_add_epi64(u, v);
     s = detail::Avx512CSub(s, v2q);
     const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(u, v2q), v);
     const __m512i dm = detail::Avx512MulModShoupLazy(d, vw, vws, vq);
-    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(s, idx_a, dm));
-    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(s, idx_b, dm));
+    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(s, idx.a, dm));
+    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(s, idx.b, dm));
   }
 }
 
@@ -501,6 +479,139 @@ VFPS_TARGET_AVX512 void InverseAvx512Impl(uint64_t* a, size_t n, uint64_t q,
   }
 }
 
+// IFMA variants of the AVX-512 transforms (q < 2^50). They run the same
+// butterflies over the same ranges — [0, 4q) forward, [0, 2q) inverse, all
+// below 2^52 — with IfmaMulModShoupLazy as the product. Its lazy value can
+// differ from the 64-bit Shoup product's by q, so intermediate stages need
+// not match the scalar reference word for word; the final passes reduce
+// fully, and congruent residues in [0, q) are equal, so the outputs are
+// bit-identical to ForwardScalar / InverseScalar. The 52-bit companions are
+// the stored 64-bit ones shifted right by 12.
+
+VFPS_TARGET_IFMA void ForwardTailStageIfma(uint64_t* a, size_t n, size_t t,
+                                           const uint64_t* w_base,
+                                           const uint64_t* ws_base,
+                                           __m512i vneg_q, __m512i v2q) {
+  const TailIdx512 idx(t);
+  const size_t two_t = 2 * t;
+  for (size_t k = 0; k < n; k += 16) {
+    const __m512i x0 = _mm512_loadu_si512(a + k);
+    const __m512i x1 = _mm512_loadu_si512(a + k + 8);
+    __m512i u = _mm512_permutex2var_epi64(x0, idx.u, x1);
+    const __m512i x = _mm512_permutex2var_epi64(x0, idx.v, x1);
+    const __m512i vw = idx.Twiddles(w_base, k, two_t);
+    const __m512i vw52 = _mm512_srli_epi64(idx.Twiddles(ws_base, k, two_t), 12);
+    u = detail::Avx512CSub(u, v2q);
+    const __m512i v = detail::IfmaMulModShoupLazy(x, vw, vw52, vneg_q);
+    const __m512i lo = _mm512_add_epi64(u, v);
+    const __m512i hi = _mm512_add_epi64(u, _mm512_sub_epi64(v2q, v));
+    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(lo, idx.a, hi));
+    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(lo, idx.b, hi));
+  }
+}
+
+VFPS_TARGET_IFMA void InverseTailStageIfma(uint64_t* a, size_t n, size_t t,
+                                           const uint64_t* w_base,
+                                           const uint64_t* ws_base,
+                                           __m512i vneg_q, __m512i v2q) {
+  const TailIdx512 idx(t);
+  const size_t two_t = 2 * t;
+  for (size_t k = 0; k < n; k += 16) {
+    const __m512i x0 = _mm512_loadu_si512(a + k);
+    const __m512i x1 = _mm512_loadu_si512(a + k + 8);
+    const __m512i u = _mm512_permutex2var_epi64(x0, idx.u, x1);
+    const __m512i v = _mm512_permutex2var_epi64(x0, idx.v, x1);
+    const __m512i vw = idx.Twiddles(w_base, k, two_t);
+    const __m512i vw52 = _mm512_srli_epi64(idx.Twiddles(ws_base, k, two_t), 12);
+    const __m512i s = detail::Avx512CSub(_mm512_add_epi64(u, v), v2q);
+    const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(u, v2q), v);
+    const __m512i dm = detail::IfmaMulModShoupLazy(d, vw, vw52, vneg_q);
+    _mm512_storeu_si512(a + k, _mm512_permutex2var_epi64(s, idx.a, dm));
+    _mm512_storeu_si512(a + k + 8, _mm512_permutex2var_epi64(s, idx.b, dm));
+  }
+}
+
+VFPS_TARGET_IFMA void ForwardIfmaImpl(uint64_t* a, size_t n, uint64_t q,
+                                      const uint64_t* roots,
+                                      const uint64_t* roots_shoup) {
+  const __m512i vq = _mm512_set1_epi64(static_cast<int64_t>(q));
+  const __m512i v2q = _mm512_set1_epi64(static_cast<int64_t>(2 * q));
+  const __m512i vneg_q =
+      _mm512_set1_epi64(static_cast<int64_t>((uint64_t{1} << 52) - q));
+  size_t t = n;
+  for (size_t m = 1; m < n; m <<= 1) {
+    t >>= 1;
+    if (t < 8) {
+      ForwardTailStageIfma(a, n, t, roots + m, roots_shoup + m, vneg_q, v2q);
+      continue;
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const size_t j1 = 2 * i * t;
+      const __m512i vw = _mm512_set1_epi64(static_cast<int64_t>(roots[m + i]));
+      const __m512i vw52 =
+          _mm512_set1_epi64(static_cast<int64_t>(roots_shoup[m + i] >> 12));
+      for (size_t j = j1; j < j1 + t; j += 8) {
+        const __m512i u = detail::Avx512CSub(_mm512_loadu_si512(a + j), v2q);
+        const __m512i x = _mm512_loadu_si512(a + j + t);
+        const __m512i v = detail::IfmaMulModShoupLazy(x, vw, vw52, vneg_q);
+        _mm512_storeu_si512(a + j, _mm512_add_epi64(u, v));
+        _mm512_storeu_si512(a + j + t,
+                            _mm512_add_epi64(u, _mm512_sub_epi64(v2q, v)));
+      }
+    }
+  }
+  for (size_t i = 0; i < n; i += 8) {
+    const __m512i v = _mm512_loadu_si512(a + i);
+    _mm512_storeu_si512(
+        a + i, detail::Avx512CSub(detail::Avx512CSub(v, v2q), vq));
+  }
+}
+
+VFPS_TARGET_IFMA void InverseIfmaImpl(uint64_t* a, size_t n, uint64_t q,
+                                      const uint64_t* inv_roots,
+                                      const uint64_t* inv_roots_shoup,
+                                      uint64_t n_inv, uint64_t n_inv_shoup) {
+  const __m512i vq = _mm512_set1_epi64(static_cast<int64_t>(q));
+  const __m512i v2q = _mm512_set1_epi64(static_cast<int64_t>(2 * q));
+  const __m512i vneg_q =
+      _mm512_set1_epi64(static_cast<int64_t>((uint64_t{1} << 52) - q));
+  size_t t = 1;
+  for (size_t m = n; m > 1; m >>= 1) {
+    const size_t h = m >> 1;
+    if (t < 8) {
+      InverseTailStageIfma(a, n, t, inv_roots + h, inv_roots_shoup + h,
+                           vneg_q, v2q);
+      t <<= 1;
+      continue;
+    }
+    size_t j1 = 0;
+    for (size_t i = 0; i < h; ++i) {
+      const __m512i vw =
+          _mm512_set1_epi64(static_cast<int64_t>(inv_roots[h + i]));
+      const __m512i vw52 =
+          _mm512_set1_epi64(static_cast<int64_t>(inv_roots_shoup[h + i] >> 12));
+      for (size_t j = j1; j < j1 + t; j += 8) {
+        const __m512i u = _mm512_loadu_si512(a + j);
+        const __m512i v = _mm512_loadu_si512(a + j + t);
+        _mm512_storeu_si512(
+            a + j, detail::Avx512CSub(_mm512_add_epi64(u, v), v2q));
+        const __m512i d = _mm512_sub_epi64(_mm512_add_epi64(u, v2q), v);
+        _mm512_storeu_si512(a + j + t,
+                            detail::IfmaMulModShoupLazy(d, vw, vw52, vneg_q));
+      }
+      j1 += 2 * t;
+    }
+    t <<= 1;
+  }
+  const __m512i vn = _mm512_set1_epi64(static_cast<int64_t>(n_inv));
+  const __m512i vn52 = _mm512_set1_epi64(static_cast<int64_t>(n_inv_shoup >> 12));
+  for (size_t i = 0; i < n; i += 8) {
+    const __m512i lazy = detail::IfmaMulModShoupLazy(_mm512_loadu_si512(a + i),
+                                                     vn, vn52, vneg_q);
+    _mm512_storeu_si512(a + i, detail::Avx512CSub(lazy, vq));
+  }
+}
+
 }  // namespace
 
 void NttTables::ForwardAvx2(uint64_t* a) const {
@@ -512,11 +623,21 @@ void NttTables::InverseAvx2(uint64_t* a) const {
                   inv_root_powers_shoup_.data(), n_inv_, n_inv_shoup_);
 }
 
+// The IFMA variants need a whole 16-element window for their narrow stages.
 void NttTables::ForwardAvx512(uint64_t* a) const {
+  if (n_ >= 16 && detail::UseIfma(q_)) {
+    ForwardIfmaImpl(a, n_, q_, root_powers_.data(), root_powers_shoup_.data());
+    return;
+  }
   ForwardAvx512Impl(a, n_, q_, root_powers_.data(), root_powers_shoup_.data());
 }
 
 void NttTables::InverseAvx512(uint64_t* a) const {
+  if (n_ >= 16 && detail::UseIfma(q_)) {
+    InverseIfmaImpl(a, n_, q_, inv_root_powers_.data(),
+                    inv_root_powers_shoup_.data(), n_inv_, n_inv_shoup_);
+    return;
+  }
   InverseAvx512Impl(a, n_, q_, inv_root_powers_.data(),
                     inv_root_powers_shoup_.data(), n_inv_, n_inv_shoup_);
 }

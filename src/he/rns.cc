@@ -223,6 +223,30 @@ void MulPointwiseInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b) {
   }
 }
 
+ShoupTable ShoupCompanions(const RnsContext& ctx, const RnsPoly& w) {
+  ShoupTable table(w.num_primes());
+  for (size_t i = 0; i < w.num_primes(); ++i) {
+    table[i].resize(w.residues[i].size());
+    for (size_t j = 0; j < table[i].size(); ++j) {
+      table[i][j] = ShoupPrecompute(w.residues[i][j], ctx.prime(i));
+    }
+  }
+  return table;
+}
+
+void MulFixedInto(const RnsContext& ctx, const RnsPoly& a, const RnsPoly& w,
+                  const ShoupTable& w_shoup, RnsPoly* out) {
+  const size_t primes = std::min(a.num_primes(), w.num_primes());
+  out->residues.resize(primes);
+  for (size_t i = 0; i < primes; ++i) {
+    out->residues[i].resize(ctx.n());
+    detail::MulModShoupPointwiseVec(out->residues[i].data(),
+                                    a.residues[i].data(), w.residues[i].data(),
+                                    w_shoup[i].data(), ctx.n(), ctx.prime(i));
+  }
+  out->ntt_form = a.ntt_form;
+}
+
 void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar) {
   for (size_t i = 0; i < a->num_primes(); ++i) {
     const uint64_t q = ctx.prime(i);
@@ -251,16 +275,10 @@ void FromNtt(const RnsContext& ctx, RnsPoly* a) {
 unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
                                    size_t idx) {
   if (poly.num_primes() == 1) return poly.residues[0][idx];
-  const uint64_t q1 = ctx.prime(0);
-  const Modulus& m2 = ctx.modulus(1);
-  const uint64_t r1 = poly.residues[0][idx];
-  const uint64_t r2 = poly.residues[1][idx];
-  const uint64_t diff =
-      SubMod(BarrettReduce64(r2, m2), BarrettReduce64(r1, m2), m2.value);
-  const uint64_t t = MulModShoup(diff, ctx.crt_q0_inv_q1(),
-                                 ctx.crt_q0_inv_q1_shoup(), m2.value);
-  return static_cast<unsigned __int128>(r1) +
-         static_cast<unsigned __int128>(q1) * t;
+  return detail::ComposeCrtCoeff(poly.residues[0][idx], poly.residues[1][idx],
+                                 ctx.prime(0), ctx.modulus(1),
+                                 ctx.crt_q0_inv_q1(),
+                                 ctx.crt_q0_inv_q1_shoup());
 }
 
 double ComposeCoeffToDouble(const RnsContext& ctx, const RnsPoly& poly,
@@ -272,18 +290,24 @@ double ComposeCoeffToDouble(const RnsContext& ctx, const RnsPoly& poly,
     return r > q / 2 ? -static_cast<double>(q - r) : static_cast<double>(r);
   }
   // Two-prime CRT: x = r1 + q1 * ((r2 - r1) * q1^{-1} mod q2).
-  const unsigned __int128 x = ComposeCoeffU128(ctx, poly, idx);
-  const unsigned __int128 big_q = static_cast<unsigned __int128>(ctx.prime(0)) *
-                                  static_cast<unsigned __int128>(ctx.prime(1));
-  const bool negative = x > big_q / 2;
-  const unsigned __int128 mag = negative ? big_q - x : x;
-  // Both conversions round to nearest, so the int64 one (one instruction)
-  // gives the same double as the 128-bit one (a library call) wherever it
-  // applies; decoded values are small, so it almost always does.
-  const double d = (mag >> 63) == 0
-                       ? static_cast<double>(static_cast<int64_t>(mag))
-                       : static_cast<double>(mag);
-  return negative ? -d : d;
+  double out;
+  detail::ComposeCrtScalar(&out, &poly.residues[0][idx],
+                           &poly.residues[1][idx], 1, ctx.prime(0),
+                           ctx.modulus(1), ctx.crt_q0_inv_q1(),
+                           ctx.crt_q0_inv_q1_shoup());
+  return out;
+}
+
+void ComposeToDouble(const RnsContext& ctx, const RnsPoly& poly, double* out) {
+  if (poly.num_primes() == 1) {
+    for (size_t k = 0; k < ctx.n(); ++k) {
+      out[k] = ComposeCoeffToDouble(ctx, poly, k);
+    }
+    return;
+  }
+  detail::ComposeCrtVec(out, poly.residues[0].data(), poly.residues[1].data(),
+                        ctx.n(), ctx.prime(0), ctx.modulus(1),
+                        ctx.crt_q0_inv_q1(), ctx.crt_q0_inv_q1_shoup());
 }
 
 }  // namespace vfps::he

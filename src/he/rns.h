@@ -16,7 +16,7 @@ namespace vfps::he {
 /// Q = q_0 * q_1 * ... with NTT tables per prime.
 ///
 /// At most two primes are supported so that CRT composition fits in 128-bit
-/// integers; with 54-bit primes this gives Q up to ~2^108, ample for the
+/// integers; the default two 50-bit primes give Q ~ 2^100, ample for the
 /// additive homomorphic workload of the selection protocol.
 class RnsContext {
  public:
@@ -152,6 +152,20 @@ void SubInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
 void NegateInPlace(const RnsContext& ctx, RnsPoly* a);
 /// a *= b pointwise (both must be in NTT form).
 void MulPointwiseInPlace(const RnsContext& ctx, RnsPoly* a, const RnsPoly& b);
+
+/// Per-coefficient Shoup companions of a polynomial, one vector per prime:
+/// entry j of vector i is floor(w_ij * 2^64 / q_i).
+using ShoupTable = std::vector<std::vector<uint64_t>>;
+
+/// \brief The Shoup companions of `w` (fully reduced residues), for a
+/// polynomial that multiplies many others: a key polynomial.
+ShoupTable ShoupCompanions(const RnsContext& ctx, const RnsPoly& w);
+
+/// \brief out = a * w pointwise over a's primes, with w's companions from
+/// ShoupCompanions; `out` takes a's shape and form. Equal residue for
+/// residue to MulPointwiseInPlace (both reduce fully). `out` may be `a`.
+void MulFixedInto(const RnsContext& ctx, const RnsPoly& a, const RnsPoly& w,
+                  const ShoupTable& w_shoup, RnsPoly* out);
 /// a *= scalar (integer scalar, any form).
 void MulScalarInPlace(const RnsContext& ctx, RnsPoly* a, uint64_t scalar);
 
@@ -170,6 +184,11 @@ unsigned __int128 ComposeCoeffU128(const RnsContext& ctx, const RnsPoly& poly,
 /// which is fine: CKKS decode divides by the scale immediately).
 double ComposeCoeffToDouble(const RnsContext& ctx, const RnsPoly& poly,
                             size_t idx);
+
+/// \brief ComposeCoeffToDouble for every coefficient, into out[0, n): the
+/// two-prime case runs the dispatched CRT kernel (detail::ComposeCrtVec),
+/// which writes the same doubles on every ISA.
+void ComposeToDouble(const RnsContext& ctx, const RnsPoly& poly, double* out);
 
 }  // namespace vfps::he
 

@@ -4,14 +4,16 @@
 /// \file
 /// \brief Internal AVX2/AVX-512 building blocks for the modular-arithmetic
 /// kernels: 64x64-bit low/high multiplies synthesized from 32-bit lane
-/// products, unsigned 64-bit compares, and conditional subtraction.
+/// products, unsigned 64-bit compares, conditional subtraction, and the
+/// 52-bit (IFMA) lazy Shoup product.
 ///
 /// Everything here is exact unsigned integer arithmetic, so any kernel
 /// composed from these helpers in the same operation order as its scalar
 /// counterpart is bit-identical to it. The helpers carry per-function target
-/// attributes (`VFPS_TARGET_AVX2` / `VFPS_TARGET_AVX512`) so they compile on
-/// any x86-64 toolchain regardless of -march; callers must gate on
-/// vfps::simd::ActiveIsa() before entering a vector path.
+/// attributes (`VFPS_TARGET_AVX2` / `VFPS_TARGET_AVX512` /
+/// `VFPS_TARGET_IFMA`) so they compile on any x86-64 toolchain regardless
+/// of -march; callers must gate on vfps::simd::ActiveIsa() (and UseIfma())
+/// before entering a vector path.
 
 #include "simd/simd.h"
 
@@ -27,8 +29,25 @@
 #define VFPS_TARGET_AVX2 __attribute__((target("avx2")))
 /// AVX-512 (F + DQ) counterpart of VFPS_TARGET_AVX2.
 #define VFPS_TARGET_AVX512 __attribute__((target("avx512f,avx512dq")))
+/// AVX-512 with the 52-bit integer multiply-adds (IFMA) on top of F + DQ.
+#define VFPS_TARGET_IFMA \
+  __attribute__((target("avx512f,avx512dq,avx512ifma")))
 
 namespace vfps::he::detail {
+
+/// Primes below 2^50 keep the NTT's lazy values (< 4q) inside the 52 bits an
+/// IFMA multiply reads.
+inline constexpr uint64_t kIfmaPrimeBound = uint64_t{1} << 50;
+
+/// \brief Whether an AVX-512 kernel may take its IFMA variant for prime q:
+/// the CPU reports `avx512ifma` and q < kIfmaPrimeBound. IFMA is a
+/// capability within simd::Isa::kAvx512, not an ISA of its own: callers
+/// reach this only from their kAvx512 case, so ActiveIsa() and
+/// VFPS_FORCE_SCALAR still decide whether any AVX-512 kernel runs.
+inline bool UseIfma(uint64_t q) {
+  static const bool has_ifma = __builtin_cpu_supports("avx512ifma");
+  return has_ifma && q < kIfmaPrimeBound;
+}
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 x uint64 lanes
@@ -144,6 +163,28 @@ VFPS_TARGET_AVX512 inline __m512i Avx512BarrettReduce64(__m512i a,
   const __m512i q_est = Avx512MulHi64(a, ratio_hi);
   const __m512i r = _mm512_sub_epi64(a, Avx512MulLo64(q_est, q));
   return Avx512CSub(r, q);
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 IFMA: 8 x uint64 lanes, 52-bit multiplies
+// ---------------------------------------------------------------------------
+
+/// \brief Lane-wise lazy Shoup product with 52-bit multiplies: a * w mod q
+/// in [0, 2q), for a < 2^52 and w < q < 2^50. `w52` is the 52-bit Shoup
+/// companion floor(w * 2^52 / q), which is the 64-bit companion shifted
+/// right by 12; `neg_q` is 2^52 - q. The quotient estimate
+/// hi52(a * w52) is floor(a * w / q) or one less, so a * w minus it times q
+/// lies in [0, 2q) and is exact modulo 2^52. The value can differ by q from
+/// Avx512MulModShoupLazy's (the 64-bit estimate is finer); both are the
+/// same residue.
+VFPS_TARGET_IFMA inline __m512i IfmaMulModShoupLazy(__m512i a, __m512i w,
+                                                    __m512i w52,
+                                                    __m512i neg_q) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i q_est = _mm512_madd52hi_epu64(zero, a, w52);
+  const __m512i prod = _mm512_madd52lo_epu64(zero, a, w);
+  return _mm512_and_si512(_mm512_madd52lo_epu64(prod, q_est, neg_q),
+                          _mm512_set1_epi64((int64_t{1} << 52) - 1));
 }
 
 }  // namespace vfps::he::detail

@@ -42,10 +42,12 @@ struct CostModel {
   // Downstream training (per sample per feature per epoch, split-learning).
   double train_sample_feature_seconds = 2.5e-8;
 
-  // Analytic ciphertext model (CKKS n = 4096, two 54-bit primes): used so
-  // that simulated times are identical no matter which HeBackend actually
-  // executed (the plain backend is often substituted for speed in accuracy
-  // benches; the time numbers must not change because of that).
+  // Analytic ciphertext model (CKKS n = 4096, two primes; a residue takes
+  // 8 bytes at any prime width, so the default 50-bit primes serialize to
+  // the same size as the earlier 54-bit ones): used so that simulated times
+  // are identical no matter which HeBackend actually executed (the plain
+  // backend is often substituted for speed in accuracy benches; the time
+  // numbers must not change because of that).
   size_t slots_per_ciphertext = 2048;
   size_t ciphertext_bytes = 131341;  // serialized size of one ciphertext
 

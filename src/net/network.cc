@@ -21,7 +21,7 @@ SimNetwork::~SimNetwork() = default;
 SimNetwork::SimNetwork(SimNetwork&&) noexcept = default;
 SimNetwork& SimNetwork::operator=(SimNetwork&&) noexcept = default;
 
-void SimNetwork::set_metrics(obs::MetricsRegistry* registry) {
+void SimNetwork::set_metrics(obs::MetricsRegistry* registry, size_t parties) {
   obs_registry_ = registry;
   party_counters_.clear();
   if (registry == nullptr) {
@@ -42,6 +42,23 @@ void SimNetwork::set_metrics(obs::MetricsRegistry* registry) {
   c_delayed_ = registry->GetCounter("net.faults.delayed");
   c_delay_ns_ = registry->GetCounter("net.faults.delay_ns");
   c_swallowed_dead_ = registry->GetCounter("net.faults.swallowed_dead");
+  for (size_t party = 0; party < parties; ++party) {
+    PartyCounters(static_cast<NodeId>(party));
+  }
+}
+
+void SimNetwork::ShareMetricsOf(const SimNetwork& other) {
+  obs_registry_ = other.obs_registry_;
+  tracer_ = obs_registry_ != nullptr ? obs_registry_->tracer() : nullptr;
+  c_messages_ = other.c_messages_;
+  c_bytes_ = other.c_bytes_;
+  c_dropped_ = other.c_dropped_;
+  c_duplicated_ = other.c_duplicated_;
+  c_corrupted_ = other.c_corrupted_;
+  c_delayed_ = other.c_delayed_;
+  c_delay_ns_ = other.c_delay_ns_;
+  c_swallowed_dead_ = other.c_swallowed_dead_;
+  party_counters_ = other.party_counters_;
 }
 
 void SimNetwork::Meter(const LinkKey& key, Link& link, size_t bytes) {
@@ -61,6 +78,13 @@ void SimNetwork::MeterParty(const LinkKey& key, size_t bytes) {
   // (none exist today) would attribute to the leader, party 0.
   const NodeId party =
       key.first >= 1 ? key.first : (key.second >= 1 ? key.second : 0);
+  const auto [messages, sent] = PartyCounters(party);
+  messages->Add(1);
+  sent->Add(bytes);
+}
+
+std::pair<obs::Counter*, obs::Counter*> SimNetwork::PartyCounters(
+    NodeId party) {
   auto it = party_counters_.find(party);
   if (it == party_counters_.end()) {
     const obs::MetricLabels labels{{"party", StrFormat("%d", party)}};
@@ -72,8 +96,7 @@ void SimNetwork::MeterParty(const LinkKey& key, size_t bytes) {
                                          "net.party.bytes", labels)))
              .first;
   }
-  it->second.first->Add(1);
-  it->second.second->Add(bytes);
+  return it->second;
 }
 
 void SimNetwork::FaultInstant(const char* name, const LinkKey& key) {

@@ -201,8 +201,16 @@ class SimNetwork {
   /// local networks attach the parent's registry (see FederatedKnnOracle) —
   /// MergeStatsFrom deliberately does NOT republish merged counters, since
   /// the task-local network already recorded them at event time.
-  void set_metrics(obs::MetricsRegistry* registry);
+  /// `parties` > 0 also resolves the `net.party.*` series of parties
+  /// [0, parties) now rather than on a link's first message.
+  void set_metrics(obs::MetricsRegistry* registry, size_t parties = 0);
   obs::MetricsRegistry* metrics() const { return obs_registry_; }
+
+  /// Attach the registry `other` is attached to, copying its resolved
+  /// counter handles instead of looking them up, so a query task can meter
+  /// its task-local network without taking the registry mutex. The tracer is
+  /// read from the registry now, as set_metrics would.
+  void ShareMetricsOf(const SimNetwork& other);
 
  private:
   using LinkKey = std::pair<NodeId, NodeId>;
@@ -227,6 +235,7 @@ class SimNetwork {
   /// of a link is its participant endpoint (the server side of every link is
   /// shared infrastructure); leader-to-server links attribute to party 0.
   void MeterParty(const LinkKey& key, size_t bytes);
+  std::pair<obs::Counter*, obs::Counter*> PartyCounters(NodeId party);
   void FaultInstant(const char* name, const LinkKey& key);
 
   std::map<LinkKey, Link> links_;

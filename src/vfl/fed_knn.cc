@@ -176,6 +176,7 @@ FederatedKnnOracle::FederatedKnnOracle(const data::Dataset* joint_train,
     }
     h_unit_sim_ns_ = obs_->GetHistogram("knn.query.sim_ns");
     h_unit_wall_ns_ = obs_->GetHistogram("knn.query.wall_ns");
+    unit_meters_.set_metrics(obs_, partition_->size());
     c_shard_merges_ = obs_->GetCounter("knn.shard.merges");
     c_prefilter_candidates_ = obs_->GetCounter("knn.prefilter.candidates");
     c_prefilter_pruned_ = obs_->GetCounter("knn.prefilter.pruned_rows");
@@ -453,7 +454,7 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::Run(
       return;
     }
     slot.session = session.MoveValueUnsafe();
-    slot.net.set_metrics(obs_);
+    slot.net.ShareMetricsOf(unit_meters_);
     if (!fault_seeds.empty()) {
       slot.net.EnableFaults(*network_->fault_spec(), fault_seeds[u],
                             &slot.clock);

@@ -469,6 +469,9 @@ class FederatedKnnOracle {
   obs::Counter* c_prefilter_pruned_ = nullptr;  // knn.prefilter.pruned_rows
   obs::Histogram* h_unit_sim_ns_ = nullptr;   // knn.query.sim_ns
   obs::Histogram* h_unit_wall_ns_ = nullptr;  // knn.query.wall_ns
+  /// Carries no traffic: it holds the `net.*` handles of obs_ (every
+  /// party's series included) that each unit's task-local network copies.
+  net::SimNetwork unit_meters_;
 };
 
 }  // namespace vfps::vfl

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "common/buffer.h"
 #include "common/random.h"
 #include "he/backend.h"
+#include "simd/simd.h"
 
 namespace vfps::he {
 namespace {
@@ -380,9 +382,10 @@ std::vector<double> UniformValues(uint64_t seed, size_t count, double lo,
   return values;
 }
 
-EncoderDigests DigestEncoder(size_t degree) {
+EncoderDigests DigestEncoder(size_t degree, std::vector<int> prime_bits) {
   CkksParams params;
   params.poly_degree = degree;
+  params.prime_bits = std::move(prime_bits);
   auto ctx = CkksContext::Create(params).ValueOrDie();
   const CkksEncoder& encoder = ctx->encoder();
   const size_t slots = encoder.slot_count();
@@ -404,25 +407,11 @@ EncoderDigests DigestEncoder(size_t degree) {
   return d;
 }
 
-TEST(CkksEncoderDigestTest, MatchesPinnedDigests) {
-  const EncoderDigests small = DigestEncoder(1024);
-  EXPECT_EQ(small.encode_full, 0xE9F9ED39u);
-  EXPECT_EQ(small.encode_ragged, 0x696AF663u);
-  EXPECT_EQ(small.decode_full, 0x25B58033u);
-  EXPECT_EQ(small.decode_ragged, 0x5D4D9D9Fu);
-  EXPECT_EQ(small.decode_uniform, 0xD1F48484u);
-  const EncoderDigests full = DigestEncoder(4096);
-  EXPECT_EQ(full.encode_full, 0xB1D63E8Fu);
-  EXPECT_EQ(full.encode_ragged, 0x6FA0A3E8u);
-  EXPECT_EQ(full.decode_full, 0xCFE4E0D4u);
-  EXPECT_EQ(full.decode_ragged, 0x60F75100u);
-  EXPECT_EQ(full.decode_uniform, 0xBE800920u);
-}
-
-TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigest) {
-  // Encodes every ragged length 1..512 at n = 1024 into one running digest.
+// Encodes every ragged length 1..512 at n = 1024 into one running digest.
+uint32_t DigestEveryChunkLength(std::vector<int> prime_bits) {
   CkksParams params;
   params.poly_degree = 1024;
+  params.prime_bits = std::move(prime_bits);
   auto ctx = CkksContext::Create(params).ValueOrDie();
   const CkksEncoder& encoder = ctx->encoder();
   const auto values = UniformValues(404, encoder.slot_count(), -50.0, 50.0);
@@ -435,7 +424,75 @@ TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigest) {
       for (uint64_t v : residue) acc.Update(v);
     }
   }
-  EXPECT_EQ(acc.value(), 0x09089447u);
+  return acc.value();
+}
+
+// The ISAs this host can run, scalar first. The default-prime twins below
+// recompute their digests under each, since the IFMA kernels (AVX-512 on
+// CPUs that have it, primes below 2^50) serve only the default primes.
+std::vector<simd::Isa> HostIsas() {
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (isa <= simd::DetectCpuIsa()) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// Runs `check` once per host ISA with dispatch pinned to it.
+template <typename Check>
+void ForEachHostIsa(Check check) {
+  const simd::Isa prev = simd::ActiveIsa();
+  for (simd::Isa isa : HostIsas()) {
+    simd::SetActiveIsa(isa);
+    SCOPED_TRACE(simd::IsaName(isa));
+    check();
+  }
+  simd::SetActiveIsa(prev);
+}
+
+TEST(CkksEncoderDigestTest, MatchesPinnedDigests) {
+  const EncoderDigests small = DigestEncoder(1024, {54, 54});
+  EXPECT_EQ(small.encode_full, 0xE9F9ED39u);
+  EXPECT_EQ(small.encode_ragged, 0x696AF663u);
+  EXPECT_EQ(small.decode_full, 0x25B58033u);
+  EXPECT_EQ(small.decode_ragged, 0x5D4D9D9Fu);
+  EXPECT_EQ(small.decode_uniform, 0xD1F48484u);
+  const EncoderDigests full = DigestEncoder(4096, {54, 54});
+  EXPECT_EQ(full.encode_full, 0xB1D63E8Fu);
+  EXPECT_EQ(full.encode_ragged, 0x6FA0A3E8u);
+  EXPECT_EQ(full.decode_full, 0xCFE4E0D4u);
+  EXPECT_EQ(full.decode_ragged, 0x60F75100u);
+  EXPECT_EQ(full.decode_uniform, 0xBE800920u);
+}
+
+TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigest) {
+  EXPECT_EQ(DigestEveryChunkLength({54, 54}), 0x09089447u);
+}
+
+// The twins at the default primes ({50, 50}). Their digests were recorded on
+// the scalar path.
+TEST(CkksEncoderDigestTest, MatchesPinnedDigestsAtDefaultPrimes) {
+  ForEachHostIsa([] {
+    const EncoderDigests small = DigestEncoder(1024, CkksParams{}.prime_bits);
+    EXPECT_EQ(small.encode_full, 0x57D84B2Cu);
+    EXPECT_EQ(small.encode_ragged, 0x0A942B83u);
+    EXPECT_EQ(small.decode_full, 0x25B58033u);
+    EXPECT_EQ(small.decode_ragged, 0x5D4D9D9Fu);
+    EXPECT_EQ(small.decode_uniform, 0xEBBFE7C6u);
+    const EncoderDigests full = DigestEncoder(4096, CkksParams{}.prime_bits);
+    EXPECT_EQ(full.encode_full, 0xDF32452Fu);
+    EXPECT_EQ(full.encode_ragged, 0x8F6BCE47u);
+    EXPECT_EQ(full.decode_full, 0xCFE4E0D4u);
+    EXPECT_EQ(full.decode_ragged, 0x60F75100u);
+    EXPECT_EQ(full.decode_uniform, 0x1AAC3355u);
+  });
+}
+
+TEST(CkksEncoderDigestTest, EveryChunkLengthMatchesPinnedDigestAtDefaultPrimes) {
+  ForEachHostIsa([] {
+    EXPECT_EQ(DigestEveryChunkLength(CkksParams{}.prime_bits), 0x72ADA7E8u);
+  });
 }
 
 // Ciphertext digests. The CRC32 values below were taken before encryption
@@ -488,9 +545,26 @@ TEST(CkksCiphertextDigestTest, SerializedCiphertextsMatchPinnedDigests) {
   EXPECT_EQ(full_one.decrypted, 0xD25157A8u);
 }
 
-TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigests) {
-  // Production parameters (n = 4096, two primes), packed mode.
-  auto backend = CreateCkksBackend(CkksParams{}, 77).ValueOrDie();
+TEST(CkksCiphertextDigestTest, SerializedCiphertextsMatchPinnedDigestsAtDefaultPrimes) {
+  ForEachHostIsa([] {
+    const CiphertextDigests small = DigestCiphertexts(1024, CkksParams{}.prime_bits);
+    EXPECT_EQ(small.ciphertexts, 0xB45F642Cu);
+    EXPECT_EQ(small.decrypted, 0xD8FAB1C6u);
+    const CiphertextDigests full = DigestCiphertexts(4096, CkksParams{}.prime_bits);
+    EXPECT_EQ(full.ciphertexts, 0x5C174B5Fu);
+    EXPECT_EQ(full.decrypted, 0x93F8D534u);
+  });
+}
+
+struct BlobDigests {
+  uint32_t encrypt, batched, sum, decrypted;
+};
+
+// Backend blobs at n = 4096 with two primes, packed mode.
+BlobDigests DigestBackendBlobs(std::vector<int> prime_bits) {
+  CkksParams params;
+  params.prime_bits = std::move(prime_bits);
+  auto backend = CreateCkksBackend(params, 77).ValueOrDie();
   const size_t slots = backend->SlotsPerCiphertext();
   const auto full = UniformValues(501, slots, -50.0, 50.0);
   const auto ragged = UniformValues(502, slots / 2 + 7, -50.0, 50.0);
@@ -501,15 +575,31 @@ TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigests) {
     blobs.push_back(backend->Encrypt(*values).ValueOrDie());
     encrypt.Update(blobs.back().blob);
   }
-  EXPECT_EQ(encrypt.value(), 0xB81D21DFu);
   const auto batch = backend->EncryptBatch({full, ragged, multi}).ValueOrDie();
   Crc32Accumulator batched;
   for (const auto& v : batch) batched.Update(v.blob);
-  EXPECT_EQ(batched.value(), 0xE5CA7BBBu);
   const auto sum = backend->Sum({&blobs[2], &batch[2]}).ValueOrDie();
-  EXPECT_EQ(Crc32(sum.blob), 0xE8C9DBB1u);
   const auto decrypted = backend->Decrypt(sum).ValueOrDie();
-  EXPECT_EQ(ValuesDigest(decrypted), 0xD7BAE840u);
+  return {encrypt.value(), batched.value(), Crc32(sum.blob),
+          ValuesDigest(decrypted)};
+}
+
+TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigests) {
+  const BlobDigests d = DigestBackendBlobs({54, 54});
+  EXPECT_EQ(d.encrypt, 0xB81D21DFu);
+  EXPECT_EQ(d.batched, 0xE5CA7BBBu);
+  EXPECT_EQ(d.sum, 0xE8C9DBB1u);
+  EXPECT_EQ(d.decrypted, 0xD7BAE840u);
+}
+
+TEST(CkksCiphertextDigestTest, BackendBlobsMatchPinnedDigestsAtDefaultPrimes) {
+  ForEachHostIsa([] {
+    const BlobDigests d = DigestBackendBlobs(CkksParams{}.prime_bits);
+    EXPECT_EQ(d.encrypt, 0xE6B658B1u);
+    EXPECT_EQ(d.batched, 0xADBFDCA1u);
+    EXPECT_EQ(d.sum, 0x64F4913Bu);
+    EXPECT_EQ(d.decrypted, 0xD7BAE840u);
+  });
 }
 
 // Paillier and plain backend digests. The CRC32 values below were taken
@@ -574,6 +664,107 @@ TEST(CkksParamsTest, SinglePrimeContextWorks) {
   ASSERT_TRUE(decrypted.ok());
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_NEAR((*decrypted)[i], values[i], 1e-3);
+  }
+}
+
+// A single-prime context whose Q/2 lies below the scaled coefficients: the
+// encoder used to accept them (it checked only 2^62) and they wrapped mod Q,
+// so {1, 2, 3} decrypted to about (0.008, -0.030, 0.028) with no error.
+TEST(CkksParamsTest, EncoderRejectsCoefficientsThatWrapModQ) {
+  const std::vector<double> values = {1.0, 2.0, 3.0};
+  for (const std::vector<int>& bits :
+       std::vector<std::vector<int>>{{30}, {40}, {54}, {30, 30}}) {
+    CkksParams params;
+    params.poly_degree = 1024;
+    params.prime_bits = bits;
+    params.scale = std::ldexp(1.0, 40);
+    auto ctx = CkksContext::Create(params).ValueOrDie();
+    Rng rng(5);
+    const CkksSecretKey sk = ctx->GenerateSecretKey(&rng);
+    const CkksPublicKey pk = ctx->GeneratePublicKey(sk, &rng);
+    ForEachHostIsa([&] {
+      Rng enc_rng(6);
+      auto ct = ctx->EncryptVector(pk, values, &enc_rng);
+      if (bits == std::vector<int>{30}) {
+        ASSERT_FALSE(ct.ok());
+        EXPECT_TRUE(ct.status().IsOutOfRange()) << ct.status().ToString();
+        EXPECT_NE(ct.status().message().find("overflows encode bound"),
+                  std::string::npos)
+            << ct.status().ToString();
+        return;
+      }
+      // {40}: Q/2 ~ 2^39 is above every coefficient (~2^33.6 here); two
+      // primes put Q/2 far above them.
+      ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+      const auto decrypted = ctx->DecryptVector(sk, *ct, values.size());
+      ASSERT_TRUE(decrypted.ok());
+      for (size_t i = 0; i < values.size(); ++i) {
+        EXPECT_NEAR((*decrypted)[i], values[i], 1e-3) << "slot " << i;
+      }
+    });
+  }
+}
+
+// Round-trip fidelity of the default primes ({50, 50}) against the old
+// default ({54, 54}) on the same seeds and inputs: full and ragged vectors
+// and an 8-way homomorphic sum, values in +-100, n = 4096. Both must keep
+// the ~1e-3 bound the protocol relies on.
+TEST(CkksFidelityTest, DefaultPrimesKeepTheRoundTripBound) {
+  for (const std::vector<int>& bits :
+       std::vector<std::vector<int>>{{50, 50}, {54, 54}}) {
+    CkksParams params;
+    params.prime_bits = bits;
+    auto backend = CreateCkksBackend(params, 2024).ValueOrDie();
+    const size_t slots = backend->SlotsPerCiphertext();
+    double full_err = 0.0, ragged_err = 0.0, sum_err = 0.0;
+    const auto max_err = [](const std::vector<double>& got,
+                            const std::vector<double>& want) {
+      EXPECT_EQ(got.size(), want.size());
+      double err = 0.0;
+      for (size_t i = 0; i < got.size(); ++i) {
+        err = std::max(err, std::abs(got[i] - want[i]));
+      }
+      return err;
+    };
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      const auto full = UniformValues(700 + seed, slots, -100.0, 100.0);
+      const auto ragged =
+          UniformValues(800 + seed, 2 * slots + 77, -100.0, 100.0);
+      full_err = std::max(
+          full_err,
+          max_err(backend->Decrypt(backend->Encrypt(full).ValueOrDie())
+                      .ValueOrDie(),
+                  full));
+      ragged_err = std::max(
+          ragged_err,
+          max_err(backend->Decrypt(backend->Encrypt(ragged).ValueOrDie())
+                      .ValueOrDie(),
+                  ragged));
+      std::vector<EncryptedVector> addends;
+      std::vector<double> expected(slots, 0.0);
+      for (uint64_t j = 0; j < 8; ++j) {
+        const auto v = UniformValues(900 + 8 * seed + j, slots, -100.0, 100.0);
+        for (size_t i = 0; i < slots; ++i) expected[i] += v[i];
+        addends.push_back(backend->Encrypt(v).ValueOrDie());
+      }
+      std::vector<const EncryptedVector*> ptrs;
+      for (const auto& a : addends) ptrs.push_back(&a);
+      const auto sum = backend->Sum(ptrs).ValueOrDie();
+      sum_err = std::max(sum_err,
+                         max_err(backend->Decrypt(sum).ValueOrDie(), expected));
+    }
+    const std::string label = std::to_string(bits[0]) + "-bit primes";
+    const auto sci = [](double v) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.3e", v);
+      return std::string(buf);
+    };
+    RecordProperty(label + " full", sci(full_err));
+    RecordProperty(label + " ragged", sci(ragged_err));
+    RecordProperty(label + " sum8", sci(sum_err));
+    EXPECT_LT(full_err, 1e-3) << label;
+    EXPECT_LT(ragged_err, 1e-3) << label;
+    EXPECT_LT(sum_err, 1e-3) << label;
   }
 }
 

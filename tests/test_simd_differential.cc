@@ -3,10 +3,14 @@
 //
 // The contracts proven here (see docs/KERNELS.md):
 //   1. NTT forward/inverse are BIT-IDENTICAL across scalar/AVX2/AVX-512 for
-//      200 random NTT-friendly moduli at sizes 2^4..2^14 (seeded fuzz).
+//      200 random NTT-friendly moduli at sizes 2^4..2^14 (seeded fuzz), and
+//      for the primes on either side of the IFMA bound 2^50 at 2^4..2^14
+//      (on an IFMA host the one below takes the IFMA butterflies).
 //   2. The dispatched RNS pointwise ops (add/sub/negate/pointwise-mul/
-//      scalar-mul) and the CKKS rescale round are bit-identical to their
-//      scalar references, including ragged tails (n mod 8 in 1..7).
+//      scalar-mul, the fixed-operand Shoup product at the {50, 50} and
+//      {54, 54} primes), the two-prime CRT decode and the CKKS rescale
+//      round are bit-identical to their scalar references, including ragged
+//      tails (n mod 8 in 1..7).
 //   3. The double kernels (SquaredNorm/DotProduct/BlockSquaredDistances)
 //      are bit-identical scalar-vs-SIMD (the stronger property the
 //      implementation maintains by preserving accumulation order), and agree
@@ -49,6 +53,8 @@
 #include "he/modarith.h"
 #include "he/ntt.h"
 #include "he/poly_simd.h"
+#include "he/rns.h"
+#include "he/simd_math.h"
 #include "ml/kernels.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
@@ -126,6 +132,57 @@ TEST(SimdNttDifferentialTest, ForwardAndInverseBitIdenticalAcrossModuli) {
       tables->Inverse(got.data());
       ASSERT_EQ(got, inv_ref) << "inverse " << simd::IsaName(isa) << " n=" << n
                               << " q=" << *prime << " trial=" << trial;
+    }
+  }
+}
+
+// The primes on either side of the IFMA bound 2^50 for ring degree n: the
+// largest NTT-friendly prime below it (the IFMA butterflies, on a CPU that
+// has them) and the smallest above it (the AVX-512DQ path).
+std::pair<uint64_t, uint64_t> PrimesAroundIfmaBound(size_t n) {
+  constexpr uint64_t kBound = uint64_t{1} << 50;
+  const uint64_t below = he::GeneratePrime(50, 2 * n).ValueOrDie();
+  uint64_t above = kBound + 1;  // 2n divides 2^50, so this is 1 mod 2n
+  while (!he::IsPrime(above)) above += 2 * n;
+  return {below, above};
+}
+
+TEST(SimdNttDifferentialTest, PrimesAroundTheIfmaBoundBitIdentical) {
+  const std::vector<simd::Isa> isas = VectorIsas();
+  Rng rng(0x1F3A50);
+  for (size_t n = 16; n <= 16384; n *= 2) {
+    const auto [below, above] = PrimesAroundIfmaBound(n);
+    ASSERT_LT(below, uint64_t{1} << 50);
+    ASSERT_GT(above, uint64_t{1} << 50);
+#ifdef VFPS_SIMD_X86
+    EXPECT_EQ(he::detail::UseIfma(below),
+              __builtin_cpu_supports("avx512ifma") != 0);
+    EXPECT_FALSE(he::detail::UseIfma(above));
+#endif
+    for (uint64_t q : {below, above}) {
+      auto tables = he::NttTables::Create(n, q);
+      ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+      // Random residues, and all q - 1 (the largest lazy values).
+      std::vector<uint64_t> random(n);
+      for (auto& v : random) v = rng.NextBounded(q);
+      for (const std::vector<uint64_t>& input :
+           {random, std::vector<uint64_t>(n, q - 1)}) {
+        std::vector<uint64_t> ref = input;
+        tables->ForwardScalar(ref.data());
+        std::vector<uint64_t> inv_ref = ref;
+        tables->InverseScalar(inv_ref.data());
+        ASSERT_EQ(inv_ref, input) << "scalar roundtrip n=" << n << " q=" << q;
+        for (simd::Isa isa : isas) {
+          IsaPin pin(isa);
+          std::vector<uint64_t> got = input;
+          tables->Forward(got.data());
+          ASSERT_EQ(got, ref)
+              << "forward " << simd::IsaName(isa) << " n=" << n << " q=" << q;
+          tables->Inverse(got.data());
+          ASSERT_EQ(got, inv_ref)
+              << "inverse " << simd::IsaName(isa) << " n=" << n << " q=" << q;
+        }
+      }
     }
   }
 }
@@ -213,6 +270,118 @@ TEST(SimdRnsDifferentialTest, BarrettMulAcceptsLazyInputs) {
         he::detail::MulModBarrettVec(got.data(), b.data(), n, m);
         ASSERT_EQ(got, ref) << "lazy mul " << simd::IsaName(isa) << " n=" << n
                             << " q=" << q;
+      }
+    }
+  }
+}
+
+// The primes of the default set ({50, 50}) and of the old one ({54, 54})
+// at n = 4096.
+std::vector<uint64_t> ParameterSetPrimes() {
+  std::vector<uint64_t> primes;
+  for (const std::vector<int>& bits :
+       std::vector<std::vector<int>>{{50, 50}, {54, 54}}) {
+    auto ctx = he::RnsContext::Create(4096, bits).ValueOrDie();
+    primes.insert(primes.end(), ctx->primes().begin(), ctx->primes().end());
+  }
+  return primes;
+}
+
+TEST(SimdRnsDifferentialTest, ShoupPointwiseMatchesScalarAndBarrett) {
+  const std::vector<simd::Isa> isas = VectorIsas();
+  Rng rng(0x5E0B);
+  for (uint64_t q : ParameterSetPrimes()) {
+    const he::Modulus m(q);
+    for (size_t n : kRaggedSizes) {
+      std::vector<uint64_t> a(n), w(n), w_shoup(n);
+      for (size_t j = 0; j < n; ++j) {
+        // Edge operands on the first lanes, random after.
+        const uint64_t edges[] = {0, 1, q - 1};
+        a[j] = j < 3 ? edges[j] : rng.NextBounded(q);
+        w[j] = j < 3 ? edges[2 - j] : rng.NextBounded(q);
+        if (j == 3) a[j] = w[j] = q - 1;
+        w_shoup[j] = he::ShoupPrecompute(w[j], q);
+      }
+      std::vector<uint64_t> ref(n);
+      he::detail::MulModShoupPointwiseScalar(ref.data(), a.data(), w.data(),
+                                             w_shoup.data(), n, q);
+      std::vector<uint64_t> barrett = a;
+      he::detail::MulModBarrettScalar(barrett.data(), w.data(), n, m);
+      ASSERT_EQ(ref, barrett) << "n=" << n << " q=" << q;
+      for (simd::Isa isa : isas) {
+        IsaPin pin(isa);
+        std::vector<uint64_t> got(n);
+        he::detail::MulModShoupPointwiseVec(got.data(), a.data(), w.data(),
+                                            w_shoup.data(), n, q);
+        ASSERT_EQ(got, ref)
+            << "shoup pointwise " << simd::IsaName(isa) << " n=" << n
+            << " q=" << q;
+        got = a;  // in place: dst aliases a
+        he::detail::MulModShoupPointwiseVec(got.data(), got.data(), w.data(),
+                                            w_shoup.data(), n, q);
+        ASSERT_EQ(got, ref)
+            << "in place " << simd::IsaName(isa) << " n=" << n << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(SimdCrtDifferentialTest, ComposeBitIdenticalToScalar) {
+  // Residues of chosen integers x in [0, Q): small values of both signs
+  // around the 2^63 fast-path limit, the centring boundary floor(Q/2), and
+  // uniform residue pairs (huge values, mostly the scalar fallback).
+  const std::vector<simd::Isa> isas = VectorIsas();
+  Rng rng(0xC47);
+  for (const std::vector<int>& bits :
+       std::vector<std::vector<int>>{{50, 50}, {54, 54}}) {
+    auto ctx = he::RnsContext::Create(4096, bits).ValueOrDie();
+    const uint64_t q0 = ctx->prime(0);
+    const uint64_t q1 = ctx->prime(1);
+    using U128 = unsigned __int128;
+    const U128 big_q = static_cast<U128>(q0) * q1;
+    std::vector<U128> xs = {0, 1, big_q - 1, big_q / 2, big_q / 2 + 1,
+                            big_q / 2 - 1, big_q / 2 + 2};
+    for (int k = 0; k <= 100; ++k) {
+      const U128 p = static_cast<U128>(1) << k;
+      for (const U128 mag : {p - 1, p, p + 1}) {
+        if (mag == 0 || mag >= big_q / 2) continue;
+        xs.push_back(mag);
+        xs.push_back(big_q - mag);
+      }
+    }
+    for (int j = 0; j < 64; ++j) {
+      xs.push_back(static_cast<U128>(rng.NextBounded(q1)) * q0 +
+                   rng.NextBounded(q0));
+    }
+    std::vector<uint64_t> r0, r1;
+    for (U128 x : xs) {
+      r0.push_back(static_cast<uint64_t>(x % q0));
+      r1.push_back(static_cast<uint64_t>(x % q1));
+    }
+    for (size_t n : {r0.size(), size_t{7}, size_t{9}, size_t{17}}) {
+      std::vector<double> ref(n);
+      he::detail::ComposeCrtScalar(ref.data(), r0.data(), r1.data(), n, q0,
+                                   ctx->modulus(1), ctx->crt_q0_inv_q1(),
+                                   ctx->crt_q0_inv_q1_shoup());
+      for (size_t i = 0; i < n; ++i) {
+        // The scalar reference is the single-coefficient decode.
+        he::RnsPoly one;
+        one.residues = {{r0[i]}, {r1[i]}};
+        ASSERT_EQ(std::bit_cast<uint64_t>(ref[i]),
+                  std::bit_cast<uint64_t>(he::ComposeCoeffToDouble(*ctx, one, 0)));
+      }
+      for (simd::Isa isa : isas) {
+        IsaPin pin(isa);
+        std::vector<double> got(n);
+        he::detail::ComposeCrtVec(got.data(), r0.data(), r1.data(), n, q0,
+                                  ctx->modulus(1), ctx->crt_q0_inv_q1(),
+                                  ctx->crt_q0_inv_q1_shoup());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                    std::bit_cast<uint64_t>(ref[i]))
+              << simd::IsaName(isa) << " bits=" << bits[0] << " i=" << i
+              << " ref=" << ref[i] << " got=" << got[i];
+        }
       }
     }
   }
