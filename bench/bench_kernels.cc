@@ -206,18 +206,29 @@ void BM_CkksEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_CkksEncrypt)->Arg(4096);
 
-// The fixed-operand product of encryption: b * u over both primes, with
-// the public key's per-coefficient Shoup companions (the Shoup kernel of
-// he/poly_simd.h; IFMA at the default primes where the CPU has it).
+// The fixed-operand product of encryption, fused with its addition:
+// c0 = b * u + e over both primes, with the public key's per-coefficient
+// Shoup companions (detail::MulAddModShoupVec; IFMA at the default primes
+// where the CPU has it).
 void CkksKeyProductBody(benchmark::State& state, size_t degree) {
   CkksKernelFixture f(degree);
   Rng rng(11);
   he::RnsPoly u = he::SampleTernary(f.ctx->rns(), &rng);
   he::ToNtt(f.ctx->rns(), &u);
-  he::RnsPoly out;
+  he::RnsPoly e = he::SampleGaussian(f.ctx->rns(), &rng, f.ctx->noise());
+  he::ToNtt(f.ctx->rns(), &e);
+  const auto bytes = [](const std::vector<uint64_t>& words) {
+    return reinterpret_cast<const uint8_t*>(words.data());
+  };
+  std::vector<uint64_t> out(degree);
   for (auto _ : state) {
-    he::MulFixedInto(f.ctx->rns(), u, f.pk.b, f.pk.b_shoup, &out);
-    benchmark::DoNotOptimize(out.residues[0].data());
+    for (size_t i = 0; i < u.num_primes(); ++i) {
+      he::detail::MulAddModShoupVec(
+          reinterpret_cast<uint8_t*>(out.data()), bytes(u.residues[i]),
+          f.pk.b.residues[i].data(), f.pk.b_shoup[i].data(),
+          bytes(e.residues[i]), degree, f.ctx->rns().prime(i));
+    }
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -342,6 +353,53 @@ void BM_BackendEncryptVector(benchmark::State& state) {
 }
 BENCHMARK(BM_BackendEncryptVector)->Arg(2048)->Arg(8192)->Arg(32768)
     ->Unit(benchmark::kMillisecond);
+
+// One unit of the base-sharded workload at the aggregation server and the
+// leader: 4 parties' blobs of 4,800 values (3 ciphertexts each) summed,
+// and the sum decrypted.
+struct BackendUnitFixture {
+  static constexpr size_t kParties = 4;
+  static constexpr size_t kValues = 4800;
+  std::unique_ptr<he::HeBackend> backend =
+      he::CreateCkksBackend(he::CkksParams{}, 5).MoveValueUnsafe();
+  std::vector<he::EncryptedVector> blobs;
+  std::vector<const he::EncryptedVector*> inputs;
+
+  BackendUnitFixture() {
+    Rng vals(9);
+    for (size_t p = 0; p < kParties; ++p) {
+      std::vector<double> values(kValues);
+      for (double& v : values) v = vals.Uniform(0.0, 4.0);
+      blobs.push_back(backend->Encrypt(values).MoveValueUnsafe());
+    }
+    for (const auto& blob : blobs) inputs.push_back(&blob);
+  }
+};
+
+void BM_CkksBackendSum(benchmark::State& state) {
+  BackendUnitFixture f;
+  for (auto _ : state) {
+    auto sum = f.backend->Sum(f.inputs);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.kParties * f.kValues));
+  SetIsaCounter(state);
+}
+BENCHMARK(BM_CkksBackendSum)->Unit(benchmark::kMicrosecond);
+
+void BM_CkksBackendDecrypt(benchmark::State& state) {
+  BackendUnitFixture f;
+  const he::EncryptedVector sum = f.backend->Sum(f.inputs).MoveValueUnsafe();
+  for (auto _ : state) {
+    auto values = f.backend->Decrypt(sum);
+    benchmark::DoNotOptimize(values);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.kValues));
+  SetIsaCounter(state);
+}
+BENCHMARK(BM_CkksBackendDecrypt)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Paillier (the scalar baseline backend), by modulus bits

@@ -211,6 +211,13 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
   return out;
 }
 
+Result<const uint8_t*> BinaryReader::ReadRaw(size_t n) {
+  VFPS_RETURN_NOT_OK(Require(n));
+  const uint8_t* p = data_ + pos_;
+  pos_ += n;
+  return p;
+}
+
 Result<std::vector<uint64_t>> BinaryReader::ReadU64Vec() {
   VFPS_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
   VFPS_RETURN_NOT_OK(Require(n * sizeof(uint64_t)));

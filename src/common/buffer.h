@@ -115,10 +115,6 @@ class BinaryWriter {
     WriteBytes(payload);
   }
 
-  /// Pre-size the buffer for `bytes` in total, so writers that know their
-  /// final size (a ciphertext blob) never reallocate and copy mid-write.
-  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
-
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
@@ -157,6 +153,9 @@ class BinaryReader {
   Result<std::vector<double>> ReadDoubleVec();
   Result<std::vector<uint64_t>> ReadU64Vec();
   Result<std::vector<uint32_t>> ReadU32Vec();
+  /// The next `n` bytes in place, without a length prefix or a copy
+  /// (OutOfRange when fewer remain).
+  Result<const uint8_t*> ReadRaw(size_t n);
 
   /// Read a frame written by BinaryWriter::WriteCrcFramed(). Returns Corrupt
   /// if the payload's CRC does not match the transmitted one, OutOfRange if
@@ -168,7 +167,7 @@ class BinaryReader {
 
  private:
   Status Require(size_t n) {
-    if (pos_ + n > size_) {
+    if (n > size_ - pos_) {
       return Status::OutOfRange("BinaryReader: truncated message");
     }
     return Status::OK();

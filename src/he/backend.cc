@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/buffer.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "he/poly_simd.h"
 #include "obs/metrics.h"
 
 namespace vfps::he {
@@ -144,81 +146,116 @@ class CkksBackend final : public SchemeBackend {
   size_t SlotsPerCiphertext() const override { return chunk_slots_; }
 
  private:
+  // Every ciphertext goes straight into the blob: the key products store
+  // into its residue words (CkksContext::EncryptToWire).
   Result<EncryptedVector> EncryptOne(std::span<const double> values, Rng* rng,
                                      HeOpStats* stats) const override {
-    BinaryWriter writer;
-    writer.Reserve(CiphertextBytes(values.size()));
     const size_t slots = chunk_slots_;
     const size_t num_chunks =
         values.empty() ? 0 : (values.size() + slots - 1) / slots;
-    writer.WriteU32(static_cast<uint32_t>(num_chunks));
-    // Per-thread ciphertext whose buffers every chunk reuses.
-    thread_local CkksCiphertext ct;
+    const size_t ct_bytes = ctx_->CiphertextByteSize();
+    EncryptedVector out;
+    out.count = values.size();
+    out.blob.resize(CiphertextBytes(values.size()));
+    const uint32_t chunks32 = static_cast<uint32_t>(num_chunks);
+    std::memcpy(out.blob.data(), &chunks32, sizeof(chunks32));
     for (size_t c = 0; c < num_chunks; ++c) {
       const size_t lo = c * slots;
       const size_t len = std::min(values.size() - lo, slots);
       // Sub-span, no copy; the encoder zero-masks the final ragged tail.
-      VFPS_RETURN_NOT_OK(ctx_->EncryptVectorInto(
-          keys_->pk, values.subspan(lo, len), rng, &ct));
-      ctx_->SerializeCiphertext(ct, &writer);
+      VFPS_RETURN_NOT_OK(ctx_->EncryptToWire(
+          keys_->pk, values.subspan(lo, len), rng,
+          out.blob.data() + sizeof(uint32_t) + c * ct_bytes));
       ++stats->encrypt_ops;
     }
     stats->values_encrypted += values.size();
-    EncryptedVector out;
-    out.blob = writer.TakeBytes();
-    out.count = values.size();
     return out;
   }
 
+  // Sums the inputs' wire bytes in place: the output starts as a copy of
+  // input 0's blob (its headers are the sum's), and every residue vector of
+  // it becomes the sum of all inputs' vectors in one range-checked pass
+  // (detail::SumModVec). No CkksCiphertext is built.
   Result<EncryptedVector> SumOne(
       const std::vector<const EncryptedVector*>& vectors,
       HeOpStats* stats) const override {
     VFPS_CHECK_ARG(!vectors.empty(), "CKKS Sum: no inputs");
     const size_t count = vectors[0]->count;
-    std::vector<CkksCiphertext> acc;
-    VFPS_RETURN_NOT_OK(ParseChunks(*vectors[0], &acc));
-    for (size_t i = 1; i < vectors.size(); ++i) {
+    const size_t inputs = vectors.size();
+    std::vector<std::vector<CkksCiphertextView>> views(inputs);
+    VFPS_RETURN_NOT_OK(ParseChunks(*vectors[0], &views[0]));
+    for (size_t i = 1; i < inputs; ++i) {
       if (vectors[i]->count != count) {
         return Status::InvalidArgument("CKKS Sum: count mismatch");
       }
-      std::vector<CkksCiphertext> cts;
-      VFPS_RETURN_NOT_OK(ParseChunks(*vectors[i], &cts));
-      for (size_t c = 0; c < acc.size(); ++c) {
-        VFPS_RETURN_NOT_OK(ctx_->AddInPlaceCt(&acc[c], cts[c]));
-        ++stats->add_ops;
+      VFPS_RETURN_NOT_OK(ParseChunks(*vectors[i], &views[i]));
+      for (size_t c = 0; c < views[0].size(); ++c) {
+        const CkksCiphertextView& a = views[0][c];
+        const CkksCiphertextView& b = views[i][c];
+        if (a.scale != b.scale) {
+          return Status::InvalidArgument("CKKS Add: scale mismatch");
+        }
+        if (a.level != b.level || a.ntt_form != b.ntt_form) {
+          return Status::ProtocolError(StrFormat(
+              "CKKS Sum: input %zu ciphertext %zu has %zu primes in form %d; "
+              "input 0 has %zu in form %d",
+              i, c, b.level, b.ntt_form ? 1 : 0, a.level, a.ntt_form ? 1 : 0));
+        }
       }
-      stats->values_added += count;
     }
-    BinaryWriter writer;
-    writer.Reserve(CiphertextBytes(count));
-    writer.WriteU32(static_cast<uint32_t>(acc.size()));
-    for (const auto& ct : acc) ctx_->SerializeCiphertext(ct, &writer);
     EncryptedVector out;
-    out.blob = writer.TakeBytes();
+    out.blob = vectors[0]->blob;
     out.count = count;
+    const size_t n = ctx_->rns().n();
+    const uint8_t* base = vectors[0]->blob.data();
+    std::vector<const uint8_t*> src(inputs);
+    for (size_t c = 0; c < views[0].size(); ++c) {
+      for (size_t poly = 0; poly < 2; ++poly) {
+        for (size_t p = 0; p < views[0][c].level; ++p) {
+          for (size_t i = 0; i < inputs; ++i) {
+            src[i] = poly == 0 ? views[i][c].c0[p] : views[i][c].c1[p];
+          }
+          uint8_t* dst = out.blob.data() + (src[0] - base);
+          src[0] = dst;  // input 0's words, already copied
+          if (!detail::SumModVec(dst, src.data(), inputs, n,
+                                 ctx_->rns().prime(p))) {
+            // DeserializeCiphertext's error for the first bad residue.
+            for (const auto& input : views) {
+              VFPS_RETURN_NOT_OK(ctx_->CheckResidues(input[c]));
+            }
+            return Status::Internal("CKKS Sum: range checks disagree");
+          }
+        }
+      }
+    }
+    stats->add_ops += (inputs - 1) * views[0].size();
+    stats->values_added += (inputs - 1) * count;
     return out;
   }
 
+  // Decrypts each ciphertext from the wire bytes (CkksContext::
+  // DecryptViewInto) and decodes it straight into the output.
   Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
                                          HeOpStats* stats) const override {
-    std::vector<CkksCiphertext> cts;
+    std::vector<CkksCiphertextView> cts;
     VFPS_RETURN_NOT_OK(ParseChunks(v, &cts));
-    std::vector<double> out;
-    out.reserve(v.count);
+    std::vector<double> out(v.count);
     const size_t slots = chunk_slots_;
     for (size_t c = 0; c < cts.size(); ++c) {
-      const size_t want = std::min(slots, v.count - out.size());
-      VFPS_ASSIGN_OR_RETURN(auto values,
-                            ctx_->DecryptVector(keys_->sk, cts[c], want));
-      out.insert(out.end(), values.begin(), values.end());
+      const size_t lo = c * slots;
+      const size_t want = std::min(slots, v.count - lo);
+      VFPS_RETURN_NOT_OK(
+          ctx_->DecryptViewInto(keys_->sk, cts[c], want, out.data() + lo));
       ++stats->decrypt_ops;
     }
     stats->values_decrypted += out.size();
     return out;
   }
 
+  // Every ciphertext header of the blob, checked (CkksContext::
+  // ParseCiphertext); the residues are range-checked by whoever reads them.
   Status ParseChunks(const EncryptedVector& v,
-                     std::vector<CkksCiphertext>* out) const {
+                     std::vector<CkksCiphertextView>* out) const {
     BinaryReader reader(v.blob);
     VFPS_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.ReadU32());
     // Sum indexes every input's chunks by the first input's chunk count.
@@ -232,8 +269,13 @@ class CkksBackend final : public SchemeBackend {
     out->clear();
     out->reserve(num_chunks);
     for (uint32_t c = 0; c < num_chunks; ++c) {
-      VFPS_ASSIGN_OR_RETURN(auto ct, ctx_->DeserializeCiphertext(&reader));
-      out->push_back(std::move(ct));
+      VFPS_ASSIGN_OR_RETURN(auto ct, ctx_->ParseCiphertext(&reader));
+      out->push_back(ct);
+    }
+    if (!reader.AtEnd()) {
+      return Status::ProtocolError(
+          StrFormat("CKKS blob: %zu bytes after the last ciphertext",
+                    reader.remaining()));
     }
     return Status::OK();
   }
@@ -344,14 +386,42 @@ class PaillierBackend final : public SchemeBackend {
     return out;
   }
 
+  // A blob is a u32 count, then per value a u32 length and the ct_bytes_
+  // bytes of one ciphertext below n^2. The count is checked against the
+  // vector's and against the bytes left before anything is sized by it.
   Status Parse(const EncryptedVector& v, std::vector<PaillierCiphertext>* out) const {
     BinaryReader reader(v.blob);
     VFPS_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32());
+    if (n != v.count) {
+      return Status::ProtocolError(StrFormat(
+          "Paillier blob holds %u ciphertexts for %zu values", n, v.count));
+    }
+    const size_t wire_bytes = sizeof(uint32_t) + ct_bytes_;
+    if (n > reader.remaining() / wire_bytes) {
+      return Status::ProtocolError(
+          StrFormat("Paillier blob: %zu bytes cannot hold %u ciphertexts",
+                    reader.remaining(), n));
+    }
     out->clear();
     out->reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       VFPS_ASSIGN_OR_RETURN(auto bytes, reader.ReadBytes());
-      out->push_back(PaillierCiphertext{BigInt::FromBytes(bytes)});
+      if (bytes.size() != ct_bytes_) {
+        return Status::ProtocolError(StrFormat(
+            "Paillier blob: ciphertext %u has %zu bytes, not %zu", i,
+            bytes.size(), ct_bytes_));
+      }
+      PaillierCiphertext ct{BigInt::FromBytes(bytes)};
+      if (ct.value >= keys_.pub.n_squared) {
+        return Status::ProtocolError(
+            StrFormat("Paillier blob: ciphertext %u is not below n^2", i));
+      }
+      out->push_back(std::move(ct));
+    }
+    if (!reader.AtEnd()) {
+      return Status::ProtocolError(
+          StrFormat("Paillier blob: %zu bytes after the last ciphertext",
+                    reader.remaining()));
     }
     return Status::OK();
   }
@@ -401,39 +471,68 @@ class PlainBackend final : public SchemeBackend {
     return out;
   }
 
+  // Adds straight from the input blobs: the output starts as a copy of
+  // input 0's, and each further input is added into its values in input
+  // order, so every sum is ((v0 + v1) + v2) + ... as before.
   Result<EncryptedVector> SumOne(
       const std::vector<const EncryptedVector*>& vectors,
       HeOpStats* stats) const override {
     VFPS_CHECK_ARG(!vectors.empty(), "Plain Sum: no inputs");
-    std::vector<double> acc;
-    {
-      BinaryReader reader(vectors[0]->blob);
-      VFPS_ASSIGN_OR_RETURN(acc, reader.ReadDoubleVec());
-    }
-    for (size_t i = 1; i < vectors.size(); ++i) {
-      BinaryReader reader(vectors[i]->blob);
-      VFPS_ASSIGN_OR_RETURN(auto vals, reader.ReadDoubleVec());
-      if (vals.size() != acc.size()) {
+    const size_t count = vectors[0]->count;
+    std::vector<const uint8_t*> values(vectors.size());
+    for (size_t i = 0; i < vectors.size(); ++i) {
+      VFPS_ASSIGN_OR_RETURN(values[i], Values(*vectors[i]));
+      if (vectors[i]->count != count) {
         return Status::InvalidArgument("Plain Sum: count mismatch");
       }
-      for (size_t j = 0; j < acc.size(); ++j) acc[j] += vals[j];
-      ++stats->add_ops;
-      stats->values_added += acc.size();
     }
-    BinaryWriter writer;
-    writer.WriteDoubleVec(acc);
     EncryptedVector out;
-    out.blob = writer.TakeBytes();
-    out.count = acc.size();
+    out.blob = vectors[0]->blob;
+    out.count = count;
+    uint8_t* acc = out.blob.data() + sizeof(uint32_t);
+    for (size_t i = 1; i < vectors.size(); ++i) {
+      for (size_t j = 0; j < count; ++j) {
+        double a, b;
+        std::memcpy(&a, acc + j * sizeof(double), sizeof(double));
+        std::memcpy(&b, values[i] + j * sizeof(double), sizeof(double));
+        a += b;
+        std::memcpy(acc + j * sizeof(double), &a, sizeof(double));
+      }
+      ++stats->add_ops;
+      stats->values_added += count;
+    }
     return out;
   }
 
   Result<std::vector<double>> DecryptOne(const EncryptedVector& v,
                                          HeOpStats* stats) const override {
-    BinaryReader reader(v.blob);
+    VFPS_ASSIGN_OR_RETURN(const uint8_t* values, Values(v));
+    std::vector<double> out(v.count);
+    if (v.count != 0) {
+      std::memcpy(out.data(), values, v.count * sizeof(double));
+    }
     ++stats->decrypt_ops;
     stats->values_decrypted += v.count;
-    return reader.ReadDoubleVec();
+    return out;
+  }
+
+  // The blob's doubles in place (at any alignment): it must hold exactly
+  // v.count of them, as WriteDoubleVec wrote them, and nothing after.
+  static Result<const uint8_t*> Values(const EncryptedVector& v) {
+    BinaryReader reader(v.blob);
+    VFPS_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32());
+    if (n != v.count) {
+      return Status::ProtocolError(StrFormat(
+          "Plain blob holds %u values for a vector of %zu", n, v.count));
+    }
+    VFPS_ASSIGN_OR_RETURN(const uint8_t* values,
+                          reader.ReadRaw(v.count * sizeof(double)));
+    if (!reader.AtEnd()) {
+      return Status::ProtocolError(
+          StrFormat("Plain blob: %zu bytes after the last value",
+                    reader.remaining()));
+    }
+    return values;
   }
 };
 

@@ -1,5 +1,6 @@
 #include "he/ckks_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -62,27 +63,55 @@ Result<CkksEncoder> CkksEncoder::Create(std::shared_ptr<const RnsContext> ctx) {
   // share it instead of recomputing (every RNS prime uses the same ring
   // degree, so table 0 suffices).
   enc.bit_rev_ = enc.ctx_->ntt(0).bit_rev();
+  enc.twist_re_br_.resize(n);
+  enc.twist_im_br_.resize(n);
+  for (size_t m = 0; m < n; ++m) {
+    enc.twist_re_br_[m] = enc.twist_re_[enc.bit_rev_[m]];
+    enc.twist_im_br_[m] = enc.twist_im_[enc.bit_rev_[m]];
+  }
   return enc;
 }
 
-void CkksEncoder::Fft(double* re, double* im, bool inverse) const {
+namespace {
+bool FusedAvx512(size_t n) {
+  return simd::ActiveIsa() == simd::Isa::kAvx512 && n >= 16;
+}
+}  // namespace
+
+void CkksEncoder::ForwardFromValues(std::span<const double> values,
+                                    double* re, double* im) const {
   const size_t n = ctx_->n();
+  if (FusedAvx512(n)) {
+    ForwardFromValuesAvx512(values, re, im);
+    return;
+  }
+  // The zero fill is the tail mask for partially-filled chunks; the values
+  // go straight to their bit-reversed positions.
+  std::fill(re, re + n, 0.0);
+  std::fill(im, im + n, 0.0);
+  for (size_t j = 0; j < values.size(); ++j) re[bit_rev_[j]] = values[j];
+  Fft(re, im, /*inverse=*/false);
+}
+
+void CkksEncoder::InverseFromCoeffs(const double* coeffs, double* re,
+                                    double* im) const {
+  const size_t n = ctx_->n();
+  if (FusedAvx512(n)) {
+    InverseFromCoeffsAvx512(coeffs, re, im);
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    re[bit_rev_[k]] = twist_re_[k] * coeffs[k];
+    im[bit_rev_[k]] = twist_im_[k] * coeffs[k];
+  }
+  Fft(re, im, /*inverse=*/true);
+}
+
+void CkksEncoder::Fft(double* re, double* im, bool inverse) const {
   const double* roots_im = inverse ? root_im_inv_.data() : root_im_.data();
-  switch (simd::ActiveIsa()) {
-    case simd::Isa::kAvx512:
-      if (n >= 16) {
-        FftAvx512(re, im, roots_im);
-        return;
-      }
-      [[fallthrough]];
-    case simd::Isa::kAvx2:
-      if (n >= 8) {
-        FftAvx2(re, im, roots_im);
-        return;
-      }
-      break;
-    case simd::Isa::kScalar:
-      break;
+  if (simd::ActiveIsa() >= simd::Isa::kAvx2 && ctx_->n() >= 8) {
+    FftAvx2(re, im, roots_im);
+    return;
   }
   FftScalar(re, im, roots_im);
 }
@@ -164,14 +193,12 @@ Status CkksEncoder::EncodeCoefficients(std::span<const double> values,
   }
   // Per-thread scratch (the encrypt hot path encodes one chunk per
   // ciphertext; reusing the FFT buffers removes two n-double allocations per
-  // chunk). assign() overwrites every element, so state never leaks between
-  // calls — the zero fill IS the tail mask for partially-filled chunks. The
-  // values go straight to their bit-reversed positions.
+  // chunk). The transform writes every element, so state never leaks
+  // between calls.
   thread_local std::vector<double> re, im;
-  re.assign(n, 0.0);
-  im.assign(n, 0.0);
-  for (size_t j = 0; j < values.size(); ++j) re[bit_rev_[j]] = values[j];
-  Fft(re.data(), im.data(), /*inverse=*/false);
+  re.resize(n);
+  im.resize(n);
+  ForwardFromValues(values, re.data(), im.data());
   ResizePoly(*ctx_, out);
   size_t done = 0;
   switch (simd::ActiveIsa()) {
@@ -190,12 +217,8 @@ Status CkksEncoder::EncodeCoefficients(std::span<const double> values,
 Result<std::vector<double>> CkksEncoder::Decode(const RnsPoly& poly,
                                                 double scale,
                                                 size_t count) const {
-  const size_t n = ctx_->n();
   if (count > slot_count()) {
     return Status::CapacityError("CkksEncoder: decode count exceeds slots");
-  }
-  if (scale <= 0.0) {
-    return Status::InvalidArgument("CkksEncoder: scale must be positive");
   }
   // Per-thread scratch; fully overwritten from `poly` before use.
   thread_local RnsPoly coeff_form;
@@ -205,22 +228,31 @@ Result<std::vector<double>> CkksEncoder::Decode(const RnsPoly& poly,
                                   poly.residues[i].end());
   }
   coeff_form.ntt_form = poly.ntt_form;
-  FromNtt(*ctx_, &coeff_form);
-  // Same reuse trick as Encode: every element is written below (at its
-  // bit-reversed position) before the FFT reads it.
+  std::vector<double> out(count);
+  VFPS_RETURN_NOT_OK(DecodeInto(&coeff_form, scale, count, out.data()));
+  return out;
+}
+
+Status CkksEncoder::DecodeInto(RnsPoly* poly, double scale, size_t count,
+                               double* out) const {
+  const size_t n = ctx_->n();
+  if (count > slot_count()) {
+    return Status::CapacityError("CkksEncoder: decode count exceeds slots");
+  }
+  if (scale <= 0.0) {
+    return Status::InvalidArgument("CkksEncoder: scale must be positive");
+  }
+  FromNtt(*ctx_, poly);
+  // Same reuse trick as Encode: the transform writes every element of re
+  // and im before reading it.
   thread_local std::vector<double> coeffs, re, im;
   coeffs.resize(n);
   re.resize(n);
   im.resize(n);
-  ComposeToDouble(*ctx_, coeff_form, coeffs.data());
-  for (size_t k = 0; k < n; ++k) {
-    re[bit_rev_[k]] = twist_re_[k] * coeffs[k];
-    im[bit_rev_[k]] = twist_im_[k] * coeffs[k];
-  }
-  Fft(re.data(), im.data(), /*inverse=*/true);
-  std::vector<double> out(count);
+  ComposeToDouble(*ctx_, *poly, coeffs.data());
+  InverseFromCoeffs(coeffs.data(), re.data(), im.data());
   for (size_t j = 0; j < count; ++j) out[j] = re[j] / scale;
-  return out;
+  return Status::OK();
 }
 
 }  // namespace vfps::he

@@ -28,10 +28,13 @@ namespace vfps::he {
 /// twiddles and writes every complex product out as (ac - bd, ad + bc). It
 /// and the round-and-reduce step have AVX2 and AVX-512 backends, dispatched
 /// on simd::ActiveIsa(), that apply the same operations to each element as
-/// the scalar loops. Both files build with -ffp-contract=off, so no
-/// multiply-add is ever fused and the residues are bit-identical on every
-/// ISA and optimization level (see docs/KERNELS.md, "Per-kernel numerics
-/// contract").
+/// the scalar loops (both vector FFTs run two radix-2 stages per pass after
+/// the first, and the AVX-512 one gathers its first pass's inputs; the
+/// AVX-512 round-and-reduce takes an exact small-quotient reduction below
+/// 2^52). Both files build
+/// with -ffp-contract=off, so no multiply-add is ever fused and the
+/// residues are bit-identical on every ISA and optimization level (see
+/// docs/KERNELS.md, "Per-kernel numerics contract").
 class CkksEncoder {
  public:
   static Result<CkksEncoder> Create(std::shared_ptr<const RnsContext> ctx);
@@ -60,19 +63,38 @@ class CkksEncoder {
   Result<std::vector<double>> Decode(const RnsPoly& poly, double scale,
                                      size_t count) const;
 
+  /// \brief Decode() without the copy: transforms `poly` to coefficient
+  /// form in place and writes `count` values to out[0, count). Same checks
+  /// and errors as Decode(), made before anything is written.
+  Status DecodeInto(RnsPoly* poly, double scale, size_t count,
+                    double* out) const;
+
  private:
   explicit CkksEncoder(std::shared_ptr<const RnsContext> ctx)
       : ctx_(std::move(ctx)) {}
 
+  // The encode's forward FFT of `values` (zero-padded to n) in bit-reversed
+  // order, and the decode's inverse FFT of the twisted coefficients
+  // twist_k * coeffs[k] in bit-reversed order; both unnormalized, into
+  // re/im. On AVX-512 (n >= 16) the zero fill or twist and the bit-reversed
+  // scatter fold into the FFT's first pass, which gathers each 16-element
+  // window from its sources (ckks_encoder_simd.cc); elsewhere they run as
+  // separate loops before Fft.
+  void ForwardFromValues(std::span<const double> values, double* re,
+                         double* im) const;
+  void InverseFromCoeffs(const double* coeffs, double* re, double* im) const;
+  void ForwardFromValuesAvx512(std::span<const double> values, double* re,
+                               double* im) const;
+  void InverseFromCoeffsAvx512(const double* coeffs, double* re,
+                               double* im) const;
+
   // In-place radix-2 FFT over n points whose input is already in
   // bit-reversed order; `inverse` selects the conjugate roots
-  // (unnormalized). Dispatched to the widest backend simd::ActiveIsa()
-  // allows that fits n (AVX-512 needs n >= 16, AVX2 n >= 8).
+  // (unnormalized). Runs the AVX2 backend when the ISA allows it and
+  // n >= 8, else the scalar reference.
   void Fft(double* re, double* im, bool inverse) const;
   void FftScalar(double* re, double* im, const double* roots_im) const;
-  // Vector backends (ckks_encoder_simd.cc).
   void FftAvx2(double* re, double* im, const double* roots_im) const;
-  void FftAvx512(double* re, double* im, const double* roots_im) const;
 
   // Coefficient k of the encoding from the forward FFT output:
   // round((2/n) * Re(w^{-k} * A_k) * scale), reduced into every prime of
@@ -93,9 +115,13 @@ class CkksEncoder {
   // magnitude rounds to an integer that decodes back to itself. 2^62 also
   // guards the int64 rounding path.
   double coeff_bound_ = 0.0;
-  // Twist factors w^k = exp(i*pi*k/n), k in [0, n).
+  // Twist factors w^k = exp(i*pi*k/n), k in [0, n), and the same in
+  // bit-reversed order (twist_*_br_[m] = twist_*_[bit_rev_[m]]) for the
+  // decode's gathered first pass.
   std::vector<double> twist_re_;
   std::vector<double> twist_im_;
+  std::vector<double> twist_re_br_;
+  std::vector<double> twist_im_br_;
   // Bit-reversal permutation for the FFT.
   std::vector<size_t> bit_rev_;
   // Forward roots e^{-2*pi*i*j/(2h)}, j in [0, h), for the stage of half

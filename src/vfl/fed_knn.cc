@@ -47,7 +47,12 @@ std::vector<uint8_t> EncodeIds(const std::vector<uint64_t>& ids) {
 
 Result<std::vector<uint64_t>> DecodeIds(const std::vector<uint8_t>& payload) {
   BinaryReader reader(payload);
-  return reader.ReadU64Vec();
+  VFPS_ASSIGN_OR_RETURN(auto ids, reader.ReadU64Vec());
+  if (!reader.AtEnd()) {
+    return Status::ProtocolError(StrFormat(
+        "id payload: %zu bytes after the last id", reader.remaining()));
+  }
+  return ids;
 }
 
 std::vector<uint8_t> EncodeScalar(double v) {
@@ -1166,16 +1171,15 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
   span_merge.End();
 
   // Merge ids are pseudo IDs (top-k modes) or compressed row indices (BASE);
-  // every party maps them back to rows locally.
+  // every party maps them back to rows locally, the leader included.
   const PseudoIdMap* pseudo = env.rt.pseudo;
-  const auto to_row = [&](uint64_t id) {
-    return static_cast<size_t>(pseudo != nullptr ? pseudo->ToOriginal(id)
-                                                 : CompressedToRow(id, q->row));
-  };
+  const size_t num_rows = joint_->num_samples();
+  const std::vector<uint8_t> id_payload = EncodeIds(merged.ids);
   QueryNeighborhood hood;
   hood.query_row = q->row;
-  hood.neighbors.reserve(merged.size());
-  for (uint64_t id : merged.ids) hood.neighbors.push_back(to_row(id));
+  VFPS_ASSIGN_OR_RETURN(hood.neighbors,
+                        DecodeNeighborRows(id_payload, merged.size(), pseudo,
+                                           num_rows, q->row));
 
   // d_T exchange: the leader broadcasts the neighbor ids; every active party
   // returns d_T^p (quarantined slots keep 0). Each party recomputes its k
@@ -1187,29 +1191,29 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
   for (size_t party : active) {
     if (party == 0) continue;
     VFPS_RETURN_NOT_OK(
-        env.chan->Send(kLeader, static_cast<int>(party), EncodeIds(merged.ids)));
+        env.chan->Send(kLeader, static_cast<int>(party), id_payload));
   }
   ChargeFanOut(env.clock, merged.size() * sizeof(uint64_t), a - 1);
   hood.per_party_dt.assign(num_participants(), 0.0);
   std::vector<double> dt_seconds(a, 0.0);
   for (size_t ai = 0; ai < a; ++ai) {
     const size_t party = active[ai];
-    std::vector<uint64_t> ids = merged.ids;
+    std::vector<size_t> rows = hood.neighbors;
     if (party != 0) {
       VFPS_ASSIGN_OR_RETURN(auto payload,
                             env.chan->Recv(kLeader, static_cast<int>(party)));
-      VFPS_ASSIGN_OR_RETURN(ids, DecodeIds(payload));
+      VFPS_ASSIGN_OR_RETURN(rows, DecodeNeighborRows(payload, merged.size(),
+                                                     pseudo, num_rows, q->row));
     }
     const ml::FeatureBlock& block = party_blocks_[party];
     double dt = 0.0;
-    for (uint64_t id : ids) {
-      const size_t row = to_row(id);
+    for (size_t row : rows) {
       double d = 0.0;
       ml::BlockSquaredDistances(block, q->slices[ai].data(), q->norms[ai], row,
                                 row + 1, &d);
       dt += d;
     }
-    dt_seconds[ai] = cost_->DistanceSeconds(ids.size(), block.cols());
+    dt_seconds[ai] = cost_->DistanceSeconds(rows.size(), block.cols());
     if (party == 0) {
       hood.per_party_dt[0] = dt;
     } else {
@@ -1231,6 +1235,47 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
     stats->fagin_depth += q->depth;
   }
   return hood;
+}
+
+Result<std::vector<size_t>> FederatedKnnOracle::DecodeNeighborRows(
+    const std::vector<uint8_t>& payload, size_t expected,
+    const PseudoIdMap* pseudo, size_t num_rows, size_t query_row) {
+  auto ids = DecodeIds(payload);
+  if (!ids.ok()) {
+    return Status::ProtocolError("d_T exchange: " + ids.status().message());
+  }
+  if (ids->size() != expected) {
+    return Status::ProtocolError(
+        StrFormat("d_T exchange: %zu neighbor ids, the merge has %zu",
+                  ids->size(), expected));
+  }
+  std::vector<size_t> rows;
+  rows.reserve(ids->size());
+  if (pseudo != nullptr) {
+    auto originals = pseudo->MapToOriginal(*ids);
+    if (!originals.ok()) {
+      return Status::ProtocolError("d_T exchange: " +
+                                   originals.status().message());
+    }
+    for (uint64_t row : *originals) {
+      if (row >= num_rows) {
+        return Status::ProtocolError(
+            StrFormat("d_T exchange: row %llu of %zu",
+                      static_cast<unsigned long long>(row), num_rows));
+      }
+      rows.push_back(static_cast<size_t>(row));
+    }
+    return rows;
+  }
+  for (uint64_t id : *ids) {
+    if (num_rows == 0 || id >= num_rows - 1) {
+      return Status::ProtocolError(
+          StrFormat("d_T exchange: compressed id %llu of %zu rows",
+                    static_cast<unsigned long long>(id), num_rows));
+    }
+    rows.push_back(static_cast<size_t>(CompressedToRow(id, query_row)));
+  }
+  return rows;
 }
 
 Result<std::vector<uint64_t>> FederatedKnnOracle::RunPrefilterExchange(

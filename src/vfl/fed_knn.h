@@ -288,6 +288,18 @@ class FederatedKnnOracle {
       const data::Dataset& queries, const std::vector<size_t>& participants,
       size_t k, bool charge_costs);
 
+  /// \brief A party's decode of the d_T exchange: the leader's payload of
+  /// merged neighbor ids, mapped to rows of the party's block. The ids are
+  /// pseudo IDs when `pseudo` is set (top-k modes; mapped with
+  /// PseudoIdMap::MapToOriginal) and otherwise BASE's compressed indices
+  /// around `query_row`, which must lie below num_rows - 1. Rejects with
+  /// ProtocolError a payload that does not decode, whose id count differs
+  /// from `expected` (the leader's merge size), or that names an id out of
+  /// range; the rows it returns are all below num_rows.
+  static Result<std::vector<size_t>> DecodeNeighborRows(
+      const std::vector<uint8_t>& payload, size_t expected,
+      const PseudoIdMap* pseudo, size_t num_rows, size_t query_row);
+
  private:
   /// Run-scoped state of the per-shard pipeline, built once per Run()
   /// (serially, before any unit spawns) and shared read-only by every unit.

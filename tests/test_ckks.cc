@@ -556,6 +556,48 @@ TEST(CkksCiphertextDigestTest, SerializedCiphertextsMatchPinnedDigestsAtDefaultP
   });
 }
 
+// The in-place wire paths against the ciphertext paths they replace:
+// EncryptToWire writes SerializeCiphertext's bytes for the ciphertext
+// EncryptVector draws from the same stream, and DecryptViewInto of those
+// bytes returns DecryptVector's doubles, on every host ISA, with two primes
+// and with one.
+TEST(CkksWireTest, WirePathsMatchTheCiphertextPaths) {
+  ForEachHostIsa([] {
+    for (std::vector<int> bits : {std::vector<int>{50, 50},
+                                  std::vector<int>{54, 54},
+                                  std::vector<int>{54}}) {
+      CkksParams params;
+      params.poly_degree = 1024;
+      params.prime_bits = bits;
+      if (bits.size() == 1) params.scale = std::ldexp(1.0, 30);
+      auto ctx = CkksContext::Create(params).ValueOrDie();
+      Rng keys(3);
+      const CkksSecretKey sk = ctx->GenerateSecretKey(&keys);
+      const CkksPublicKey pk = ctx->GeneratePublicKey(sk, &keys);
+      for (size_t count : {ctx->slot_count(), size_t{5}, size_t{0}}) {
+        const auto values = UniformValues(count + 9, count, -50.0, 50.0);
+        Rng a(77), b(77);
+        const CkksCiphertext ct = ctx->EncryptVector(pk, values, &a).ValueOrDie();
+        BinaryWriter writer;
+        ctx->SerializeCiphertext(ct, &writer);
+        std::vector<uint8_t> wire(ctx->CiphertextByteSize() + 3);
+        // At an odd offset, as inside a backend blob.
+        ASSERT_TRUE(ctx->EncryptToWire(pk, values, &b, wire.data() + 3).ok());
+        EXPECT_TRUE(std::equal(writer.bytes().begin(), writer.bytes().end(),
+                               wire.begin() + 3))
+            << bits.size() << " primes, count " << count;
+        EXPECT_EQ(a.Next(), b.Next());
+        BinaryReader reader(wire.data() + 3, ctx->CiphertextByteSize());
+        const CkksCiphertextView view = ctx->ParseCiphertext(&reader).ValueOrDie();
+        EXPECT_TRUE(reader.AtEnd());
+        std::vector<double> got(count);
+        ASSERT_TRUE(ctx->DecryptViewInto(sk, view, count, got.data()).ok());
+        EXPECT_EQ(got, ctx->DecryptVector(sk, ct, count).ValueOrDie());
+      }
+    }
+  });
+}
+
 struct BlobDigests {
   uint32_t encrypt, batched, sum, decrypted;
 };

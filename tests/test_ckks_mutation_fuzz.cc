@@ -3,8 +3,9 @@
 //
 // Mutants are made from valid ciphertexts and blobs at the default primes
 // ({50, 50}) and at the old ones ({54, 54}): random byte flips, truncation,
-// extreme prime counts and residue-vector lengths, chunk counts, and single
-// residues set to q - 1, q, 2^50, 2^54 and 2^63. A decoder may reject a
+// bytes appended after the last ciphertext, extreme prime counts and
+// residue-vector lengths, chunk counts, and single residues set to q - 1,
+// q, 2^50, 2^54 and 2^63. A decoder may reject a
 // mutant or accept it, but never crash (CI runs this suite under ASan and
 // UBSan). An accepted ciphertext must have every residue below its prime
 // and must decrypt; an accepted blob must decrypt and sum.
@@ -251,8 +252,25 @@ TEST_P(CkksBlobMutationFuzzTest, MutatedBlobsNeverCrashTheBackend) {
     blob.resize(rng.NextBounded(blob.size()));
     EXPECT_FALSE(check(blob)) << "truncated to " << blob.size();
   }
-  // A residue of the second chunk's c1 set to its prime and past it.
   const size_t ct_bytes = (valid.blob.size() - 4) / 3;
+  // Bytes after the last ciphertext: zeros, random bytes, and a whole
+  // valid ciphertext (the first chunk again).
+  for (size_t extra : {size_t{1}, size_t{7}, size_t{8}, size_t{4096}}) {
+    std::vector<uint8_t> blob = valid.blob;
+    blob.resize(blob.size() + extra, 0);
+    EXPECT_FALSE(check(blob)) << extra << " zero bytes appended";
+    for (size_t b = valid.blob.size(); b < blob.size(); ++b) {
+      blob[b] = static_cast<uint8_t>(rng.Next());
+    }
+    EXPECT_FALSE(check(blob)) << extra << " random bytes appended";
+  }
+  {
+    std::vector<uint8_t> blob = valid.blob;
+    blob.insert(blob.end(), valid.blob.begin() + 4,
+                valid.blob.begin() + 4 + ct_bytes);
+    EXPECT_FALSE(check(blob)) << "a fourth ciphertext appended";
+  }
+  // A residue of the second chunk's c1 set to its prime and past it.
   auto ctx = CkksContext::Create(ParamsWith(GetParam())).ValueOrDie();
   const CiphertextLayout layout{ctx->rns().num_primes()};
   for (size_t prime = 0; prime < layout.primes; ++prime) {

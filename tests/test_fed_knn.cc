@@ -5,6 +5,8 @@
 #include <limits>
 #include <set>
 
+#include "common/buffer.h"
+#include "common/random.h"
 #include "data/scaler.h"
 #include "data/synthetic.h"
 #include "ml/knn.h"
@@ -80,6 +82,98 @@ TEST(PseudoIdTest, BatchMappingBoundsChecked) {
   EXPECT_EQ(*original, (std::vector<uint64_t>{0, 5, 9}));
   EXPECT_FALSE(map.MapToPseudo({10}).ok());
   EXPECT_FALSE(map.MapToOriginal({10}).ok());
+}
+
+// The d_T exchange's id decode: a party maps the leader's merged ids to rows
+// and indexes its block with them, so every row it returns must be in range.
+std::vector<uint8_t> IdPayload(const std::vector<uint64_t>& ids) {
+  BinaryWriter writer;
+  writer.WriteU64Vec(ids);
+  return writer.TakeBytes();
+}
+
+TEST(DtExchangeDecodeTest, ValidPayloadsMapToRows) {
+  constexpr size_t kRows = 50;
+  const PseudoIdMap map = PseudoIdMap::Create(kRows, 9);
+  const std::vector<uint64_t> pseudo_ids = {0, 17, 49, 3};
+  auto rows = FederatedKnnOracle::DecodeNeighborRows(
+      IdPayload(pseudo_ids), pseudo_ids.size(), &map, kRows, 7);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  for (size_t i = 0; i < pseudo_ids.size(); ++i) {
+    EXPECT_EQ((*rows)[i], map.ToOriginal(pseudo_ids[i]));
+  }
+  // BASE: compressed indices skip the query row.
+  const std::vector<uint64_t> compressed = {0, 6, 7, kRows - 2};
+  rows = FederatedKnnOracle::DecodeNeighborRows(
+      IdPayload(compressed), compressed.size(), nullptr, kRows, 7);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(*rows, (std::vector<size_t>{0, 6, 8, kRows - 1}));
+}
+
+TEST(DtExchangeDecodeTest, RejectsOutOfRangeIdsAndWrongCounts) {
+  constexpr size_t kRows = 50;
+  const PseudoIdMap map = PseudoIdMap::Create(kRows, 9);
+  const auto decode = [&](const std::vector<uint8_t>& payload, size_t expected,
+                          const PseudoIdMap* pseudo) {
+    return FederatedKnnOracle::DecodeNeighborRows(payload, expected, pseudo,
+                                                  kRows, 7);
+  };
+  for (const PseudoIdMap* pseudo : {&map, static_cast<const PseudoIdMap*>(nullptr)}) {
+    const uint64_t first_bad = pseudo != nullptr ? kRows : kRows - 1;
+    for (uint64_t id : {first_bad, first_bad + 1, uint64_t{1} << 40,
+                        std::numeric_limits<uint64_t>::max()}) {
+      auto rows = decode(IdPayload({1, id}), 2, pseudo);
+      EXPECT_TRUE(rows.status().IsProtocolError()) << id;
+    }
+    // The id count must equal the leader's merge.
+    EXPECT_TRUE(decode(IdPayload({1, 2, 3}), 2, pseudo).status().IsProtocolError());
+    EXPECT_TRUE(decode(IdPayload({1}), 2, pseudo).status().IsProtocolError());
+    // Trailing bytes and a length past the payload.
+    std::vector<uint8_t> trailing = IdPayload({1, 2});
+    trailing.push_back(0);
+    EXPECT_TRUE(decode(trailing, 2, pseudo).status().IsProtocolError());
+    std::vector<uint8_t> long_count = IdPayload({1, 2});
+    long_count[0] = 0xFF;
+    EXPECT_TRUE(decode(long_count, 2, pseudo).status().IsProtocolError());
+  }
+}
+
+TEST(DtExchangeDecodeTest, MutatedPayloadsNeverYieldOutOfRangeRows) {
+  constexpr size_t kRows = 300;
+  const PseudoIdMap map = PseudoIdMap::Create(kRows, 4);
+  Rng rng(0xD7E1);
+  for (const PseudoIdMap* pseudo : {&map, static_cast<const PseudoIdMap*>(nullptr)}) {
+    std::vector<uint64_t> ids(10);
+    for (uint64_t& id : ids) id = rng.NextBounded(kRows - 1);
+    const std::vector<uint8_t> valid = IdPayload(ids);
+    for (int trial = 0; trial < 500; ++trial) {
+      std::vector<uint8_t> payload = valid;
+      switch (trial % 3) {
+        case 0: {  // byte flips
+          const int flips = 1 + static_cast<int>(rng.NextBounded(3));
+          for (int f = 0; f < flips; ++f) {
+            payload[rng.NextBounded(payload.size())] ^=
+                static_cast<uint8_t>(1 + rng.NextBounded(255));
+          }
+          break;
+        }
+        case 1:  // truncation
+          payload.resize(rng.NextBounded(payload.size()));
+          break;
+        default:  // appended bytes
+          payload.resize(payload.size() + 1 + rng.NextBounded(16), 0);
+          break;
+      }
+      auto rows = FederatedKnnOracle::DecodeNeighborRows(payload, ids.size(),
+                                                         pseudo, kRows, 11);
+      if (!rows.ok()) {
+        EXPECT_TRUE(rows.status().IsProtocolError()) << rows.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(rows->size(), ids.size());
+      for (size_t row : *rows) EXPECT_LT(row, kRows);
+    }
+  }
 }
 
 TEST(FedKnnTest, BaseAndFaginAgreeOnNeighbors) {

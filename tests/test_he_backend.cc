@@ -88,6 +88,37 @@ TEST_P(HeBackendTest, SumCountMismatchRejected) {
   EXPECT_FALSE(be->Sum({&*ea, &*eb}).ok());
 }
 
+TEST_P(HeBackendTest, BytesAfterTheLastCiphertextRejected) {
+  auto* be = backend();
+  auto valid = be->Encrypt({1.0, 2.0, 3.0});
+  ASSERT_TRUE(valid.ok());
+  EncryptedVector padded = *valid;
+  padded.blob.push_back(0);
+  for (const Status& st : {be->Decrypt(padded).status(),
+                           be->Sum({&*valid, &padded}).status(),
+                           be->Sum({&padded, &*valid}).status()}) {
+    EXPECT_TRUE(st.IsProtocolError()) << st.ToString();
+  }
+}
+
+// Paillier and plain blobs record their value count, which must equal the
+// vector's (a CKKS blob records only its chunk count, checked by
+// CkksRejectsChunkCountThatDisagreesWithCount).
+TEST(HeBackendTest, DeclaredCountMustMatchTheBlob) {
+  for (HeBackend* be : {PaillierFixture()->get(), PlainFixture()->get()}) {
+    auto three = be->Encrypt({1.0, 2.0, 3.0});
+    auto two = be->Encrypt({1.0, 2.0});
+    ASSERT_TRUE(three.ok() && two.ok());
+    EncryptedVector claims_three = *two;
+    claims_three.count = 3;
+    for (const Status& st : {be->Decrypt(claims_three).status(),
+                             be->Sum({&*three, &claims_three}).status(),
+                             be->Sum({&claims_three, &*three}).status()}) {
+      EXPECT_TRUE(st.IsProtocolError()) << be->name() << ": " << st.ToString();
+    }
+  }
+}
+
 TEST_P(HeBackendTest, SumOfNothingRejected) {
   EXPECT_FALSE(backend()->Sum({}).ok());
 }
