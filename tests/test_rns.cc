@@ -7,9 +7,27 @@
 #include <vector>
 
 #include "he/modarith.h"
+#include "simd/simd.h"
 
 namespace vfps::he {
 namespace {
+
+// Runs `check` once per ISA this host can run, with dispatch pinned to it:
+// the samplers map a block of draws where their map is vectorized and do
+// the per-word work inside the draw loop elsewhere, so each path must draw
+// and map identically.
+template <typename Check>
+void ForEachHostIsa(Check check) {
+  const simd::Isa prev = simd::ActiveIsa();
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (isa > simd::DetectCpuIsa()) continue;
+    simd::SetActiveIsa(isa);
+    SCOPED_TRACE(simd::IsaName(isa));
+    check();
+  }
+  simd::SetActiveIsa(prev);
+}
 
 std::shared_ptr<const RnsContext> MakeContext(size_t n = 64,
                                               std::vector<int> bits = {54, 54}) {
@@ -185,42 +203,64 @@ TEST(RnsPolyTest, TernaryAndGaussianAreSmall) {
 
 TEST(SamplerTest, TernaryIsDrawIdenticalToNextBounded) {
   auto ctx = MakeContext(1024);
-  for (uint64_t seed : {1u, 42u, 977u}) {
-    Rng sampled(seed);
-    Rng reference(seed);
-    RnsPoly t;
-    SampleTernaryInto(*ctx, &sampled, &t);
-    for (size_t j = 0; j < ctx->n(); ++j) {
-      const int64_t v = static_cast<int64_t>(reference.NextBounded(3)) - 1;
-      for (size_t i = 0; i < ctx->num_primes(); ++i) {
-        const uint64_t expected = v < 0 ? ctx->prime(i) - 1 : static_cast<uint64_t>(v);
-        ASSERT_EQ(t.residues[i][j], expected) << "seed " << seed << " coeff " << j;
+  ForEachHostIsa([&] {
+    for (uint64_t seed : {1u, 42u, 977u}) {
+      Rng sampled(seed);
+      Rng reference(seed);
+      RnsPoly t;
+      SampleTernaryInto(*ctx, &sampled, &t);
+      for (size_t j = 0; j < ctx->n(); ++j) {
+        const int64_t v = static_cast<int64_t>(reference.NextBounded(3)) - 1;
+        for (size_t i = 0; i < ctx->num_primes(); ++i) {
+          const uint64_t expected = v < 0 ? ctx->prime(i) - 1 : static_cast<uint64_t>(v);
+          ASSERT_EQ(t.residues[i][j], expected) << "seed " << seed << " coeff " << j;
+        }
       }
+      EXPECT_EQ(sampled.Next(), reference.Next()) << "seed " << seed;
+      // The allocating variant draws the same stream.
+      RnsPoly into;
+      SampleTernaryInto(*ctx, &reference, &into);
+      EXPECT_EQ(SampleTernary(*ctx, &sampled).residues, into.residues);
     }
-    EXPECT_EQ(sampled.Next(), reference.Next()) << "seed " << seed;
-    // The allocating variant draws the same stream.
-    RnsPoly into;
-    SampleTernaryInto(*ctx, &reference, &into);
-    EXPECT_EQ(SampleTernary(*ctx, &sampled).residues, into.residues);
-  }
+  });
 }
 
 TEST(SamplerTest, GaussianDrawsOneWordPerCoefficient) {
   auto ctx = MakeContext(1024);
   const GaussianCdt noise = Noise();
-  Rng sampled(5);
-  Rng reference(5);
-  RnsPoly g;
-  SampleGaussianInto(*ctx, &sampled, &g, noise);
-  for (size_t j = 0; j < ctx->n(); ++j) {
-    const int64_t v = noise.Sample(reference.Next());
-    for (size_t i = 0; i < ctx->num_primes(); ++i) {
-      const uint64_t q = ctx->prime(i);
-      const uint64_t expected = v < 0 ? q - static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
-      ASSERT_EQ(g.residues[i][j], expected) << "coeff " << j;
-    }
+  // An addend below each prime, as the encryption's plaintext m.
+  RnsPoly m = ZeroPoly(*ctx);
+  Rng fill(9);
+  for (size_t i = 0; i < ctx->num_primes(); ++i) {
+    for (uint64_t& r : m.residues[i]) r = fill.NextBounded(ctx->prime(i));
   }
-  EXPECT_EQ(sampled.Next(), reference.Next());
+  ForEachHostIsa([&] {
+    Rng sampled(5);
+    Rng reference(5);
+    RnsPoly g;
+    SampleGaussianInto(*ctx, &sampled, &g, noise);
+    // With the addend, in place (out is plus), as encryption calls it.
+    RnsPoly g_plus_m = m;
+    SampleGaussianInto(*ctx, &sampled, &g_plus_m, noise, &g_plus_m);
+    for (size_t j = 0; j < ctx->n(); ++j) {
+      const int64_t v = noise.Sample(reference.Next());
+      for (size_t i = 0; i < ctx->num_primes(); ++i) {
+        const uint64_t q = ctx->prime(i);
+        const uint64_t expected = v < 0 ? q - static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
+        ASSERT_EQ(g.residues[i][j], expected) << "coeff " << j;
+      }
+    }
+    for (size_t j = 0; j < ctx->n(); ++j) {
+      const int64_t v = noise.Sample(reference.Next());
+      for (size_t i = 0; i < ctx->num_primes(); ++i) {
+        const uint64_t q = ctx->prime(i);
+        const uint64_t e = v < 0 ? q - static_cast<uint64_t>(-v) : static_cast<uint64_t>(v);
+        ASSERT_EQ(g_plus_m.residues[i][j], AddMod(e, m.residues[i][j], q))
+            << "coeff " << j;
+      }
+    }
+    EXPECT_EQ(sampled.Next(), reference.Next());
+  });
 }
 
 TEST(SamplerTest, GaussianReducesSamplesPastASmallPrime) {
