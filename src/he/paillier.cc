@@ -69,13 +69,6 @@ Result<PaillierCiphertext> Paillier::Add(const PaillierPublicKey& pk,
   return PaillierCiphertext{std::move(c)};
 }
 
-Result<PaillierCiphertext> Paillier::MulScalar(const PaillierPublicKey& pk,
-                                               const PaillierCiphertext& a,
-                                               const BigInt& k) {
-  VFPS_ASSIGN_OR_RETURN(BigInt c, BigInt::PowMod(a.value, k, pk.n_squared));
-  return PaillierCiphertext{std::move(c)};
-}
-
 BigInt Paillier::EncodeSigned(const PaillierPublicKey& pk, int64_t v) {
   if (v >= 0) return BigInt(static_cast<uint64_t>(v));
   return pk.n - BigInt(static_cast<uint64_t>(-v));

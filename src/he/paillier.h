@@ -57,11 +57,6 @@ class Paillier {
                                         const PaillierCiphertext& a,
                                         const PaillierCiphertext& b);
 
-  /// Homomorphic plaintext multiply: Enc(a)^k = Enc(a * k mod n).
-  static Result<PaillierCiphertext> MulScalar(const PaillierPublicKey& pk,
-                                              const PaillierCiphertext& a,
-                                              const BigInt& k);
-
   /// Map a signed 64-bit integer into Z_n (negatives wrap to n - |v|).
   static BigInt EncodeSigned(const PaillierPublicKey& pk, int64_t v);
 

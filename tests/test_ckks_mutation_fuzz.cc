@@ -79,8 +79,12 @@ class CkksMutationFuzzTest
         ctx_->EncryptVector(pk_, Values(1, ctx_->slot_count()), &rng)
             .ValueOrDie();
     valid_ = Serialize(ct);
-    // A level-1 ciphertext: one prime per polynomial.
-    rescaled_ = Serialize(ctx_->Rescale(ct).ValueOrDie());
+    // A level-1 ciphertext: one prime per polynomial (the last prime's
+    // residues dropped, which decrypts mod q0 alone).
+    CkksCiphertext level_one = ct;
+    level_one.c0.residues.pop_back();
+    level_one.c1.residues.pop_back();
+    level_one_ = Serialize(level_one);
   }
 
   std::vector<uint8_t> Serialize(const CkksCiphertext& ct) const {
@@ -124,17 +128,17 @@ class CkksMutationFuzzTest
   CkksSecretKey sk_;
   CkksPublicKey pk_;
   std::vector<uint8_t> valid_;
-  std::vector<uint8_t> rescaled_;
+  std::vector<uint8_t> level_one_;
 };
 
 TEST_P(CkksMutationFuzzTest, ValidCiphertextsDecode) {
   EXPECT_TRUE(DecodeAndCheck(valid_));
-  EXPECT_TRUE(DecodeAndCheck(rescaled_));
+  EXPECT_TRUE(DecodeAndCheck(level_one_));
 }
 
 TEST_P(CkksMutationFuzzTest, RandomByteFlipsAndTruncations) {
   Rng rng(0xF11B + GetParam()[0]);
-  for (const std::vector<uint8_t>* base : {&valid_, &rescaled_}) {
+  for (const std::vector<uint8_t>* base : {&valid_, &level_one_}) {
     for (int trial = 0; trial < 300; ++trial) {
       std::vector<uint8_t> bytes = *base;
       const int flips = 1 + static_cast<int>(rng.NextBounded(4));

@@ -79,17 +79,6 @@ TEST_F(PaillierTest, HomomorphicAdditionChain) {
   EXPECT_EQ(dec->ToU64(), expected);
 }
 
-TEST_F(PaillierTest, ScalarMultiply) {
-  Rng rng(5);
-  auto ct = Paillier::Encrypt(keys_->pub, BigInt(111), &rng);
-  ASSERT_TRUE(ct.ok());
-  auto scaled = Paillier::MulScalar(keys_->pub, *ct, BigInt(9));
-  ASSERT_TRUE(scaled.ok());
-  auto dec = Paillier::Decrypt(keys_->pub, keys_->priv, *scaled);
-  ASSERT_TRUE(dec.ok());
-  EXPECT_EQ(dec->ToU64(), 999u);
-}
-
 TEST_F(PaillierTest, SignedEncoding) {
   for (int64_t v : {0LL, 5LL, -5LL, 1000000LL, -1000000LL}) {
     const BigInt m = Paillier::EncodeSigned(keys_->pub, v);
