@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   std::printf("Ablation: HE backend under VFPS-SM selection (Bank, P=4, "
               "|Q|=%zu, scale=%.2f)\n", queries, scale);
   std::printf("Paillier runs 512-bit keys here (1024 via the library API) with "
-              "one ciphertext per value; CKKS packs 2048 values per ciphertext "
-              "(n/2 slots at n=4096). The ckks-scalar row disables the packing "
+              "one ciphertext per value; CKKS packs 4096 values per ciphertext "
+              "(one per coefficient at n=4096). The ckks-scalar row disables the packing "
               "(one slot used per ciphertext) — the layout every value paid "
               "before the batched HE API — so the ciphertext-op column "
               "isolates what slot batching saves.\n\n");

@@ -158,7 +158,8 @@ class HeBackend {
 
   /// \brief Plaintext values one ciphertext of this backend carries.
   ///
-  /// CKKS: the encoder's slot count (n/2), or 1 in scalar packing mode;
+  /// CKKS: n, one value per plaintext coefficient
+  /// (CkksContext::slot_count()), or 1 in scalar packing mode;
   /// Paillier: 1 (inherently scalar);
   /// plain: SIZE_MAX (a "ciphertext" is the whole serialized vector).
   /// Protocol layers use this to size slot-aligned batches (e.g. how many
@@ -245,14 +246,17 @@ class HeBackend {
 
 /// \brief How the CKKS backend maps values to ciphertext slots.
 ///
-/// kPacked is the production mode: SlotsPerCiphertext() = n/2 values per
-/// ciphertext. kScalar forces one value per ciphertext — the layout the
-/// scalar-era protocol (and every non-packing scheme) pays — and exists for
-/// ablations and the batched-vs-scalar differential tests; both modes
-/// decrypt to the same values within CKKS tolerance.
+/// kPacked is the production mode: SlotsPerCiphertext() = n values per
+/// ciphertext, one per plaintext coefficient (TenSEAL's slot encoding, which
+/// the paper used, carries n/2). kScalar forces one value per ciphertext —
+/// the layout the scalar-era protocol (and every non-packing scheme) pays —
+/// and exists for ablations and the batched-vs-scalar differential tests;
+/// both modes decrypt to the same values within CKKS tolerance.
 enum class CkksPacking { kPacked, kScalar };
 
-/// CKKS-based backend (what the paper uses via TenSEAL).
+/// CKKS-based backend: CKKS's RLWE encryption, as the paper uses via
+/// TenSEAL, with coefficient encoding instead of TenSEAL's slot encoding
+/// (see CkksContext).
 Result<std::unique_ptr<HeBackend>> CreateCkksBackend(const CkksParams& params,
                                                      uint64_t seed,
                                                      CkksPacking packing);

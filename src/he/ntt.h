@@ -28,8 +28,7 @@ class NttTables {
   const Modulus& modulus() const { return modulus_; }
 
   /// \brief Bit-reversal permutation over [0, n): bit_rev()[i] is i with its
-  /// log2(n) low bits reversed. Precomputed once at Create; shared by the
-  /// transforms here and by the CKKS encoder's FFT.
+  /// log2(n) low bits reversed. Precomputed once at Create.
   const std::vector<size_t>& bit_rev() const { return bit_rev_; }
 
   /// \brief In-place forward negacyclic NTT (coefficient -> evaluation

@@ -17,8 +17,8 @@ namespace vfps::net {
 /// times are accounted analytically from exact operation counts. The default
 /// constants are calibrated to the magnitudes reported for TenSEAL CKKS and
 /// gRPC on that hardware:
-///   - CKKS encrypt ~2 ms and decrypt ~1 ms per ciphertext (4096 slots),
-///     homomorphic add ~0.05 ms;
+///   - CKKS encrypt ~2 ms and decrypt ~1 ms per ciphertext (n = 4096, whose
+///     slot encoding carries 2048 values), homomorphic add ~0.05 ms;
 ///   - ~20 M partial-distance computations per second per core;
 ///   - 0.5 ms one-way latency, ~1 Gb/s effective bandwidth.
 /// Absolute values are not the point (the paper's own absolute numbers are
@@ -42,12 +42,15 @@ struct CostModel {
   // Downstream training (per sample per feature per epoch, split-learning).
   double train_sample_feature_seconds = 2.5e-8;
 
-  // Analytic ciphertext model (CKKS n = 4096, two primes; a residue takes
-  // 8 bytes at any prime width, so the default 50-bit primes serialize to
-  // the same size as the earlier 54-bit ones): used so that simulated times
-  // are identical no matter which HeBackend actually executed (the plain
+  // Analytic ciphertext model: TenSEAL's CKKS at n = 4096 with two primes,
+  // whose slot encoding carries n/2 = 2048 values per ciphertext, the
+  // ciphertext the constants above were calibrated on. The executed CKKS
+  // backend packs 4096 values per ciphertext (coefficient encoding, see
+  // he/ckks.h), but simulated times charge this model, so they are
+  // identical no matter which HeBackend actually executed (the plain
   // backend is often substituted for speed in accuracy benches; the time
-  // numbers must not change because of that).
+  // numbers must not change because of that). A residue takes 8 bytes at
+  // any prime width, so the size below holds for 50- and 54-bit primes.
   size_t slots_per_ciphertext = 2048;
   size_t ciphertext_bytes = 131341;  // serialized size of one ciphertext
 

@@ -170,14 +170,14 @@ TEST(HeBackendTest, CkksChunksLargeVectors) {
   // A vector larger than the slot count must span multiple ciphertexts and
   // still round-trip exactly.
   CkksParams params;
-  params.poly_degree = 1024;  // 512 slots
+  params.poly_degree = 1024;  // 1024 slots
   auto be = CreateCkksBackend(params, 5);
   ASSERT_TRUE(be.ok());
-  std::vector<double> values(1300);
+  std::vector<double> values(2600);
   for (size_t i = 0; i < values.size(); ++i) values[i] = 0.01 * static_cast<double>(i);
   auto enc = (*be)->Encrypt(values);
   ASSERT_TRUE(enc.ok());
-  EXPECT_EQ((*be)->stats().encrypt_ops, 3u);  // ceil(1300 / 512)
+  EXPECT_EQ((*be)->stats().encrypt_ops, 3u);  // ceil(2600 / 1024)
   auto dec = (*be)->Decrypt(*enc);
   ASSERT_TRUE(dec.ok());
   ASSERT_EQ(dec->size(), values.size());
@@ -190,11 +190,11 @@ TEST(HeBackendTest, CkksRejectsChunkCountThatDisagreesWithCount) {
   // Sum indexes every input's chunks by the first input's chunk count, so a
   // blob whose ciphertext count disagrees with its value count is rejected.
   CkksParams params;
-  params.poly_degree = 1024;  // 512 slots
+  params.poly_degree = 1024;  // 1024 slots
   auto be = CreateCkksBackend(params, 5).MoveValueUnsafe();
-  auto two = be->Encrypt(std::vector<double>(600, 1.0)).MoveValueUnsafe();
+  auto two = be->Encrypt(std::vector<double>(1200, 1.0)).MoveValueUnsafe();
   auto one = be->Encrypt(std::vector<double>(100, 1.0)).MoveValueUnsafe();
-  one.count = two.count;  // claims 600 values, holds one ciphertext
+  one.count = two.count;  // claims 1200 values, holds one ciphertext
   for (const Status& st : {be->Sum({&two, &one}).status(),
                            be->Decrypt(one).status()}) {
     EXPECT_TRUE(st.IsProtocolError()) << st.ToString();

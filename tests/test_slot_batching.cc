@@ -21,13 +21,13 @@
 namespace vfps::he {
 namespace {
 
-// All CKKS tests in this file run n = 1024 -> 512 slots, so multi-chunk
-// paths are cheap to exercise.
-constexpr size_t kSlots = 512;
+// All CKKS tests in this file run n = 1024 -> 1024 slots (one value per
+// coefficient), so multi-chunk paths are cheap to exercise.
+constexpr size_t kSlots = 1024;
 
 CkksParams SmallParams() {
   CkksParams params;
-  params.poly_degree = 2 * kSlots;
+  params.poly_degree = kSlots;
   return params;
 }
 
@@ -322,8 +322,8 @@ TEST(SlotBatchedBase, GroupedMatchesUngroupedExactly) {
 // Same differential under real CKKS: results agree (approximate arithmetic
 // never flips a neighbor at these magnitudes), and the grouped run provably
 // spends fewer ciphertext operations — the acceptance criterion of the
-// slot-batching PR. 8 queries x 59 candidates over 512 slots pack into
-// ceil(472/512) = 1 chunk per party instead of 8.
+// slot-batching PR. 8 queries x 59 candidates over 1024 slots pack into
+// ceil(472/1024) = 1 chunk per party instead of 8.
 TEST(SlotBatchedBase, CkksGroupedFewerCiphertextOps) {
   auto ungrouped_f = KnnFixture::Make(60, /*ckks=*/true);
   FedKnnStats ungrouped_stats;
@@ -332,7 +332,7 @@ TEST(SlotBatchedBase, CkksGroupedFewerCiphertextOps) {
 
   auto grouped_f = KnnFixture::Make(60, /*ckks=*/true);
   FedKnnStats grouped_stats;
-  auto grouped = grouped_f.Run(0, &grouped_stats);  // auto: 512/59 -> 8
+  auto grouped = grouped_f.Run(0, &grouped_stats);  // auto: 1024/59 -> 8 queries
   ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
 
   ExpectSameNeighborhoods(*ungrouped, *grouped, 1e-6);
