@@ -3,7 +3,7 @@
 
 /// \file
 /// \brief Runtime SIMD dispatch for the hot kernels (NTT butterflies, RNS
-/// pointwise ops, CKKS rescale, distance/dot kernels).
+/// pointwise ops, the CKKS encoder, distance/dot kernels).
 ///
 /// The kernels ship in up to three backends per operation: a scalar
 /// reference (always built, the differential-test oracle), an AVX2 path, and
@@ -21,7 +21,7 @@
 ///      empty/"0" pins the dispatch to the scalar reference, so any run —
 ///      test, bench, CLI — can be replayed on the reference path.
 ///
-/// Contract: for the integer kernels (NTT, RNS ops, rescale) every backend
+/// Contract: for the integer kernels (NTT, RNS ops, the encoder) every backend
 /// is bit-identical to the scalar reference. For the double kernels the
 /// documented contract is 1e-9 relative tolerance, and the implementation
 /// preserves the scalar accumulation order so in practice results are
