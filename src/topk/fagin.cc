@@ -7,8 +7,37 @@
 
 namespace vfps::topk {
 
-Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
-                             size_t batch, obs::MetricsRegistry* obs) {
+FaginMetrics FaginMetrics::Resolve(obs::MetricsRegistry* obs) {
+  if (obs == nullptr) return {};
+  return {obs->GetCounter("topk.fagin.runs"),
+          obs->GetCounter("topk.fagin.rounds"),
+          obs->GetCounter("topk.fagin.sorted_access_depth"),
+          obs->GetCounter("topk.fagin.sorted_accesses"),
+          obs->GetCounter("topk.fagin.random_accesses"),
+          obs->GetHistogram("topk.fagin.candidates")};
+}
+
+void FaginMetrics::Record(const TopkResult& result, size_t batch) const {
+  if (runs == nullptr) return;
+  runs->Add(1);
+  // Every round but the last reads `batch` ranks per party.
+  rounds->Add((result.depth + batch - 1) / batch);
+  sorted_access_depth->Add(result.depth);
+  sorted_accesses->Add(result.sorted_accesses);
+  random_accesses->Add(result.random_accesses);
+  candidates->Record(result.candidates);
+}
+
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k, size_t batch,
+                             obs::MetricsRegistry* obs) {
+  VFPS_ASSIGN_OR_RETURN(TopkResult result,
+                        FaginTopk(lists, k, batch, FaginMetrics{}));
+  FaginMetrics::Resolve(obs).Record(result, batch);
+  return result;
+}
+
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k, size_t batch,
+                             const FaginMetrics& metrics) {
   const size_t n = lists.num_items();
   const size_t p = lists.num_parties();
   VFPS_CHECK_ARG(k >= 1, "Fagin: k must be >= 1");
@@ -27,9 +56,7 @@ Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
 
   // Phase 1: round-robin sorted access in mini-batches.
   size_t depth = 0;
-  size_t rounds = 0;
   while (fully_seen < k && depth < n) {
-    ++rounds;
     const size_t limit = std::min(n, depth + batch);
     seen_order.resize(seen + (limit - depth) * p);
     for (size_t party = 0; party < p; ++party) {
@@ -66,14 +93,7 @@ Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
   result.ids.reserve(take);
   for (size_t i = 0; i < take; ++i) result.ids.push_back(aggregated[i].second);
 
-  if (obs != nullptr) {
-    obs->GetCounter("topk.fagin.runs")->Add(1);
-    obs->GetCounter("topk.fagin.rounds")->Add(rounds);
-    obs->GetCounter("topk.fagin.sorted_access_depth")->Add(result.depth);
-    obs->GetCounter("topk.fagin.sorted_accesses")->Add(result.sorted_accesses);
-    obs->GetCounter("topk.fagin.random_accesses")->Add(result.random_accesses);
-    obs->GetHistogram("topk.fagin.candidates")->Record(result.candidates);
-  }
+  metrics.Record(result, batch);
   return result;
 }
 

@@ -5,10 +5,29 @@
 #include "topk/ranked_list.h"
 
 namespace vfps::obs {
+class Counter;
+class Histogram;
 class MetricsRegistry;
 }  // namespace vfps::obs
 
 namespace vfps::topk {
+
+/// \brief Handles of the `topk.fagin.*` series, resolved once so that a
+/// caller running many merges (the oracle's query tasks) records each run
+/// without the registry's locked name lookups. Default: records nothing.
+struct FaginMetrics {
+  obs::Counter* runs = nullptr;
+  obs::Counter* rounds = nullptr;
+  obs::Counter* sorted_access_depth = nullptr;
+  obs::Counter* sorted_accesses = nullptr;
+  obs::Counter* random_accesses = nullptr;
+  obs::Histogram* candidates = nullptr;  // candidate-set size per run
+
+  /// Every series from `obs`; records nothing when `obs` is null.
+  static FaginMetrics Resolve(obs::MetricsRegistry* obs);
+  /// Count one run that consumed its lists in mini-batches of `batch`.
+  void Record(const TopkResult& result, size_t batch) const;
+};
 
 /// \brief Fagin's algorithm (FA) for monotone aggregate top-k over P ranked
 /// lists, the optimization at the heart of VFPS-SM (paper §IV-B).
@@ -21,9 +40,14 @@ namespace vfps::topk {
 ///
 /// \param batch rows revealed per party per round (the protocol's mini-batch
 ///        size b; 1 reproduces textbook FA).
-/// \param obs optional metrics sink: bumps `topk.fagin.*` counters (runs,
-///        rounds, sorted_access_depth, sorted/random accesses) and records
-///        the candidate-set size in the `topk.fagin.candidates` histogram.
+/// \param metrics where a successful run is counted (see FaginMetrics).
+Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k, size_t batch,
+                             const FaginMetrics& metrics);
+
+/// The same, counting a successful run in `obs` (optional): the
+/// `topk.fagin.*` counters (runs, rounds, sorted_access_depth, sorted/random
+/// accesses) and the `topk.fagin.candidates` histogram. Looks the series up
+/// on every call.
 Result<TopkResult> FaginTopk(RankedListSet& lists, size_t k,
                              size_t batch = 1,
                              obs::MetricsRegistry* obs = nullptr);

@@ -8,8 +8,34 @@
 
 namespace vfps::topk {
 
+ThresholdMetrics ThresholdMetrics::Resolve(obs::MetricsRegistry* obs) {
+  if (obs == nullptr) return {};
+  return {obs->GetCounter("topk.ta.runs"),
+          obs->GetCounter("topk.ta.sorted_access_depth"),
+          obs->GetCounter("topk.ta.sorted_accesses"),
+          obs->GetCounter("topk.ta.random_accesses"),
+          obs->GetHistogram("topk.ta.candidates")};
+}
+
+void ThresholdMetrics::Record(const TopkResult& result) const {
+  if (runs == nullptr) return;
+  runs->Add(1);
+  sorted_access_depth->Add(result.depth);
+  sorted_accesses->Add(result.sorted_accesses);
+  random_accesses->Add(result.random_accesses);
+  candidates->Record(result.candidates);
+}
+
 Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
                                  obs::MetricsRegistry* obs) {
+  VFPS_ASSIGN_OR_RETURN(TopkResult result,
+                        ThresholdTopk(lists, k, ThresholdMetrics{}));
+  ThresholdMetrics::Resolve(obs).Record(result);
+  return result;
+}
+
+Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
+                                 const ThresholdMetrics& metrics) {
   const size_t n = lists.num_items();
   const size_t p = lists.num_parties();
   VFPS_CHECK_ARG(k >= 1, "TA: k must be >= 1");
@@ -54,13 +80,7 @@ Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
     best.pop();
   }
 
-  if (obs != nullptr) {
-    obs->GetCounter("topk.ta.runs")->Add(1);
-    obs->GetCounter("topk.ta.sorted_access_depth")->Add(result.depth);
-    obs->GetCounter("topk.ta.sorted_accesses")->Add(result.sorted_accesses);
-    obs->GetCounter("topk.ta.random_accesses")->Add(result.random_accesses);
-    obs->GetHistogram("topk.ta.candidates")->Record(result.candidates);
-  }
+  metrics.Record(result);
   return result;
 }
 
