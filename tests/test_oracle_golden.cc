@@ -10,6 +10,12 @@
 // when the sharded-vs-unsharded differentials still agree with each other.
 // The simulated clock is deliberately left out: it is a cost model, not an
 // output.
+//
+// The cases from "fagin-shards3-prefilter8" on, and the repair cases, were
+// recorded before the BASE and top-k unit bodies became one. A repair case
+// attaches a SelectionCache, runs, and reruns with participant 2 quarantined;
+// its digest covers the rerun and the contributions it reused, which pins the
+// cache-hit rule in every mode.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +29,7 @@
 #include "he/backend.h"
 #include "he/ckks.h"
 #include "vfl/fed_knn.h"
+#include "vfl/selection_cache.h"
 
 namespace vfps {
 namespace {
@@ -37,7 +44,11 @@ struct GoldenCase {
   uint32_t digest;
 };
 
-uint32_t RunDigest(const GoldenCase& c) {
+// Digest of one run of case `c`. With `reused` set, the run is a repair: the
+// case runs once with a SelectionCache attached, then again with participant
+// 2 quarantined, and the digest covers the rerun and the contributions it
+// reused (also written to *reused).
+uint32_t RunDigest(const GoldenCase& c, uint64_t* reused = nullptr) {
   data::SyntheticConfig synth;
   synth.num_samples = 350;
   synth.num_features = 12;
@@ -70,6 +81,13 @@ uint32_t RunDigest(const GoldenCase& c) {
   config.shards = c.shards;
   config.query_group = c.query_group;
   config.prefilter_clusters = c.prefilter_clusters;
+  vfl::SelectionCache cache;
+  if (reused != nullptr) {
+    oracle.set_cache(&cache);
+    auto first = oracle.Run(config, nullptr);
+    EXPECT_TRUE(first.ok()) << c.name << ": " << first.status().ToString();
+    config.quarantined = {2};
+  }
   vfl::FedKnnStats stats;
   auto run = oracle.Run(config, &stats);
   EXPECT_TRUE(run.ok()) << c.name << ": " << run.status().ToString();
@@ -90,6 +108,10 @@ uint32_t RunDigest(const GoldenCase& c) {
         stats.traffic.bytes}) {
     crc.Update(v);
   }
+  if (reused != nullptr) {
+    *reused = stats.reused_contributions;
+    crc.Update(stats.reused_contributions);
+  }
   return crc.value();
 }
 
@@ -109,10 +131,54 @@ TEST(OracleGoldenTest, OutputsMatchRecordedDigests) {
        0xf359c78bu},
       {"ckks-fagin", KnnOracleMode::kFagin, 1, 1, 0, true, 0x634f1e44u},
       {"ckks-base-shards2", KnnOracleMode::kBase, 2, 1, 0, true, 0x52df4c70u},
+      {"fagin-shards3-prefilter8", KnnOracleMode::kFagin, 3, 1, 8, false,
+       0x69be1fc6u},
+      {"threshold-prefilter8", KnnOracleMode::kThreshold, 1, 1, 8, false,
+       0x5c0b23adu},
+      {"base-group3-shards2", KnnOracleMode::kBase, 2, 3, 0, false,
+       0xd3b7ee4fu},
+      {"base-group-auto-shards3", KnnOracleMode::kBase, 3, 0, 0, false,
+       0xdc7c7856u},
+      {"ckks-threshold", KnnOracleMode::kThreshold, 1, 1, 0, true,
+       0xf7401102u},
   };
   for (const GoldenCase& c : kCases) {
     const uint32_t got = RunDigest(c);
     EXPECT_EQ(got, c.digest) << c.name << ": got 0x" << std::hex << got;
+  }
+}
+
+TEST(OracleGoldenTest, RepairedRunsMatchRecordedDigests) {
+  using vfl::KnnOracleMode;
+  // A repair reuses every survivor's entry for every shard of every unit:
+  // 3 parties x units x shards.
+  struct RepairCase {
+    GoldenCase run;
+    uint64_t reused;
+  };
+  const RepairCase kCases[] = {
+      {{"repair-base-shards2", KnnOracleMode::kBase, 2, 1, 0, false,
+        0x7aa0400eu},
+       72},
+      {{"repair-base-group3", KnnOracleMode::kBase, 1, 3, 0, false,
+        0x4b7d867eu},
+       12},
+      {{"repair-fagin-shards2", KnnOracleMode::kFagin, 2, 1, 0, false,
+        0x7d3d03b8u},
+       72},
+      {{"repair-threshold", KnnOracleMode::kThreshold, 1, 1, 0, false,
+        0xfd5b0141u},
+       36},
+      {{"repair-ckks-base-shards2", KnnOracleMode::kBase, 2, 1, 0, true,
+        0x43bf482du},
+       72},
+  };
+  for (const RepairCase& c : kCases) {
+    uint64_t reused = 0;
+    const uint32_t got = RunDigest(c.run, &reused);
+    EXPECT_EQ(got, c.run.digest)
+        << c.run.name << ": got 0x" << std::hex << got;
+    EXPECT_EQ(reused, c.reused) << c.run.name;
   }
 }
 
