@@ -20,8 +20,9 @@ FaginMetrics FaginMetrics::Resolve(obs::MetricsRegistry* obs) {
 void FaginMetrics::Record(const TopkResult& result, size_t batch) const {
   if (runs == nullptr) return;
   runs->Add(1);
-  // Every round but the last reads `batch` ranks per party.
-  rounds->Add((result.depth + batch - 1) / batch);
+  // Every round but the last reads `batch` ranks per party. The ceiling is
+  // written so that a batch near SIZE_MAX cannot wrap.
+  rounds->Add(result.depth / batch + (result.depth % batch != 0 ? 1 : 0));
   sorted_access_depth->Add(result.depth);
   sorted_accesses->Add(result.sorted_accesses);
   random_accesses->Add(result.random_accesses);

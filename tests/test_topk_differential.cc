@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -187,6 +188,15 @@ TEST(TopkDifferentialTest, MetricsMatchResultCounters) {
             fagin->sorted_accesses);
   EXPECT_EQ(reg.CounterValue("topk.fagin.random_accesses"),
             fagin->random_accesses);
+  EXPECT_EQ(reg.CounterValue("topk.fagin.rounds"), (fagin->depth + 1) / 2);
+
+  // One round reads every list to the end; a batch near SIZE_MAX must not
+  // wrap the round count to 0.
+  obs::MetricsRegistry wide;
+  auto whole = FaginTopk(*lists, 5, std::numeric_limits<size_t>::max(), &wide);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole->depth, 30u);
+  EXPECT_EQ(wide.CounterValue("topk.fagin.rounds"), 1u);
 
   auto ta = ThresholdTopk(*lists, 5, &reg);
   ASSERT_TRUE(ta.ok());
