@@ -165,12 +165,12 @@ struct FedKnnStats {
 /// charged phase by phase with participant-parallel phases costed as the max
 /// over participants.
 ///
-/// One pipeline: every protocol unit — one query, or a BASE group of queries
-/// (FedKnnConfig::query_group) — runs the optional TreeCSS pre-filter stage
-/// first; then, for each row shard of the plan (one entry when shards = 1),
-/// the distance stage, the ranking and streaming stage (Fagin/TA only), one
-/// encrypted aggregation round and a shard top-k; last, for each query, the
-/// hierarchical top-k merge and the d_T exchange.
+/// One pipeline in every mode: each unit — one query, or a BASE group of
+/// queries (FedKnnConfig::query_group) — runs the optional TreeCSS pre-filter
+/// stage first; then, per row shard of the plan (one entry when shards = 1),
+/// the distance stage, the narrowing stage (Fagin/TA only: ranking, merge and
+/// streaming pick the candidates), one encrypted aggregation round and the
+/// leader's shard top-k; last, per query, the merge and the d_T exchange.
 ///
 /// Threading model: when a ThreadPool is supplied, Run() executes each
 /// unit's complete protocol (pre-filter, every shard's distance, ranking,
@@ -361,24 +361,15 @@ class FederatedKnnOracle {
     return idx < excluded ? idx : idx + 1;
   }
 
-  // BASE unit over queries[lo, hi): per shard, one packed encrypt per party,
-  // one slot-wise aggregation and one decrypt for the whole group (see
-  // FedKnnConfig::query_group), then per query the merge and d_T exchange.
-  // Returns the hi-lo neighborhoods in query order.
-  Result<std::vector<QueryNeighborhood>> RunBaseUnit(
+  // One protocol unit in every mode: queries[lo, hi), one query in the top-k
+  // modes or a BASE group (FedKnnConfig::query_group). Per shard: distances;
+  // the narrowing stage (top-k modes: rank, Fagin/TA merge, streaming, with
+  // O(shard·P) ranking state); one encrypted aggregation round; the leader's
+  // shard top-k. Then per query the merge and d_T exchange. Returns the hi-lo
+  // neighborhoods in query order.
+  Result<std::vector<QueryNeighborhood>> RunUnit(
       const QueryEnv& env, const std::vector<size_t>& queries, size_t lo,
-      size_t hi, size_t k, FedKnnStats* stats) const;
-  // Fagin and Threshold oracle modes (they differ in the phase-1 merge
-  // algorithm and TA's per-round threshold exchange). Each shard runs the
-  // complete phase-1 merge, mini-batch streaming and candidate encryption
-  // over its own rows, so resident ranking state is O(shard·P). Per-shard
-  // Fagin/TA is exact within its shard, so the merged result equals the
-  // global one whenever aggregate distances are tie-free (always, in
-  // practice, on continuous features).
-  Result<QueryNeighborhood> RunTopkQuery(const QueryEnv& env,
-                                         uint64_t query_row, size_t k,
-                                         size_t batch, KnnOracleMode mode,
-                                         FedKnnStats* stats) const;
+      size_t hi, const FedKnnConfig& config, FedKnnStats* stats) const;
   // Pre-filter stage (when on) and the per-party query slices every shard
   // stage reuses.
   Status PrepareQuery(const QueryEnv& env, uint64_t query_row,

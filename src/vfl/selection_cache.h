@@ -36,10 +36,12 @@ struct PartyUnitState {
   /// its ranking from it and sorts past it only if its merge reads deeper.
   std::vector<uint32_t> order;
   /// BASE mode: the ciphertext of `values` as held by the aggregation
-  /// server. On repair the server re-sums cached ciphertexts instead of
-  /// asking survivors to recompute, re-encrypt, and resend.
+  /// server, staged with `values` when the upload arrives, so a BASE entry
+  /// whose values cover a round's rows always carries it. On repair the
+  /// server re-sums cached ciphertexts instead of asking survivors to
+  /// recompute, re-encrypt, and resend. Empty in the top-k modes, whose
+  /// rounds encrypt the candidates' values afresh.
   he::EncryptedVector cipher;
-  bool has_cipher = false;
   /// Top-k modes: how many ranking rows the server has already streamed from
   /// this party; a repair run only streams the delta beyond this depth.
   size_t streamed_depth = 0;
