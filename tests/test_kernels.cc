@@ -268,7 +268,9 @@ TEST(DistanceKernel, RangeSplitsMatchFullRange) {
   const size_t n = data.num_samples();
   std::vector<double> full(n);
   ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, n, full.data());
-  // The two-range exclusion pattern PartialDistances uses: identical values.
+  // Any sub-range gives the full sweep's values. The oracle's ShardDistances
+  // relies on it for its per-shard sweeps and its single-row calls (one-row
+  // ranges), and so does the d_T recompute.
   const size_t ex = 50;
   std::vector<double> split(n - 1);
   ml::BlockSquaredDistances(block, qslice.data(), q_norm, 0, ex, split.data());
