@@ -499,31 +499,33 @@ void BM_DotProduct(benchmark::State& state) {
 BENCHMARK(BM_DotProduct)->Arg(1024);
 
 // The norm-decomposed block distance kernel over a cached FeatureBlock — the
-// unit of work KnnClassifier/FederatedKnnOracle repeat per query. 64 features
-// keeps the per-row dot in the vector body rather than the ragged tail.
-void BlockSquaredDistancesBody(benchmark::State& state, size_t rows) {
-  constexpr size_t kFeatures = 64;
-  data::Dataset data(rows, kFeatures, 2);
+// unit of work KnnClassifier/FederatedKnnOracle repeat per query, over
+// `features` columns (64 unless given: wide rows keep the per-row dot in
+// the 4-wide vector body rather than the ragged tail).
+void BlockSquaredDistancesBody(benchmark::State& state, size_t rows,
+                               size_t features = 64) {
+  data::Dataset data(rows, features, 2);
   Rng rng(29);
   for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < kFeatures; ++j) {
+    for (size_t j = 0; j < features; ++j) {
       data.Set(i, j, rng.Uniform(-1.0, 1.0));
     }
   }
   const ml::FeatureBlock block(data);
-  std::vector<double> query(kFeatures);
+  std::vector<double> query(features);
   for (auto& v : query) v = rng.Uniform(-1.0, 1.0);
-  const double q_norm = ml::SquaredNorm(query.data(), kFeatures);
+  const double q_norm = ml::SquaredNorm(query.data(), features);
   std::vector<double> out(rows);
   for (auto _ : state) {
     ml::BlockSquaredDistances(block, query.data(), q_norm, 0, rows,
                               out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
   state.SetBytesProcessed(
       state.iterations() *
-      static_cast<int64_t>(rows * kFeatures * sizeof(double)));
+      static_cast<int64_t>(rows * features * sizeof(double)));
   SetIsaCounter(state);
 }
 
@@ -532,7 +534,8 @@ void BM_BlockSquaredDistances(benchmark::State& state) {
 }
 // 256 rows (128 KiB block) stays cache-resident and exposes the kernel's
 // compute speed; 2000 rows (1 MiB) spills toward L3 and is bandwidth-bound,
-// which is the regime the selector actually runs in for large parties.
+// the regime of a wide block. The oracle's party blocks are narrow (2-5
+// columns): the ISA-pinned `/16000/cols:N` rows below measure those.
 BENCHMARK(BM_BlockSquaredDistances)->Arg(256)->Arg(2000);
 
 // The bounded top-k selection over a full distance vector, exactly as the
@@ -780,6 +783,16 @@ void RegisterRows() {
         PinnedTo(isa, [](benchmark::State& s) {
           BlockSquaredDistancesBody(s, 2000);
         }));
+    // A party block of the oracle: a churn shard's 16,000 rows over 2, 3 or
+    // 5 columns (the AVX-512 narrow-block kernel's regime).
+    for (size_t cols : {size_t{2}, size_t{3}, size_t{5}}) {
+      benchmark::RegisterBenchmark(
+          ("BM_BlockSquaredDistances/16000/cols:" + std::to_string(cols) + tag)
+              .c_str(),
+          PinnedTo(isa, [cols](benchmark::State& s) {
+            BlockSquaredDistancesBody(s, 16000, cols);
+          }));
+    }
     for (size_t n : {size_t{64}, size_t{131072}}) {
       benchmark::RegisterBenchmark(
           ("BM_Crc32/" + std::to_string(n) + tag).c_str(),

@@ -124,7 +124,16 @@ void BlockSquaredDistances(const FeatureBlock& block, const double* query,
                            double q_norm, size_t begin, size_t end,
                            double* out) {
 #ifdef VFPS_SIMD_X86
-  if (simd::ActiveIsa() != simd::Isa::kScalar) {
+  const simd::Isa isa = simd::ActiveIsa();
+  if (isa == simd::Isa::kAvx512 && block.cols() <= detail::kNarrowMaxCols) {
+    // Narrow rows (the oracle's party blocks): eight rows per vector, one per
+    // lane, each lane replaying its row's scalar sum.
+    detail::BlockDistancesNarrowAvx512(query, q_norm, block.row(begin),
+                                       block.row_norms() + begin, block.cols(),
+                                       end - begin, out);
+    return;
+  }
+  if (isa != simd::Isa::kScalar) {
     // One batched-dot call covers the whole range (rows in groups of 4 with
     // independent accumulator chains and shared query loads); each row's dot
     // — and therefore each output distance — stays bit-identical to the

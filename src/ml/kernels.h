@@ -36,6 +36,8 @@ class FeatureBlock {
 
   /// Cached ||row_i||^2 over the block's columns.
   double row_norm(size_t i) const { return norms_[i]; }
+  /// The same for every row, contiguous: row_norms()[i] == row_norm(i).
+  const double* row_norms() const { return norms_.data(); }
 
   /// Extract this block's columns of a joint-feature-space row into
   /// out[0..cols()).

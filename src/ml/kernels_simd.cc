@@ -1,7 +1,8 @@
-// AVX2 backends for the ml kernels (see kernels_simd.h for the bit-identity
-// contract). This TU is built with -ffp-contract=off (ml/CMakeLists.txt) so
-// the compiler cannot fuse the explicit multiply/add pairs below into FMAs
-// even under -march=native; the scalar reference TU is pinned the same way.
+// AVX2 and AVX-512 backends for the ml kernels (see kernels_simd.h for the
+// bit-identity contract). This TU is built with -ffp-contract=off
+// (ml/CMakeLists.txt) so the compiler cannot fuse the explicit multiply/add
+// pairs below into FMAs even under -march=native; the scalar reference TU is
+// pinned the same way.
 
 #include "ml/kernels_simd.h"
 
@@ -87,6 +88,68 @@ VFPS_ML_TARGET_AVX2 void BlockDotsAvx2(const double* q, const double* rows,
 }
 
 #undef VFPS_ML_TARGET_AVX2
+
+#define VFPS_ML_TARGET_AVX512 __attribute__((target("avx512f")))
+
+namespace {
+
+// q_j times column j of the eight rows at `base` (stride in `offsets`), the
+// `lanes` of them that exist; the others read as 0.
+VFPS_ML_TARGET_AVX512 inline __m512d ColumnProduct(__m512d qj,
+                                                   const double* column,
+                                                   __m512i offsets,
+                                                   __mmask8 lanes) {
+  return _mm512_mul_pd(
+      qj, _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, offsets,
+                                   column, 8));
+}
+
+}  // namespace
+
+VFPS_ML_TARGET_AVX512 void BlockDistancesNarrowAvx512(
+    const double* q, double q_norm, const double* rows, const double* norms,
+    size_t cols, size_t nrows, double* out) {
+  // Lane i of every vector is row r + i: the gather offsets step one row.
+  const auto c = static_cast<long long>(cols);
+  const __m512i offsets =
+      _mm512_set_epi64(7 * c, 6 * c, 5 * c, 4 * c, 3 * c, 2 * c, c, 0);
+  __m512d qv[kNarrowMaxCols];
+  for (size_t j = 0; j < cols; ++j) qv[j] = _mm512_set1_pd(q[j]);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d qn = _mm512_set1_pd(q_norm);
+  const __m512d two = _mm512_set1_pd(2.0);
+  // Columns [0, body) go to the four accumulators, the rest to the tail.
+  const size_t body = cols & ~size_t{3};
+  for (size_t r = 0; r < nrows; r += 8) {
+    const __mmask8 lanes =
+        nrows - r >= 8 ? __mmask8{0xFF}
+                       : static_cast<__mmask8>((1u << (nrows - r)) - 1);
+    const double* base = rows + r * cols;
+    // With fewer than four columns the scalar kernel's accumulators stay
+    // 0.0 and combine to +0.0, where the tail starts.
+    __m512d dot = zero;
+    if (body != 0) {
+      const __m512d a0 = _mm512_add_pd(
+          zero, ColumnProduct(qv[0], base + 0, offsets, lanes));
+      const __m512d a1 = _mm512_add_pd(
+          zero, ColumnProduct(qv[1], base + 1, offsets, lanes));
+      const __m512d a2 = _mm512_add_pd(
+          zero, ColumnProduct(qv[2], base + 2, offsets, lanes));
+      const __m512d a3 = _mm512_add_pd(
+          zero, ColumnProduct(qv[3], base + 3, offsets, lanes));
+      dot = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
+    }
+    for (size_t j = body; j < cols; ++j) {
+      dot = _mm512_add_pd(dot, ColumnProduct(qv[j], base + j, offsets, lanes));
+    }
+    const __m512d norm = _mm512_maskz_loadu_pd(lanes, norms + r);
+    _mm512_mask_storeu_pd(
+        out + r, lanes,
+        _mm512_sub_pd(_mm512_add_pd(qn, norm), _mm512_mul_pd(two, dot)));
+  }
+}
+
+#undef VFPS_ML_TARGET_AVX512
 
 }  // namespace vfps::ml::detail
 

@@ -8,6 +8,11 @@
 #include <numeric>
 
 #include "common/macros.h"
+#include "simd/simd.h"
+
+#ifdef VFPS_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace vfps::topk {
 
@@ -129,6 +134,170 @@ size_t ForEachUnranked(const std::vector<double>& scores,
 inline size_t CoarseBucket(uint64_t key, uint64_t lo, int shift, size_t last) {
   return static_cast<size_t>(
       std::min<uint64_t>((key > lo ? key - lo : 0) >> shift, last));
+}
+
+#ifdef VFPS_SIMD_X86
+
+// AVX-512 bodies of the two streaming passes, eight items per step. They
+// compute ForEachUnranked's keys and known-prefix test lane by lane, so each
+// writes exactly what its scalar pass writes.
+#define VFPS_TOPK_TARGET_AVX512 __attribute__((target("avx512f")))
+
+// The last item of a known prefix, which every unranked item follows in
+// (key, id) order; `known` is false for an empty prefix.
+struct PrefixEnd {
+  bool known = false;
+  uint64_t key = 0;
+  uint64_t id = 0;
+};
+
+PrefixEnd PrefixEndOf(const std::vector<double>& scores,
+                      const std::vector<uint32_t>& ranked, size_t known) {
+  if (known == 0) return {};
+  const uint32_t last = ranked[known - 1];
+  return {true, OrderKey(scores[last]), last};
+}
+
+// Lanes of the items in [id, n), at most eight.
+inline __mmask8 ValidLanes(size_t id, size_t n) {
+  return n - id >= 8 ? __mmask8{0xFF}
+                     : static_cast<__mmask8>((1u << (n - id)) - 1);
+}
+
+// OrderKey of items [id, id + 8) in the `valid` lanes, and the mask of the
+// valid ones past the known prefix.
+struct KeyedLanes {
+  __m512i key;
+  __mmask8 unranked;
+};
+
+VFPS_TOPK_TARGET_AVX512 inline KeyedLanes KeyLanes(const double* scores,
+                                                   size_t id, __mmask8 valid,
+                                                   const PrefixEnd& end) {
+  const __m512i sign = _mm512_set1_epi64(std::numeric_limits<int64_t>::min());
+  __m512i bits =
+      _mm512_castpd_si512(_mm512_maskz_loadu_pd(valid, scores + id));
+  // -0.0 folds onto +0.0; then every bit flips under a set sign bit, and
+  // the sign bit alone under a clear one.
+  bits = _mm512_maskz_mov_epi64(_mm512_cmpneq_epi64_mask(bits, sign), bits);
+  const __m512i key = _mm512_xor_si512(
+      bits, _mm512_or_si512(_mm512_srai_epi64(bits, 63), sign));
+  __mmask8 unranked = valid;
+  if (end.known) {
+    const __m512i last_key = _mm512_set1_epi64(static_cast<int64_t>(end.key));
+    const __m512i ids = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<int64_t>(id)),
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    const __mmask8 after_last = _mm512_cmpgt_epu64_mask(
+        ids, _mm512_set1_epi64(static_cast<int64_t>(end.id)));
+    unranked &= _mm512_cmpgt_epu64_mask(key, last_key) |
+                (_mm512_cmpeq_epu64_mask(key, last_key) & after_last);
+  }
+  return {key, unranked};
+}
+
+// Key's count pass: ++coarse[CoarseBucket(key)] for every item past the
+// prefix; returns the number of the prefix's items. Those have keys no
+// greater than the prefix's last, which is at most `lo`, so every lane
+// counts into its bucket without a branch and the prefix's items, all in
+// bucket 0, come out of it at the end.
+VFPS_TOPK_TARGET_AVX512 size_t CountCoarseAvx512(const double* scores,
+                                                 size_t n, uint64_t lo,
+                                                 int shift, size_t last,
+                                                 const PrefixEnd& end,
+                                                 uint32_t* coarse) {
+  const __m512i lo_v = _mm512_set1_epi64(static_cast<int64_t>(lo));
+  const __m512i last_v = _mm512_set1_epi64(static_cast<int64_t>(last));
+  const __m128i shift_v = _mm_cvtsi32_si128(shift);
+  size_t skipped = 0;
+  for (size_t id = 0; id < n; id += 8) {
+    const __mmask8 valid = ValidLanes(id, n);
+    const KeyedLanes lanes = KeyLanes(scores, id, valid, end);
+    const __m512i bucket = _mm512_min_epu64(
+        _mm512_srl_epi64(
+            _mm512_sub_epi64(_mm512_max_epu64(lanes.key, lo_v), lo_v),
+            shift_v),
+        last_v);
+    alignas(32) uint32_t b[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(b),
+                       _mm512_cvtepi64_epi32(bucket));
+    const size_t lanes_in = std::min<size_t>(8, n - id);
+    for (size_t t = 0; t < lanes_in; ++t) ++coarse[b[t]];
+    skipped += static_cast<size_t>(
+        std::popcount(static_cast<unsigned>(valid & ~lanes.unranked)));
+  }
+  coarse[0] -= static_cast<uint32_t>(skipped);
+  return skipped;
+}
+
+// Scatter's collection pass: the ids past the prefix whose key lies in
+// [from, from + span], in ascending order, compressed into `picked`, which
+// must have room for all of them.
+VFPS_TOPK_TARGET_AVX512 void CollectWindowAvx512(const double* scores,
+                                                   size_t n, uint64_t from,
+                                                   uint64_t span,
+                                                   const PrefixEnd& end,
+                                                   uint32_t* picked) {
+  const __m512i from_v = _mm512_set1_epi64(static_cast<int64_t>(from));
+  const __m512i span_v = _mm512_set1_epi64(static_cast<int64_t>(span));
+  const __m512i step =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0, 0, 0, 0, 0);
+  size_t count = 0;
+  for (size_t id = 0; id < n; id += 8) {
+    const KeyedLanes lanes = KeyLanes(scores, id, ValidLanes(id, n), end);
+    const __mmask8 in_window =
+        lanes.unranked &
+        _mm512_cmple_epu64_mask(_mm512_sub_epi64(lanes.key, from_v), span_v);
+    _mm512_mask_compressstoreu_epi32(
+        picked + count, in_window,
+        _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(id)), step));
+    count += static_cast<size_t>(
+        std::popcount(static_cast<unsigned>(in_window)));
+  }
+}
+
+#undef VFPS_TOPK_TARGET_AVX512
+
+#endif  // VFPS_SIMD_X86
+
+// Key's count pass on the widest body the host runs: counts every item past
+// the first `known` ranks of `ranked` into its coarse bucket, and returns
+// the number of items it skipped.
+size_t CountCoarse(const std::vector<double>& scores,
+                   const std::vector<uint32_t>& ranked, size_t known,
+                   uint64_t lo, int shift, size_t last, uint32_t* coarse) {
+#ifdef VFPS_SIMD_X86
+  if (simd::ActiveIsa() == simd::Isa::kAvx512) {
+    return CountCoarseAvx512(scores.data(), scores.size(), lo, shift, last,
+                             PrefixEndOf(scores, ranked, known), coarse);
+  }
+#endif
+  return ForEachUnranked(scores, ranked, known, [&](uint64_t key, size_t) {
+    ++coarse[CoarseBucket(key, lo, shift, last)];
+  });
+}
+
+// Scatter's collection pass on the widest body the host runs: writes the
+// ids past the known prefix whose key lies in [from, from + span] to
+// `picked` in ascending order. `picked` must have room for one more than
+// that, which the scalar pass writes without counting.
+void CollectWindow(const std::vector<double>& scores,
+                     const std::vector<uint32_t>& ranked, size_t known,
+                     uint64_t from, uint64_t span, uint32_t* picked) {
+#ifdef VFPS_SIMD_X86
+  if (simd::ActiveIsa() == simd::Isa::kAvx512) {
+    CollectWindowAvx512(scores.data(), scores.size(), from, span,
+                        PrefixEndOf(scores, ranked, known), picked);
+    return;
+  }
+#endif
+  // Every id is written and only the window's advance the end, so the pass
+  // does not branch on the key.
+  size_t count = 0;
+  ForEachUnranked(scores, ranked, known, [&](uint64_t key, size_t id) {
+    picked[count] = static_cast<uint32_t>(id);
+    count += key - from <= span;
+  });
 }
 
 }  // namespace
@@ -254,13 +423,9 @@ void RankedListSet::Key(size_t party) {
                         static_cast<int>(std::bit_width(std::max<size_t>(
                             1, (n - known) / kItemsPerBucket)))));
   list.coarse.assign(static_cast<size_t>((hi - lo) >> list.shift) + 1, 0);
-  uint32_t* const coarse = list.coarse.data();
-  const int shift = list.shift;
-  const size_t last = list.coarse.size() - 1;
   const size_t skipped =
-      ForEachUnranked(scores, list.ranked, known, [&](uint64_t key, size_t) {
-        ++coarse[CoarseBucket(key, lo, shift, last)];
-      });
+      CountCoarse(scores, list.ranked, known, lo, list.shift,
+                  list.coarse.size() - 1, list.coarse.data());
   if (skipped != known) {
     Status::InvalidArgument(
         "RankedListSet: known prefix is not the head of the ranking")
@@ -297,16 +462,11 @@ void RankedListSet::Scatter(size_t party, size_t rank) {
       (stop > last ? std::numeric_limits<uint64_t>::max()
                    : lo + (uint64_t{stop} << shift) - 1) -
       from;
-  // One streaming pass collects the window's ids in ascending order. Every
-  // id is written and only the window's advance the end, so the pass does
-  // not branch on the key. Then they go into the window's buckets, stably.
+  // One streaming pass collects the window's ids in ascending order, then
+  // they go into the window's buckets, stably.
   list.picked.resize(items + 1);
   uint32_t* const picked = list.picked.data();
-  size_t count = 0;
-  ForEachUnranked(scores, list.ranked, known, [&](uint64_t key, size_t id) {
-    picked[count] = static_cast<uint32_t>(id);
-    count += key - from <= span;
-  });
+  CollectWindow(scores, list.ranked, known, from, span, picked);
   list.window_end.assign(list.coarse.begin() + first,
                          list.coarse.begin() + stop);
   CountsToStarts(&list.window_end);
@@ -434,6 +594,29 @@ std::vector<uint64_t> RankedListSet::SortedOrder(
     order.swap(next);
   }
   return order;
+}
+
+std::vector<uint64_t> RankedListSet::Marks::TakeSeen(size_t count) {
+  std::vector<uint64_t> items(count);
+  uint64_t* out = items.data();
+  for (size_t w = 0; w < seen.size(); ++w) {
+    for (uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t id = w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+      *out++ = id;
+      counts[id] = 0;
+    }
+    seen[w] = 0;
+  }
+  return items;
+}
+
+RankedListSet::Marks& RankedListSet::MergeMarks() {
+  // Every entry is zero between merges, so resizing keeps them zero.
+  Marks& marks = scratch_.marks_;
+  const size_t n = num_items();
+  marks.counts.resize(n);
+  marks.seen.resize((n + 63) / 64);
+  return marks;
 }
 
 double RankedListSet::AggregateScore(uint64_t id) const {

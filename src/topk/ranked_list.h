@@ -71,15 +71,28 @@ class RankedListSet {
   /// writes them.
   using SharedScores = std::shared_ptr<const std::vector<double>>;
 
+  /// A merge's marks on the items (see MergeMarks()): per item a counter,
+  /// and a bit that is set once the item was read.
+  struct Marks {
+    std::vector<uint32_t> counts;  // [item]
+    std::vector<uint64_t> seen;    // bit item % 64 of word item / 64
+
+    /// The `count` items whose bit is set, in ascending order; every bit
+    /// and those items' counters are zero again afterwards.
+    std::vector<uint64_t> TakeSeen(size_t count);
+  };
+
   /// The rankings' working memory: per party, the ranked ids, the coarse
-  /// histogram and the entry and bucket arrays of the reads. A caller that
-  /// builds one list set after another (the oracle: one per query and
-  /// shard) passes the last set's scratch to the next build, which then
-  /// reuses its allocations. A set takes its scratch by value and hands it
-  /// back through TakeScratch(), so two live sets never share one.
+  /// histogram and the entry and bucket arrays of the reads, and the marks
+  /// of the merges. A caller that builds one list set after another (the
+  /// oracle: one per query and shard) passes the last set's scratch to the
+  /// next build, which then reuses its allocations. A set takes its scratch
+  /// by value and hands it back through TakeScratch(), so two live sets
+  /// never share one.
   class Scratch {
     friend class RankedListSet;
     std::vector<Ranking> rankings_;  // [party]
+    Marks marks_;
   };
 
   /// \param scores_per_party one score vector per party; all the same size,
@@ -140,6 +153,14 @@ class RankedListSet {
   /// Aggregate (sum) score of an item across all parties.
   double AggregateScore(uint64_t id) const;
 
+  /// The marks a merge over this set keeps per item: num_items() counters
+  /// and a bitmap of num_items() bits, all zero when a merge starts. A merge
+  /// sets the bit of every item whose counter it touches, and ends with
+  /// Marks::TakeSeen(), which zeroes them again. They live in the set's
+  /// scratch, so consecutive sets built from one scratch (the oracle's query
+  /// tasks) allocate them once, not once per merge.
+  Marks& MergeMarks();
+
  private:
   RankedListSet() = default;
   static std::vector<SharedScores> Share(
@@ -167,9 +188,10 @@ class RankedListSet {
 /// accesses into communication).
 struct TopkResult {
   std::vector<uint64_t> ids;  // the k items with smallest aggregate score
-  /// Every distinct item whose aggregate was (or must be) evaluated — in the
-  /// VFPS-SM protocol this is exactly the set whose partial distances get
-  /// encrypted and transmitted (Fig. 9's y-axis).
+  /// Every distinct item whose aggregate was (or must be) evaluated, in
+  /// ascending id order — in the VFPS-SM protocol this is exactly the set
+  /// whose partial distances get encrypted and transmitted (Fig. 9's
+  /// y-axis).
   std::vector<uint64_t> candidate_ids;
   size_t depth = 0;            // sorted-access rows consumed per party
   size_t sorted_accesses = 0;  // total sorted accesses across parties

@@ -42,7 +42,9 @@ Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
   k = std::min(k, n);
 
   TopkResult result;
-  std::vector<bool> evaluated(n, false);
+  // An item's bit in `evaluated` is set once its aggregate was computed.
+  RankedListSet::Marks& marks = lists.MergeMarks();
+  uint64_t* const evaluated = marks.seen.data();
   // Max-heap of (aggregate, id): the root is the worst of the current top-k.
   std::priority_queue<std::pair<double, uint64_t>> best;
 
@@ -52,9 +54,9 @@ Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
       const uint64_t frontier_id = lists.IdAtRank(party, depth);
       ++result.sorted_accesses;
       threshold += lists.Score(party, frontier_id);
-      if (!evaluated[frontier_id]) {
-        evaluated[frontier_id] = true;
-        result.candidate_ids.push_back(frontier_id);
+      const uint64_t bit = uint64_t{1} << (frontier_id % 64);
+      if ((evaluated[frontier_id / 64] & bit) == 0) {
+        evaluated[frontier_id / 64] |= bit;
         // Random-access the other parties' scores for this item.
         result.random_accesses += p - 1;
         ++result.candidates;
@@ -79,6 +81,7 @@ Result<TopkResult> ThresholdTopk(RankedListSet& lists, size_t k,
     result.ids[i] = best.top().second;
     best.pop();
   }
+  result.candidate_ids = marks.TakeSeen(result.candidates);
 
   metrics.Record(result);
   return result;

@@ -62,11 +62,6 @@ std::vector<uint8_t> EncodeScalar(double v) {
   return writer.TakeBytes();
 }
 
-Result<double> DecodeScalar(const std::vector<uint8_t>& payload) {
-  BinaryReader reader(payload);
-  return reader.ReadDouble();
-}
-
 // Partial squared distances from a party's query slice `q` to `rows` (rows of
 // `shard`, in any order), written to out[0, rows.size()). When `rows` covers
 // the shard — every row but at most the query's — one range-kernel sweep
@@ -865,7 +860,9 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunUnit(
       phase_rank.End();
       span_rank.End();
 
-      // The shard-local phase-1 merge (exact within the shard).
+      // The shard-local phase-1 merge (exact within the shard). Fagin runs
+      // its phase 1 alone: the candidates' aggregation is the encrypted
+      // round below.
       obs::Span span_merge(env.tracer, "knn.topk_merge", env.clock);
       span_merge.SetNode("agg-server");
       PhaseTimer phase_merge(c_phase_merge_, env.clock);
@@ -875,8 +872,8 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunUnit(
         VFPS_ASSIGN_OR_RETURN(merge,
                               topk::ThresholdTopk(lists, k, ta_metrics_));
       } else {
-        VFPS_ASSIGN_OR_RETURN(merge,
-                              topk::FaginTopk(lists, k, batch, fagin_metrics_));
+        VFPS_ASSIGN_OR_RETURN(
+            merge, topk::FaginPhase1(lists, k, batch, fagin_metrics_));
       }
       env.clock->Advance(CostCategory::kCompute,
                          static_cast<double>(merge.sorted_accesses) *
@@ -959,9 +956,11 @@ Result<std::vector<QueryNeighborhood>> FederatedKnnOracle::RunUnit(
       phase_stream.End();
       span_stream.End();
 
-      // Candidate set: every item phase 1 saw. Each party gathers exactly
-      // those partial distances, and their rows replace the shard's items;
-      // every party uploads, as no top-k ciphertext is cached.
+      // Candidate set: every item phase 1 saw, in ascending shard-item
+      // (= pseudo-ID) order, so the broadcast below reveals the set and not
+      // the order the merge read it in. Each party gathers exactly those
+      // partial distances, and their rows replace the shard's items; every
+      // party uploads, as no top-k ciphertext is cached.
       const std::vector<uint64_t>& cand = merge.candidate_ids;  // shard items
       const size_t c = cand.size();
       upload.assign(a, std::vector<double>(c));
@@ -1178,7 +1177,7 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
           env.chan->Send(static_cast<int>(party), kLeader, EncodeScalar(dt)));
       VFPS_ASSIGN_OR_RETURN(auto payload,
                             env.chan->Recv(static_cast<int>(party), kLeader));
-      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeScalar(payload));
+      VFPS_ASSIGN_OR_RETURN(hood.per_party_dt[party], DecodeDtReply(payload));
     }
   }
   ChargeParallelCompute(env.clock, dt_seconds);
@@ -1192,6 +1191,17 @@ Result<QueryNeighborhood> FederatedKnnOracle::FinishQuery(
     stats->fagin_depth += q->depth;
   }
   return hood;
+}
+
+Result<double> FederatedKnnOracle::DecodeDtReply(
+    const std::vector<uint8_t>& payload) {
+  BinaryReader reader(payload);
+  VFPS_ASSIGN_OR_RETURN(const double dt, reader.ReadDouble());
+  if (!reader.AtEnd()) {
+    return Status::ProtocolError(StrFormat(
+        "d_T reply: %zu bytes after the value", reader.remaining()));
+  }
+  return dt;
 }
 
 Result<std::vector<size_t>> FederatedKnnOracle::DecodeNeighborRows(

@@ -302,6 +302,11 @@ class FederatedKnnOracle {
       const std::vector<uint8_t>& payload, size_t expected,
       const PseudoIdMap* pseudo, size_t num_rows, size_t query_row);
 
+  /// \brief The leader's decode of a party's d_T reply: one double. Rejects
+  /// a payload too short to hold it, and with ProtocolError one that goes on
+  /// after it (the message names the extra byte count).
+  static Result<double> DecodeDtReply(const std::vector<uint8_t>& payload);
+
  private:
   /// Run-scoped state of the per-shard pipeline, built once per Run()
   /// (serially, before any unit spawns) and shared read-only by every unit.

@@ -6,6 +6,7 @@
 #include "common/buffer.h"
 #include "common/macros.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "ml/metrics.h"
 #include "ml/optimizer.h"
 
@@ -20,11 +21,6 @@ std::vector<uint8_t> EncodeDoubles(const std::vector<double>& v) {
   return writer.TakeBytes();
 }
 
-Result<std::vector<double>> DecodeDoubles(const std::vector<uint8_t>& payload) {
-  BinaryReader reader(payload);
-  return reader.ReadDoubleVec();
-}
-
 std::vector<uint8_t> EncodeIds(const std::vector<size_t>& ids) {
   BinaryWriter writer;
   std::vector<uint64_t> wide(ids.begin(), ids.end());
@@ -32,6 +28,18 @@ std::vector<uint8_t> EncodeIds(const std::vector<size_t>& ids) {
   return writer.TakeBytes();
 }
 }  // namespace
+
+Result<std::vector<double>> SplitLrProtocol::DecodeDoubles(
+    const std::vector<uint8_t>& payload) {
+  BinaryReader reader(payload);
+  VFPS_ASSIGN_OR_RETURN(auto values, reader.ReadDoubleVec());
+  if (!reader.AtEnd()) {
+    return Status::ProtocolError(StrFormat(
+        "split-LR payload: %zu bytes after the last value",
+        reader.remaining()));
+  }
+  return values;
+}
 
 SplitLrProtocol::SplitLrProtocol(const data::DataSplit* split,
                                  const data::VerticalPartition* partition,

@@ -1,6 +1,7 @@
 #ifndef VFPS_VFL_SPLIT_LR_H_
 #define VFPS_VFL_SPLIT_LR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -56,6 +57,13 @@ class SplitLrProtocol {
   /// Run the training loop (early stopping on the leader's validation loss)
   /// and evaluate on the test split.
   Result<Outcome> Train(const ml::TrainConfig& config);
+
+  /// \brief A participant's decode of the leader's residual payload: one
+  /// length-prefixed vector of doubles. Rejects a payload too short for the
+  /// length it carries, and with ProtocolError one that goes on after the
+  /// vector (the message names the extra byte count).
+  static Result<std::vector<double>> DecodeDoubles(
+      const std::vector<uint8_t>& payload);
 
  private:
   // One forward pass of `rows` of `source` through the split model: returns

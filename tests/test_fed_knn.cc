@@ -138,6 +138,24 @@ TEST(DtExchangeDecodeTest, RejectsOutOfRangeIdsAndWrongCounts) {
   }
 }
 
+TEST(DtExchangeDecodeTest, DtReplyIsExactlyOneDouble) {
+  BinaryWriter writer;
+  writer.WriteDouble(2.75);
+  std::vector<uint8_t> reply = writer.TakeBytes();
+  auto dt = FederatedKnnOracle::DecodeDtReply(reply);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+  EXPECT_EQ(*dt, 2.75);
+  // A 9-byte reply: the byte after the value is rejected, and named.
+  reply.push_back(0);
+  dt = FederatedKnnOracle::DecodeDtReply(reply);
+  EXPECT_TRUE(dt.status().IsProtocolError()) << dt.status().ToString();
+  EXPECT_NE(dt.status().message().find("1 bytes"), std::string::npos)
+      << dt.status().ToString();
+  // Too short to hold the value.
+  reply.resize(7);
+  EXPECT_FALSE(FederatedKnnOracle::DecodeDtReply(reply).ok());
+}
+
 TEST(DtExchangeDecodeTest, MutatedPayloadsNeverYieldOutOfRangeRows) {
   constexpr size_t kRows = 300;
   const PseudoIdMap map = PseudoIdMap::Create(kRows, 4);

@@ -22,6 +22,12 @@
 //      with an independently-associated naive formulation exactly on integer
 //      grids and to 1e-9 relative tolerance on well-scaled doubles —
 //      including denormal and ±DBL_MAX inputs and unaligned row strides.
+//      Every column count 1-16 (the AVX-512 narrow-block kernel, one row
+//      per lane, takes 1-7) matches the scalar kernel bit for bit over
+//      ragged [begin, end) ranges, with ±0, subnormal, ±inf and NaN inputs.
+//   3b. The lazy ranking's AVX-512 passes (the key-and-count pass and the
+//      window collection) read every rank SortedOrder gives, at every first
+//      read depth and from known prefixes of every length.
 //   4. SmallestK clamps k >= N and is ISA-independent.
 //   5. VFPS_FORCE_SCALAR pins ResolveIsa() to the scalar reference.
 //   6. End to end: a full VFPS-SM selection (kBase and kFagin, CKKS packed
@@ -46,8 +52,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -66,6 +74,7 @@
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "simd/simd.h"
+#include "topk/ranked_list.h"
 #include "vfl/fed_knn.h"
 
 namespace vfps {
@@ -703,6 +712,66 @@ TEST(SimdDistanceKernelTest, IntegerGridsAreExactAcrossFormulations) {
   }
 }
 
+// NaN results are compared as NaN: which NaN a sum of two NaNs carries
+// depends on the operand order the compiler gives a commutative add, which
+// no contract fixes. Every other result must match bit for bit.
+bool SameResult(double got, double want) {
+  return BitEqual(got, want) || (std::isnan(got) && std::isnan(want));
+}
+
+TEST(SimdDistanceKernelTest, EveryWidthAndRangeBitIdentical) {
+  // Every column count 1-16 (the AVX-512 narrow-block kernel takes 1-7, the
+  // 4-wide kernels the rest), over [begin, end) ranges whose start and
+  // length are not multiples of 4 or 8, on random rows and on rows mixing
+  // ±0, subnormals, ±DBL_MAX (whose products overflow to ±inf), ±inf and
+  // NaN with ordinary values.
+  const std::vector<simd::Isa> isas = VectorIsas();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,     -0.0,     DBL_MIN / 4, -DBL_MIN / 2,
+                             DBL_MAX, -DBL_MAX, kInf,        -kInf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             DBL_EPSILON, -1.5, 42.0};
+  constexpr size_t kRows = 61;
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, kRows}, {1, kRows}, {3, 60}, {5, 18}, {13, 14}, {9, 28}, {33, 58}};
+  Rng rng(0x5EED);
+  for (size_t cols = 1; cols <= 16; ++cols) {
+    for (bool extreme : {false, true}) {
+      const auto draw = [&] {
+        return extreme && rng.Bernoulli(0.5) ? specials[rng.NextBounded(12)]
+                                             : rng.Uniform(-5.0, 5.0);
+      };
+      data::Dataset data(kRows, cols, 2);
+      for (size_t i = 0; i < kRows; ++i) {
+        for (size_t j = 0; j < cols; ++j) data.Set(i, j, draw());
+      }
+      std::vector<size_t> columns(cols);
+      for (size_t j = 0; j < cols; ++j) columns[j] = j;
+      const ml::FeatureBlock block(data, columns);
+      std::vector<double> query(cols);
+      for (double& v : query) v = draw();
+      const double q_norm = ml::SquaredNormScalar(query.data(), cols);
+      for (const auto& [begin, end] : ranges) {
+        std::vector<double> ref(end - begin), got(end - begin);
+        ml::BlockSquaredDistancesScalar(block, query.data(), q_norm, begin,
+                                        end, ref.data());
+        for (simd::Isa isa : isas) {
+          IsaPin pin(isa);
+          ml::BlockSquaredDistances(block, query.data(), q_norm, begin, end,
+                                    got.data());
+          for (size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_TRUE(SameResult(got[i], ref[i]))
+                << simd::IsaName(isa) << " cols=" << cols
+                << (extreme ? " extreme" : "") << " rows [" << begin << ", "
+                << end << ") row=" << begin + i << ": " << got[i] << " vs "
+                << ref[i];
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdDistanceKernelTest, SmallestKClampsAndIgnoresIsa) {
   const std::vector<double> values = {3.0, 1.0, 4.0, 1.0, 5.0};
   // k >= N clamps to N; ties break by lower index (1 before 3).
@@ -712,6 +781,116 @@ TEST(SimdDistanceKernelTest, SmallestKClampsAndIgnoresIsa) {
   for (simd::Isa isa : VectorIsas()) {
     IsaPin pin(isa);
     EXPECT_EQ(ml::SmallestK(values, 99), expect) << simd::IsaName(isa);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 3b. Lazy ranking passes
+
+// Every ISA the ranking can run on here, the scalar reference included.
+std::vector<simd::Isa> AllIsas() {
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  for (simd::Isa isa : VectorIsas()) isas.push_back(isa);
+  return isas;
+}
+
+// Builds one list from the first `known` ranks of `reference`, reads rank
+// `first` first (the read that sizes the first scatter), then every rank in
+// order, each against `reference` (SortedOrder of `scores`).
+void ExpectLazyReadsEqual(const std::vector<double>& scores,
+                          const std::vector<uint64_t>& reference, size_t known,
+                          size_t first, const std::string& label) {
+  auto set = topk::RankedListSet::BuildPresorted(
+      std::vector<std::vector<double>>{scores},
+      {std::vector<uint64_t>(reference.begin(), reference.begin() + known)});
+  ASSERT_TRUE(set.ok()) << label;
+  ASSERT_EQ(set->IdAtRank(0, first), reference[first])
+      << label << " first read";
+  for (size_t r = 0; r < scores.size(); ++r) {
+    ASSERT_EQ(set->IdAtRank(0, r), reference[r]) << label << " rank=" << r;
+  }
+}
+
+// n scores of one of three kinds: a small alphabet with -0.0/+0.0 ties and
+// ±inf; consecutive doubles (keys one apart, so keys fall on every window
+// and bucket bound); distance-like values with a few ties, zeros of both
+// signs and +inf.
+std::vector<double> RankingScores(size_t n, int kind, Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> scores(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (kind) {
+      case 0: {
+        const double alphabet[] = {-kInf, -2.5, -0.0, 0.0, 1.0, 3.5, kInf};
+        scores[i] = alphabet[rng->NextBounded(7)];
+        break;
+      }
+      case 1:
+        scores[i] = std::bit_cast<double>(std::bit_cast<uint64_t>(1.0) +
+                                          rng->NextBounded(n));
+        break;
+      default: {
+        double d = 0.0;
+        for (int c = 0; c < 3; ++c) d += std::pow(rng->Normal(), 2);
+        scores[i] = d;
+      }
+    }
+  }
+  if (kind == 2) {
+    for (size_t i = 0; i < n / 50 + 1; ++i) {
+      scores[rng->NextBounded(n)] = scores[rng->NextBounded(n)];
+      scores[rng->NextBounded(n)] = rng->Bernoulli(0.5) ? 0.0 : -0.0;
+    }
+    scores[rng->NextBounded(n)] = kInf;
+  }
+  return scores;
+}
+
+TEST(SimdRankingDifferentialTest, LazyReadsEqualSortedOrderOnEveryIsa) {
+  // The key-and-count pass and the window collection run at vector width
+  // on AVX-512. On every ISA, every rank read equals SortedOrder's: lists
+  // of 1-40 items, read first at every depth, from known prefixes of every
+  // length (so a prefix ends at every lane of a vector); and 16,000 items
+  // read first at depths around the window bounds, from short and long
+  // prefixes.
+  Rng rng(0x2A4C);
+  for (size_t n = 1; n <= 40; ++n) {
+    for (int kind = 0; kind < 3; ++kind) {
+      const std::vector<double> scores = RankingScores(n, kind, &rng);
+      const std::vector<uint64_t> reference =
+          topk::RankedListSet::SortedOrder(scores);
+      for (simd::Isa isa : AllIsas()) {
+        IsaPin pin(isa);
+        for (size_t known = 0; known <= n; ++known) {
+          for (size_t first = 0; first < n; ++first) {
+            ExpectLazyReadsEqual(
+                scores, reference, known, first,
+                std::string(simd::IsaName(isa)) + " n=" + std::to_string(n) +
+                    " kind=" + std::to_string(kind) +
+                    " known=" + std::to_string(known) +
+                    " first=" + std::to_string(first));
+          }
+        }
+      }
+    }
+  }
+  constexpr size_t kLong = 16000;
+  for (int kind = 0; kind < 3; ++kind) {
+    const std::vector<double> scores = RankingScores(kLong, kind, &rng);
+    const std::vector<uint64_t> reference =
+        topk::RankedListSet::SortedOrder(scores);
+    for (simd::Isa isa : AllIsas()) {
+      IsaPin pin(isa);
+      for (size_t known : {0, 1, 13, 1003, 2953}) {
+        for (size_t first : {0, 7, 999, 1000, 1001, 2952, 4000, 15999}) {
+          ExpectLazyReadsEqual(scores, reference, known, first,
+                               std::string(simd::IsaName(isa)) +
+                                   " n=16000 kind=" + std::to_string(kind) +
+                                   " known=" + std::to_string(known) +
+                                   " first=" + std::to_string(first));
+        }
+      }
+    }
   }
 }
 

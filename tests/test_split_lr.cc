@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/buffer.h"
 #include "data/scaler.h"
 #include "data/synthetic.h"
 #include "ml/logreg.h"
@@ -126,6 +129,24 @@ TEST(SplitLrTest, EmptySelectionRejected) {
   SplitLrProtocol protocol(&f.split, &f.partition, {}, f.backend.get(),
                            &f.network, &f.cost, &f.clock);
   EXPECT_FALSE(protocol.Train(FastConfig()).ok());
+}
+
+TEST(SplitLrTest, ResidualPayloadRejectsTrailingBytes) {
+  BinaryWriter writer;
+  writer.WriteDoubleVec({0.5, -1.25, 3.0});
+  std::vector<uint8_t> payload = writer.TakeBytes();
+  auto values = SplitLrProtocol::DecodeDoubles(payload);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  EXPECT_EQ(*values, (std::vector<double>{0.5, -1.25, 3.0}));
+  // One byte after the vector is rejected, and named.
+  payload.push_back(0);
+  values = SplitLrProtocol::DecodeDoubles(payload);
+  EXPECT_TRUE(values.status().IsProtocolError()) << values.status().ToString();
+  EXPECT_NE(values.status().message().find("1 bytes"), std::string::npos)
+      << values.status().ToString();
+  // A length past the payload.
+  payload.resize(payload.size() - 2);
+  EXPECT_FALSE(SplitLrProtocol::DecodeDoubles(payload).ok());
 }
 
 }  // namespace

@@ -85,6 +85,14 @@ void CheckInstance(const std::vector<std::vector<double>>& scores, size_t k,
   EXPECT_LE(fagin->depth, naive->depth) << label;
   EXPECT_LE(ta->depth, naive->depth) << label;
   EXPECT_EQ(fagin->candidates, fagin->candidate_ids.size()) << label;
+  // Candidates come in ascending id order from both merges that report them,
+  // so nothing about the order they were read in leaves the merge.
+  EXPECT_TRUE(std::is_sorted(fagin->candidate_ids.begin(),
+                             fagin->candidate_ids.end()))
+      << label;
+  EXPECT_TRUE(std::is_sorted(ta->candidate_ids.begin(),
+                             ta->candidate_ids.end()))
+      << label;
   const auto fagin_cands = AsSet(fagin->candidate_ids);
   for (uint64_t id : fagin->ids) {
     EXPECT_TRUE(fagin_cands.count(id)) << label << " id " << id;
@@ -169,6 +177,102 @@ TEST(TopkDifferentialTest, AdversarialDistributions) {
     for (size_t i = 0; i < 3; ++i) a[i] = b[i] = 0.0;
     CheckInstance({a, b}, 3, 1, "winner block");
     CheckInstance({a, b}, 6, 1, "winner block + ties");
+  }
+}
+
+// Textbook phase 1 over complete rankings, for FaginPhase1 to match: the
+// depth at which k items were seen in all lists, and every item seen.
+struct Phase1Reference {
+  size_t depth = 0;
+  std::vector<uint64_t> seen;  // ascending
+};
+
+Phase1Reference ReferencePhase1(const std::vector<std::vector<double>>& scores,
+                                size_t k, size_t batch) {
+  const size_t n = scores[0].size();
+  const size_t p = scores.size();
+  k = std::min(k, n);
+  std::vector<std::vector<uint64_t>> orders;
+  for (const auto& list : scores) {
+    orders.push_back(RankedListSet::SortedOrder(list));
+  }
+  std::vector<size_t> count(n, 0);
+  size_t fully_seen = 0;
+  Phase1Reference ref;
+  while (fully_seen < k && ref.depth < n) {
+    const size_t limit = ref.depth + std::min(batch, n - ref.depth);
+    for (size_t party = 0; party < p; ++party) {
+      for (size_t r = ref.depth; r < limit; ++r) {
+        if (++count[orders[party][r]] == p) ++fully_seen;
+      }
+    }
+    ref.depth = limit;
+  }
+  for (uint64_t id = 0; id < n; ++id) {
+    if (count[id] > 0) ref.seen.push_back(id);
+  }
+  return ref;
+}
+
+// The phase-1 core the oracle runs returns FaginTopk's candidate set
+// (ascending), depth and access counts, records the same topk.fagin.*
+// series, and leaves the set's marks ready for the next merge: every merge
+// below reuses one set.
+TEST(TopkDifferentialTest, PhaseOneCoreMatchesFaginTopk) {
+  Rng rng(0x9A5E1);
+  const size_t batches[] = {1, 2, 64, std::numeric_limits<size_t>::max()};
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t parties = 1 + rng.NextBounded(5);
+    const size_t items = 1 + rng.NextBounded(40);
+    std::vector<std::vector<double>> scores = RandomScores(parties, items, &rng);
+    if (trial % 2 == 1) {  // tied scores from a tiny alphabet
+      for (auto& list : scores) {
+        for (double& v : list) v = static_cast<double>(rng.NextBounded(3));
+      }
+    }
+    auto lists = RankedListSet::Build(scores);
+    ASSERT_TRUE(lists.ok());
+    for (size_t k : {size_t{1}, 1 + rng.NextBounded(items), items,
+                     items + 3}) {
+      for (size_t batch : batches) {
+        const std::string label = "trial " + std::to_string(trial) +
+                                  " k=" + std::to_string(k) +
+                                  " batch=" + std::to_string(batch);
+        const Phase1Reference ref = ReferencePhase1(scores, k, batch);
+        obs::MetricsRegistry core_reg;
+        obs::MetricsRegistry full_reg;
+        auto core = FaginPhase1(*lists, k, batch,
+                                FaginMetrics::Resolve(&core_reg));
+        auto full = FaginTopk(*lists, k, batch, &full_reg);
+        ASSERT_TRUE(core.ok() && full.ok()) << label;
+        EXPECT_TRUE(core->ids.empty()) << label;
+        EXPECT_EQ(core->candidate_ids, ref.seen) << label;
+        EXPECT_EQ(full->candidate_ids, ref.seen) << label;
+        EXPECT_EQ(core->depth, ref.depth) << label;
+        EXPECT_EQ(full->depth, ref.depth) << label;
+        EXPECT_EQ(core->candidates, ref.seen.size()) << label;
+        EXPECT_EQ(core->sorted_accesses, ref.depth * parties) << label;
+        EXPECT_EQ(full->sorted_accesses, core->sorted_accesses) << label;
+        EXPECT_EQ(core->random_accesses,
+                  ref.seen.size() * parties - ref.depth * parties)
+            << label;
+        EXPECT_EQ(full->random_accesses, core->random_accesses) << label;
+        for (const char* name :
+             {"topk.fagin.runs", "topk.fagin.rounds",
+              "topk.fagin.sorted_access_depth", "topk.fagin.sorted_accesses",
+              "topk.fagin.random_accesses"}) {
+          EXPECT_EQ(core_reg.CounterValue(name), full_reg.CounterValue(name))
+              << label << " " << name;
+        }
+        EXPECT_EQ(core_reg.CounterValue("topk.fagin.runs"), 1u) << label;
+        EXPECT_EQ(core_reg.GetHistogram("topk.fagin.candidates")->Sum(),
+                  ref.seen.size())
+            << label;
+        EXPECT_EQ(full_reg.GetHistogram("topk.fagin.candidates")->Sum(),
+                  ref.seen.size())
+            << label;
+      }
+    }
   }
 }
 
